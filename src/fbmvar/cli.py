@@ -26,7 +26,7 @@ from .constants import (
     sigma_clt,
     sigma_tilde,
 )
-from .errors import FbmvarError
+from .errors import ConfigError, FbmvarError
 from .experiments import EXPERIMENT_IDS, ExperimentConfig, run_experiment
 from .hermite_process import simulate_hermite
 from .variations import renormalize, weighted_hermite_variation, weighted_power_variation
@@ -322,17 +322,20 @@ def _build_experiment_config(args) -> ExperimentConfig:
     for key, val in raw.items():
         if key not in field_types:
             raise FbmvarError(f"unknown config key {key!r}")
-        if key == "levels":
-            if isinstance(val, str):
-                val = tuple(int(x) for x in val.split(","))
-            converted[key] = tuple(val)
-        elif key in ("experiment_id", "weight"):
-            converted[key] = str(val)
-        elif key in ("hurst", "rel_tol", "variance_rtol", "slope_rtol", "ks_alpha",
-                     "final_ratio"):
-            converted[key] = float(val)
-        else:
-            converted[key] = int(val)
+        try:
+            if key == "levels":
+                if isinstance(val, str):
+                    val = tuple(int(x) for x in val.split(","))
+                converted[key] = tuple(val)
+            elif key in ("experiment_id", "weight"):
+                converted[key] = str(val)
+            elif key in ("hurst", "rel_tol", "variance_rtol", "slope_rtol", "ks_alpha",
+                         "final_ratio"):
+                converted[key] = float(val)
+            else:
+                converted[key] = int(val)
+        except ValueError:
+            raise ConfigError(f"bad value {val!r} for config key {key!r}") from None
     if "hurst" not in converted or "order" not in converted:
         raise FbmvarError("experiment needs --H and --q (or a config file)")
     return ExperimentConfig(**converted)

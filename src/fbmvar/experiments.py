@@ -8,11 +8,22 @@ byte-identical for any worker count.  Coupled (same-path) L2 checks are
 used where the underlying convergence is in L2; distributional checks
 (variance, KS, conditional-variance regression) where it is in law.
 
+One engine (``_collect``) owns sampling, coarsening, blocking and the
+worker pool; runners only reduce.  A runner passes a kernel, a
+module-level (picklable) function mapping (cfg, f, v, m, n) to named
+per-replicate arrays for level n, where v is one block of paths at level
+m: the top-level path coarsened to m = n, or for a ``fine`` kernel a path
+resampled at m = n + fine_offset.
+
 Verdict policy (stated in every report): decreasing-sequence checks
-allow at most one adjacent inversion and require final < final_ratio *
-initial (default 1/4); variance comparisons use a relative tolerance
-(default 5%) and KS tests reject below p = 0.01.  Every per-level
-statistic carries a Monte Carlo standard error.
+allow at most max_inversions (default 1) adjacent inversions and require
+final < final_ratio * initial (default 1/4) in small_h and the trapezoid
+convergence arm, a final relative L2 distance below an absolute 0.15 in
+noncentral and corollary item 6, and final < initial in corollary items
+1 and 2 (the trapezoid counterexample arm needs final >= initial / 2).
+Variance comparisons use a relative tolerance (default 5%) and KS tests
+reject below p = 0.01.  Every per-level statistic carries a Monte Carlo
+standard error.
 
 The report's wall-clock time is deliberately not part of the canonical
 JSON (reports must be byte-reproducible); it is exposed separately on
@@ -25,6 +36,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -40,12 +52,13 @@ from .constants import (
     sigma_tilde_critical,
     sigma_tilde_critical_corrected,
 )
-from .errors import ConfigError, RegimeError
+from .errors import ConfigError, RegimeError, SizeLimitError
 from .hermite import gaussian_moment
 from .hermite_process import hermite_partial_sums, young_integral_rows
 from .stats import (
     count_inversions,
     ks_1samp_normal,
+    least_squares_slope,
     mean_and_se,
     median_and_se,
     through_origin_slope,
@@ -114,8 +127,11 @@ class ExperimentConfig:
         object.__setattr__(self, "levels", levels)
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ConfigError(f"levels must be strictly increasing, got {levels}")
-        if self.replicates < 100:
-            raise ConfigError(f"replicates must be >= 100, got {self.replicates}")
+        if levels[0] < 1:
+            raise ConfigError(f"levels must be >= 1, got {levels}")
+        for name, low in (("replicates", 100), ("fine_offset", 0), ("threads", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         parse_weight(self.weight)
 
     def canonical_dict(self) -> dict:
@@ -149,14 +165,11 @@ class ExperimentReport:
             "flags": self.flags,
             "verdict": self.verdict,
         }
-        return json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n"
+        return json.dumps(payload, sort_keys=True, indent=2, default=_plain) + "\n"
 
     def per_level_csv(self) -> str:
-        keys: list[str] = []
-        for entry in self.levels:
-            for k in entry:
-                if k not in keys:
-                    keys.append(k)
+        # every key in order of first appearance
+        keys = list(dict.fromkeys(k for entry in self.levels for k in entry))
         lines = [",".join(keys)]
         for entry in self.levels:
             lines.append(",".join(_csv_cell(entry.get(k)) for k in keys))
@@ -178,17 +191,9 @@ def _csv_cell(v) -> str:
 
 
 def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
+    # json.dumps hook for the numpy values json cannot encode itself
+    # (np.float64 subclasses float and is encoded as one)
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj.item()
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -209,11 +214,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 # replicate engine
 
 
-def _block_size(fine_level: int) -> int:
-    # keep one block's normals around 2^22 floats (~32 MB)
-    return max(1, (1 << 22) >> (fine_level + 1))
-
-
 def _values_block(
     hurst: float, level: int, seed: int, start: int, count: int
 ) -> np.ndarray:
@@ -223,11 +223,37 @@ def _values_block(
     return vals
 
 
-def _collect(
-    cfg: ExperimentConfig, block_fn: Callable, fine_level: int
+def _replicate_block(
+    cfg: ExperimentConfig, kernel: Callable, fine: bool, start: int, count: int
 ) -> dict[str, np.ndarray]:
-    """Run block_fn(cfg, start, count) over all replicates, in order."""
-    size = _block_size(fine_level)
+    """Kernel outputs for replicates start .. start+count-1, every level."""
+    f = parse_weight(cfg.weight)
+    out: dict[str, np.ndarray] = {}
+    if fine:
+        for n in cfg.levels:
+            m = n + cfg.fine_offset
+            vals = _values_block(cfg.hurst, m, cfg.master_seed, start, count)
+            out.update(kernel(cfg, f, vals, m, n))
+        return out
+    n_max = max(cfg.levels)
+    vals = _values_block(cfg.hurst, n_max, cfg.master_seed, start, count)
+    for n in cfg.levels:
+        out.update(kernel(cfg, f, vals[:, :: 2 ** (n_max - n)], n, n))
+    return out
+
+
+def _collect(
+    cfg: ExperimentConfig, kernel: Callable, fine: bool = False
+) -> dict[str, np.ndarray]:
+    """Run the kernel over all replicates, in order, and concatenate."""
+    fine_level = max(cfg.levels) + (cfg.fine_offset if fine else 0)
+    if fine_level > fbm.CIRCULANT_MAX_LEVEL:
+        raise SizeLimitError(
+            f"finest sampled level {fine_level} exceeds the circulant "
+            f"sampler's ceiling {fbm.CIRCULANT_MAX_LEVEL}"
+        )
+    # keep one block's normals around 2^22 floats (~32 MB)
+    size = max(1, (1 << 22) >> (fine_level + 1))
     blocks = [
         (start, min(size, cfg.replicates - start))
         for start in range(0, cfg.replicates, size)
@@ -235,22 +261,145 @@ def _collect(
     if cfg.threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.threads) as ex:
-            parts = list(
-                ex.map(block_fn, *zip(*((cfg, s, c) for s, c in blocks)))
-            )
+        args = zip(*((cfg, kernel, fine, s, c) for s, c in blocks))
+        with ProcessPoolExecutor(max_workers=min(cfg.threads, len(blocks))) as ex:
+            parts = list(ex.map(_replicate_block, *args))
     else:
-        parts = [block_fn(cfg, s, c) for s, c in blocks]
+        parts = [_replicate_block(cfg, kernel, fine, s, c) for s, c in blocks]
     return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
 
 
-def _decreasing_verdict(
-    cfg: ExperimentConfig, values: list[float]
-) -> tuple[bool, dict]:
+# ---------------------------------------------------------------------------
+# kernels: (cfg, f, v, m, n) -> named per-replicate arrays for level n
+
+
+def _hermite_drift(f, v: np.ndarray, q: int) -> np.ndarray:
+    """((-1)^q / (2^q q!)) * Riemann sum of f^(q)(B): the small-H limit."""
+    const = (-1.0) ** q / (2.0**q * math.factorial(q))
+    return const * riemann_sum_rows(v, f, order=q)
+
+
+def _power_drift(f, v: np.ndarray, q: int) -> np.ndarray:
+    """(1/4) C(q,2) mu_{q-2} * Riemann sum of f''(B): the even-q power drift."""
+    return 0.25 * math.comb(q, 2) * gaussian_moment(q - 2) * riemann_sum_rows(
+        v, f, order=2
+    )
+
+
+def _pathwise_kernel(cfg, f, v, m, n, item=None):
+    """Squared distance of the renormalised variation to its pathwise limit
+    on the same path: small_h, or corollary item 1 or 2."""
+    q, hurst = cfg.order, cfg.hurst
+    if item == 1:
+        pv = power_variation_rows(v, hurst, n, f, q, centered=False)
+        stat = 2.0 ** (-n * hurst) * pv
+        mu = gaussian_moment(q - 1)
+        limit = q * mu * (f.antiderivative(v[:, -1]) - f.antiderivative(0.0))
+    elif item == 2:
+        pv = power_variation_rows(v, hurst, n, f, q, centered=True)
+        stat = 2.0 ** (2 * n * hurst - n) * pv
+        limit = _power_drift(f, v, q)
+    else:
+        raw = hermite_variation_rows(v, hurst, n, f, q)
+        stat = 2.0 ** (n * (q * hurst - 1.0)) * raw
+        limit = _hermite_drift(f, v, q)
+    return {f"diff_sq_{n}": (stat - limit) ** 2}
+
+
+def _normalised_kernel(cfg, f, v, m, n, power=False, critical=False, drift=False):
+    """y = 2^(-n/2) V_n (Hermite, or centred power when `power`), further
+    divided by sqrt(n) at a critical point, with the Riemann sum of f(B)^2
+    and, when `drift`, the drift part of the mixed limit at H = 1/(2q)."""
+    q, hurst = cfg.order, cfg.hurst
+    norm = 2.0 ** (-n / 2.0)
+    if critical:
+        norm /= math.sqrt(n)
+    if power:
+        raw = power_variation_rows(v, hurst, n, f, q, centered=True)
+    else:
+        raw = hermite_variation_rows(v, hurst, n, f, q)
+    # fsq: Riemann sum of f(B)^2, the conditional-variance weight
+    out = {f"y_{n}": norm * raw, f"fsq_{n}": np.sum(f(v[:, :-1]) ** 2, axis=1) / 2**n}
+    if drift:
+        out[f"drift_{n}"] = _power_drift(f, v, q) if power else _hermite_drift(f, v, q)
+    return out
+
+
+def _young_kernel(cfg, f, v, m, n, power=False):
+    """Renormalised fine-level variation against the Young sum of f(B)
+    against the Hermite process built from the same path: of order q for
+    V_n^(q) (noncentral), of order 2 and scaled by 2 mu_{q-2} C(q,2) for
+    the centred power variation (corollary item 6)."""
+    q, hurst = cfg.order, cfg.hurst
+    if power:
+        pv = power_variation_rows(v, hurst, m, f, q, centered=True)
+        stat = 2.0 ** (m - 2.0 * hurst * m) * pv
+        const, order = 2.0 * gaussian_moment(q - 2) * math.comb(q, 2), 2
+    else:
+        raw = hermite_variation_rows(v, hurst, m, f, q)
+        stat = 2.0 ** (m * (q * (1.0 - hurst) - 1.0)) * raw
+        const, order = 1.0, q
+    z_vals = hermite_partial_sums(np.diff(v, axis=1), hurst, m, order, n)
+    limit = const * young_integral_rows(f, v[:, :: 2 ** (m - n)], z_vals)
+    return {f"diff_sq_{n}": (stat - limit) ** 2, f"v_sq_{n}": stat**2}
+
+
+def _trapezoid_kernel(cfg, f, v, m, n):
+    f0 = float(f.derivative(0, np.zeros(1))[0])
+    fprime = f.derivative(1, v)
+    t_sum = 0.5 * np.sum((fprime[:, 1:] + fprime[:, :-1]) * np.diff(v, axis=1), axis=1)
+    target = f.derivative(0, v[:, -1]) - f0
+    return {f"err_{n}": np.abs(t_sum - target)}
+
+
+def _audit_kernel(cfg, f, v, m, n):
+    return {f"vsq_{n}": hermite_variation_rows(v, cfg.hurst, n, f, cfg.order) ** 2}
+
+
+# ---------------------------------------------------------------------------
+# shared reducers and verdicts
+
+
+# the regime each runner requires, and what its error says it needs
+_REGIMES = {
+    "small_h": (RegimeCase.SMALL_H, "H < 1/(2q) = {low}, got H={h}"),
+    "clt": (RegimeCase.CLT, "1/(2q) < H < 1-1/(2q), got H={h}, q={q}"),
+    "critical_high": (RegimeCase.CRITICAL_HIGH, "H = 1 - 1/(2q) = {high}, got {h}"),
+    "noncentral": (RegimeCase.NONCENTRAL, "H > 1 - 1/(2q) = {high}, got {h}"),
+    "conjecture_quarter": (RegimeCase.CRITICAL_LOW, "H = 1/(2q) = {low}, got {h}"),
+}
+
+
+def _require_regime(cfg: ExperimentConfig, runner: str) -> None:
+    case, needs = _REGIMES[runner]
+    if classify_regime(cfg.hurst, cfg.order).case_id is not case:
+        low = 1.0 / (2 * cfg.order)
+        needs = needs.format(h=cfg.hurst, q=cfg.order, low=low, high=1.0 - low)
+        raise RegimeError(f"{runner} needs {needs}")
+
+
+def _level_entries(
+    cfg: ExperimentConfig, data: dict, key: str, estimator: Callable, name: str
+) -> list[dict]:
+    """One {level, stat, stat_se, statistic} entry per level."""
+    entries = []
+    for n in cfg.levels:
+        stat, se = estimator(data[f"{key}_{n}"])
+        entries.append({"level": n, "stat": stat, "stat_se": se, "statistic": name})
+    return entries
+
+
+def _variance(cfg: ExperimentConfig) -> Callable:
+    # an unweighted variation is exactly centred, so its mean is known
+    return partial(variance_and_se, known_mean=0.0 if cfg.weight == "one" else None)
+
+
+def _decreasing(cfg: ExperimentConfig, values: list[float]) -> tuple[bool, dict]:
+    """Inversion count and final/initial ratio of a per-level sequence;
+    ok when the inversions are within max_inversions."""
     inversions = count_inversions(values)
     ratio = values[-1] / values[0] if values[0] != 0 else 0.0
-    ok = inversions <= cfg.max_inversions and ratio < cfg.final_ratio
-    return ok, {
+    return inversions <= cfg.max_inversions, {
         "initial": values[0],
         "final": values[-1],
         "final_over_initial": ratio,
@@ -258,13 +407,93 @@ def _decreasing_verdict(
     }
 
 
-def _base_thresholds(cfg: ExperimentConfig) -> dict:
-    return {
-        "final_ratio": cfg.final_ratio,
-        "max_inversions": cfg.max_inversions,
-        "variance_rtol": cfg.variance_rtol,
-        "slope_rtol": cfg.slope_rtol,
-        "ks_alpha": cfg.ks_alpha,
+def _relative_l2(
+    cfg: ExperimentConfig, data: dict, detailed: bool
+) -> tuple[list[dict], bool, dict]:
+    """Relative L2 distance sqrt(E diff^2 / E stat^2) per level; passes when
+    it decreases and ends below the absolute threshold 0.15."""
+    levels = []
+    for n in cfg.levels:
+        d_sq, d_se = mean_and_se(data[f"diff_sq_{n}"])
+        v_sq, _ = mean_and_se(data[f"v_sq_{n}"])
+        rel = math.sqrt(d_sq / v_sq) if v_sq > 0 else 0.0
+        entry: dict = {"level": n}
+        if detailed:
+            entry["fine_level"] = n + cfg.fine_offset
+        entry.update(
+            stat=rel,
+            stat_se=0.5 * rel * (d_se / d_sq) if d_sq > 0 else 0.0,
+            statistic="relative_l2_distance",
+        )
+        if detailed:
+            entry.update(mean_sq_distance=d_sq, mean_sq_value=v_sq)
+        levels.append(entry)
+    rels = [e["stat"] for e in levels]
+    inversions = count_inversions(rels)
+    ok = inversions <= cfg.max_inversions and rels[-1] < 0.15
+    summary = {
+        "initial": rels[0],
+        "final": rels[-1],
+        "inversions": inversions,
+        "final_threshold": 0.15,
+    }
+    return levels, ok, summary
+
+
+def _drift_excess(
+    cfg: ExperimentConfig, data: dict, sigma_value: float
+) -> tuple[list[dict], bool, dict]:
+    """Per-level means of y; at the top level, mean(y) against the mean
+    drift (within 3 combined SE) and Var(y) - Var(drift) against
+    sigma^2 E int f^2 (relative tolerance 2 * variance_rtol)."""
+    levels = _level_entries(cfg, data, "y", mean_and_se, "mean")
+    n_top = max(cfg.levels)
+    y = data[f"y_{n_top}"]
+    drift = data[f"drift_{n_top}"]
+    mean, mean_se = mean_and_se(y)
+    drift_mean, drift_se = mean_and_se(drift)
+    excess = float(np.var(y, ddof=1) - np.var(drift, ddof=1))
+    target_var = sigma_value**2 * float(np.mean(data[f"fsq_{n_top}"]))
+    mean_ok = abs(mean - drift_mean) <= 3.0 * math.hypot(mean_se, drift_se)
+    var_ok = abs(excess / target_var - 1.0) <= 2 * cfg.variance_rtol
+    summary = {
+        "mean": mean,
+        "mean_se": mean_se,
+        "drift_target": drift_mean,
+        "drift_target_se": drift_se,
+        "excess_variance": excess,
+        "target_excess_variance": target_var,
+        "variance_tolerance": 2 * cfg.variance_rtol,
+        "mean_ok": mean_ok,
+        "variance_ok": var_ok,
+    }
+    return levels, mean_ok and var_ok, summary
+
+
+def _arbitrate(
+    cfg: ExperimentConfig, data: dict, second_moment: Callable, readings: dict
+) -> tuple[list[dict], float, dict]:
+    """Printed-vs-corrected arbitration of a critical constant: each
+    reading predicts the top-level variance as the exact f == 1 variance
+    second_moment / (2^n n), times E int f^2 if weighted, times its
+    (reading/corrected)^2 in `readings`, and matches within slope_rtol."""
+    levels = _level_entries(cfg, data, "y", _variance(cfg), "variance")
+    for e in levels:
+        n = e["level"]
+        e["exact_f1_variance"] = second_moment(cfg.hurst, cfg.order, n) / (2.0**n * n)
+    n_top = max(cfg.levels)
+    f2 = float(np.mean(data[f"fsq_{n_top}"])) if cfg.weight != "one" else 1.0
+    shape_top = levels[-1]["exact_f1_variance"] * f2
+    predictions = {k: shape_top * ratio for k, ratio in readings.items()}
+    matches = {
+        k: abs(levels[-1]["stat"] / p - 1.0) <= cfg.slope_rtol
+        for k, p in predictions.items()
+    }
+    matched = [k for k, v in matches.items() if v]
+    return levels, shape_top, {
+        "predicted_finite_level_variance": predictions,
+        "matches": matches,
+        "matched_variant": matched[0] if len(matched) == 1 else None,
     }
 
 
@@ -274,7 +503,13 @@ def _report(cfg, levels, summary, flags, verdict, t0) -> ExperimentReport:
         config=cfg.canonical_dict(),
         levels=levels,
         summary=summary,
-        thresholds=_base_thresholds(cfg),
+        thresholds={
+            "final_ratio": cfg.final_ratio,
+            "max_inversions": cfg.max_inversions,
+            "variance_rtol": cfg.variance_rtol,
+            "slope_rtol": cfg.slope_rtol,
+            "ks_alpha": cfg.ks_alpha,
+        },
         flags=flags,
         verdict=verdict,
         wall_clock_seconds=time.perf_counter() - t0,
@@ -282,23 +517,7 @@ def _report(cfg, levels, summary, flags, verdict, t0) -> ExperimentReport:
 
 
 # ---------------------------------------------------------------------------
-# small-H regime: coupled L2 convergence to the derivative integral
-
-
-def _small_h_block(cfg: ExperimentConfig, start: int, count: int) -> dict:
-    f = parse_weight(cfg.weight)
-    q, hurst = cfg.order, cfg.hurst
-    n_max = max(cfg.levels)
-    vals = _values_block(hurst, n_max, cfg.master_seed, start, count)
-    const = (-1.0) ** q / (2.0**q * math.factorial(q))
-    out = {}
-    for n in cfg.levels:
-        v = vals[:, :: 2 ** (n_max - n)]
-        raw = hermite_variation_rows(v, hurst, n, f, q)
-        target = const * riemann_sum_rows(v, f, order=q)
-        diff = 2.0 ** (n * (q * hurst - 1.0)) * raw - target
-        out[f"sq_{n}"] = diff**2
-    return out
+# runners, one per experiment id
 
 
 def run_small_h(cfg: ExperimentConfig) -> ExperimentReport:
@@ -313,37 +532,13 @@ def run_small_h(cfg: ExperimentConfig) -> ExperimentReport:
     against the default 1/4.
     """
     t0 = time.perf_counter()
-    if classify_regime(cfg.hurst, cfg.order).case_id is not RegimeCase.SMALL_H:
-        raise RegimeError(
-            f"small_h needs H < 1/(2q) = {1.0/(2*cfg.order)}, got H={cfg.hurst}"
-        )
-    data = _collect(cfg, _small_h_block, max(cfg.levels))
-    levels = []
-    for n in cfg.levels:
-        m, se = mean_and_se(data[f"sq_{n}"])
-        levels.append(
-            {"level": n, "stat": m, "stat_se": se, "statistic": "mean_sq_distance"}
-        )
-    ok, summary = _decreasing_verdict(cfg, [e["stat"] for e in levels])
+    _require_regime(cfg, "small_h")
+    data = _collect(cfg, _pathwise_kernel)
+    levels = _level_entries(cfg, data, "diff_sq", mean_and_se, "mean_sq_distance")
+    ok, summary = _decreasing(cfg, [e["stat"] for e in levels])
+    ok = ok and summary["final_over_initial"] < cfg.final_ratio
     summary["limit"] = "((-1)^q / (2^q q!)) * integral of f^(q)(B_s) ds"
     return _report(cfg, levels, summary, [], "PASS" if ok else "FAIL", t0)
-
-
-# ---------------------------------------------------------------------------
-# CLT regime: variance / normality / conditional-variance structure
-
-
-def _clt_block(cfg: ExperimentConfig, start: int, count: int) -> dict:
-    f = parse_weight(cfg.weight)
-    q, hurst = cfg.order, cfg.hurst
-    n_max = max(cfg.levels)
-    vals = _values_block(hurst, n_max, cfg.master_seed, start, count)
-    out = {}
-    for n in cfg.levels:
-        v = vals[:, :: 2 ** (n_max - n)]
-        out[f"v_{n}"] = 2.0 ** (-n / 2.0) * hermite_variation_rows(v, hurst, n, f, q)
-        out[f"fsq_{n}"] = np.sum(f(v[:, :-1]) ** 2, axis=1) / 2**n
-    return out
 
 
 def run_clt(cfg: ExperimentConfig) -> ExperimentReport:
@@ -355,18 +550,15 @@ def run_clt(cfg: ExperimentConfig) -> ExperimentReport:
     sigma_{H,q}^2 (the mixed-Gaussian conditional variance).
     """
     t0 = time.perf_counter()
-    if classify_regime(cfg.hurst, cfg.order).case_id is not RegimeCase.CLT:
-        raise RegimeError(
-            f"clt needs 1/(2q) < H < 1-1/(2q), got H={cfg.hurst}, q={cfg.order}"
-        )
+    _require_regime(cfg, "clt")
     sigma = sigma_clt(cfg.hurst, cfg.order, rel_tol=cfg.rel_tol)
     sigma2 = sigma.value**2
     unweighted = cfg.weight == "one"
-    data = _collect(cfg, _clt_block, max(cfg.levels))
+    data = _collect(cfg, _normalised_kernel)
     levels = []
     for n in cfg.levels:
-        y = data[f"v_{n}"]
-        var, var_se = variance_and_se(y, known_mean=0.0 if unweighted else None)
+        y = data[f"y_{n}"]
+        var, var_se = _variance(cfg)(y)
         entry = {"level": n, "variance": var, "variance_se": var_se}
         if unweighted:
             entry.update(stat=var, stat_se=var_se, statistic="variance")
@@ -386,7 +578,7 @@ def run_clt(cfg: ExperimentConfig) -> ExperimentReport:
     }
     flags = ["pair-convergence tested via marginal law + conditional variance only"]
     if unweighted:
-        y_top = data[f"v_{max(cfg.levels)}"]
+        y_top = data[f"y_{max(cfg.levels)}"]
         ks_d, ks_p = ks_1samp_normal(y_top / sigma.value)
         summary.update(
             variance_rel_err=abs(top["variance"] / sigma2 - 1.0),
@@ -406,27 +598,6 @@ def run_clt(cfg: ExperimentConfig) -> ExperimentReport:
     return _report(cfg, levels, summary, flags, "PASS" if ok else "FAIL", t0)
 
 
-# ---------------------------------------------------------------------------
-# critical high regime: printed-vs-corrected constant arbitration
-
-
-def _critical_block(cfg: ExperimentConfig, start: int, count: int) -> dict:
-    f = parse_weight(cfg.weight)
-    q, hurst = cfg.order, cfg.hurst
-    n_max = max(cfg.levels)
-    vals = _values_block(hurst, n_max, cfg.master_seed, start, count)
-    out = {}
-    for n in cfg.levels:
-        v = vals[:, :: 2 ** (n_max - n)]
-        out[f"v_{n}"] = (
-            2.0 ** (-n / 2.0)
-            / math.sqrt(n)
-            * hermite_variation_rows(v, hurst, n, f, q)
-        )
-        out[f"fsq_{n}"] = np.sum(f(v[:, :-1]) ** 2, axis=1) / 2**n
-    return out
-
-
 def run_critical_high(cfg: ExperimentConfig) -> ExperimentReport:
     """Variance of n^(-1/2) 2^(-n/2) V_n at H = 1 - 1/(2q), matched against
     both readings of the printed critical constant.
@@ -440,82 +611,33 @@ def run_critical_high(cfg: ExperimentConfig) -> ExperimentReport:
     """
     t0 = time.perf_counter()
     q = cfg.order
-    if classify_regime(cfg.hurst, q).case_id is not RegimeCase.CRITICAL_HIGH:
-        raise RegimeError(
-            f"critical_high needs H = 1 - 1/(2q) = {1.0 - 1.0/(2*q)}, got {cfg.hurst}"
-        )
+    _require_regime(cfg, "critical_high")
     printed = sigma_critical_high(q)
     corrected_var = sigma_critical_high_corrected(q) ** 2  # == printed
     printed_var = printed**2
-    unweighted = cfg.weight == "one"
-    data = _collect(cfg, _critical_block, max(cfg.levels))
-    levels = []
-    for n in cfg.levels:
-        y = data[f"v_{n}"]
-        var, var_se = variance_and_se(y, known_mean=0.0 if unweighted else None)
-        shape = unweighted_second_moment(cfg.hurst, q, n) / (2.0**n * n)
-        levels.append(
-            {
-                "level": n,
-                "stat": var,
-                "stat_se": var_se,
-                "statistic": "variance",
-                "exact_f1_variance": shape,
-                "variance_over_n_asymptote": var / corrected_var,
-            }
-        )
-    n_top = max(cfg.levels)
-    top = levels[-1]
-    f2 = float(np.mean(data[f"fsq_{n_top}"])) if not unweighted else 1.0
-    shape_top = top["exact_f1_variance"] * f2
-    predictions = {
-        "printed_as_sigma": shape_top * (printed_var / corrected_var),
-        "sqrt_corrected": shape_top,
-    }
-    matches = {
-        k: abs(top["stat"] / pred - 1.0) <= cfg.slope_rtol
-        for k, pred in predictions.items()
-    }
-    matched = [k for k, v in matches.items() if v]
+    data = _collect(cfg, partial(_normalised_kernel, critical=True))
+    readings = {"printed_as_sigma": printed_var / corrected_var, "sqrt_corrected": 1.0}
+    levels, shape_top, arbitration = _arbitrate(
+        cfg, data, unweighted_second_moment, readings
+    )
+    for e in levels:
+        e["variance_over_n_asymptote"] = e["stat"] / corrected_var
     summary: dict = {
         "printed_constant": printed,
         "printed_as_sigma_variance": printed_var,
         "sqrt_corrected_variance": corrected_var,
-        "predicted_finite_level_variance": predictions,
-        "matches": matches,
-        "matched_variant": matched[0] if len(matched) == 1 else None,
+        **arbitration,
     }
     flags = ["arbitrates the printed/corrected critical-constant ambiguity"]
-    if unweighted:
+    if cfg.weight == "one":
         # informational: convergence to normality is only logarithmic at the
         # critical point, so a large-sample KS still rejects at desk scale
-        y_top = data[f"v_{n_top}"]
+        y_top = data[f"y_{max(cfg.levels)}"]
         ks_d, ks_p = ks_1samp_normal(y_top / math.sqrt(shape_top))
         summary.update(ks_stat=ks_d, ks_p=ks_p)
         flags.append("ks check reported, not gated (critical-case slow normality)")
-    ok = len(matched) == 1
+    ok = arbitration["matched_variant"] is not None
     return _report(cfg, levels, summary, flags, "PASS" if ok else "FAIL", t0)
-
-
-# ---------------------------------------------------------------------------
-# non-central regime: coupled convergence to the Hermite-process integral
-
-
-def _noncentral_block(cfg: ExperimentConfig, start: int, count: int) -> dict:
-    f = parse_weight(cfg.weight)
-    q, hurst = cfg.order, cfg.hurst
-    out = {}
-    for n in cfg.levels:
-        m = n + cfg.fine_offset
-        vals = _values_block(hurst, m, cfg.master_seed, start, count)
-        raw = hermite_variation_rows(vals, hurst, m, f, q)
-        v_ren = 2.0 ** (m * (q * (1.0 - hurst) - 1.0)) * raw
-        z_vals = hermite_partial_sums(np.diff(vals, axis=1), hurst, m, q, n)
-        coarse = vals[:, :: 2 ** (m - n)]
-        integral = young_integral_rows(f, coarse, z_vals)
-        out[f"diff_sq_{n}"] = (v_ren - integral) ** 2
-        out[f"v_sq_{n}"] = v_ren**2
-    return out
 
 
 def run_noncentral(cfg: ExperimentConfig) -> ExperimentReport:
@@ -523,38 +645,9 @@ def run_noncentral(cfg: ExperimentConfig) -> ExperimentReport:
     of f(B) against the Hermite process built from the same fine path
     (m = n + fine_offset)."""
     t0 = time.perf_counter()
-    q = cfg.order
-    if classify_regime(cfg.hurst, q).case_id is not RegimeCase.NONCENTRAL:
-        raise RegimeError(
-            f"noncentral needs H > 1 - 1/(2q) = {1.0 - 1.0/(2*q)}, got {cfg.hurst}"
-        )
-    data = _collect(cfg, _noncentral_block, max(cfg.levels) + cfg.fine_offset)
-    levels = []
-    for n in cfg.levels:
-        d_sq, d_se = mean_and_se(data[f"diff_sq_{n}"])
-        v_sq, _ = mean_and_se(data[f"v_sq_{n}"])
-        rel = math.sqrt(d_sq / v_sq) if v_sq > 0 else 0.0
-        rel_se = 0.5 * rel * (d_se / d_sq) if d_sq > 0 else 0.0
-        levels.append(
-            {
-                "level": n,
-                "fine_level": n + cfg.fine_offset,
-                "stat": rel,
-                "stat_se": rel_se,
-                "statistic": "relative_l2_distance",
-                "mean_sq_distance": d_sq,
-                "mean_sq_value": v_sq,
-            }
-        )
-    rels = [e["stat"] for e in levels]
-    inversions = count_inversions(rels)
-    ok = inversions <= cfg.max_inversions and rels[-1] < 0.15
-    summary = {
-        "initial": rels[0],
-        "final": rels[-1],
-        "inversions": inversions,
-        "final_threshold": 0.15,
-    }
+    _require_regime(cfg, "noncentral")
+    data = _collect(cfg, _young_kernel, fine=True)
+    levels, ok, summary = _relative_l2(cfg, data, detailed=True)
     if cfg.weight == "one":
         summary["identity_max_sq"] = float(
             max(np.max(data[f"diff_sq_{n}"]) for n in cfg.levels)
@@ -563,80 +656,27 @@ def run_noncentral(cfg: ExperimentConfig) -> ExperimentReport:
     return _report(cfg, levels, summary, [], "PASS" if ok else "FAIL", t0)
 
 
-# ---------------------------------------------------------------------------
-# corollary: weighted power variations, items 1-6
-
-
 def _corollary_item(cfg: ExperimentConfig) -> int:
-    if cfg.corollary_item is not None:
-        return cfg.corollary_item
-    q, hurst = cfg.order, cfg.hurst
-    if q % 2 == 1:
-        if hurst <= 0.5:
+    """The configured item, else the one (parity of q, range of H) selects;
+    RegimeError when (q, H) lies outside the item's range."""
+    q, hurst, item = cfg.order, cfg.hurst, cfg.corollary_item
+    # an even-q centred power variation is led by its second chaos, so
+    # items 2-6 follow the q = 2 regime of H (boundaries 1/4 and 3/4)
+    even_item = {
+        RegimeCase.SMALL_H: 2, RegimeCase.CRITICAL_LOW: 3, RegimeCase.CLT: 4,
+        RegimeCase.CRITICAL_HIGH: 5, RegimeCase.NONCENTRAL: 6,
+    }[classify_regime(hurst, 2).case_id]
+    if item is None:
+        if q % 2 == 1 and hurst <= 0.5:
             raise RegimeError("corollary item 1 (odd q) requires H > 1/2")
-        return 1
-    if hurst < 0.25:
-        return 2
-    if hurst == 0.25:
-        return 3
-    if hurst < 0.75:
-        return 4
-    if hurst == 0.75:
-        return 5
-    return 6
-
-
-def _corollary_block(cfg: ExperimentConfig, start: int, count: int) -> dict:
-    f = parse_weight(cfg.weight)
-    q, hurst = cfg.order, cfg.hurst
-    item = _corollary_item(cfg)
-    out = {}
-    if item == 6:
-        mu = gaussian_moment(q - 2)
-        const = 2.0 * mu * math.comb(q, 2)
-        for n in cfg.levels:
-            m = n + cfg.fine_offset
-            vals = _values_block(hurst, m, cfg.master_seed, start, count)
-            pv = power_variation_rows(vals, hurst, m, f, q, centered=True)
-            stat = 2.0 ** (m - 2.0 * hurst * m) * pv
-            z_vals = hermite_partial_sums(np.diff(vals, axis=1), hurst, m, 2, n)
-            coarse = vals[:, :: 2 ** (m - n)]
-            integral = const * young_integral_rows(f, coarse, z_vals)
-            out[f"diff_sq_{n}"] = (stat - integral) ** 2
-            out[f"v_sq_{n}"] = stat**2
-        return out
-
-    n_max = max(cfg.levels)
-    vals = _values_block(hurst, n_max, cfg.master_seed, start, count)
-    for n in cfg.levels:
-        v = vals[:, :: 2 ** (n_max - n)]
-        if item == 1:
-            pv = power_variation_rows(v, hurst, n, f, q, centered=False)
-            stat = 2.0 ** (-n * hurst) * pv
-            mu = gaussian_moment(q - 1)
-            target = q * mu * (f.antiderivative(v[:, -1]) - f.antiderivative(0.0))
-            out[f"diff_sq_{n}"] = (stat - target) ** 2
-        elif item == 2:
-            pv = power_variation_rows(v, hurst, n, f, q, centered=True)
-            stat = 2.0 ** (2 * n * hurst - n) * pv
-            mu = gaussian_moment(q - 2)
-            target = 0.25 * math.comb(q, 2) * mu * riemann_sum_rows(v, f, order=2)
-            out[f"diff_sq_{n}"] = (stat - target) ** 2
-        else:  # items 3, 4, 5: distributional statistics
-            pv = power_variation_rows(v, hurst, n, f, q, centered=True)
-            norm = 2.0 ** (-n / 2.0)
-            if item == 5:
-                norm /= math.sqrt(n)
-            out[f"y_{n}"] = norm * pv
-            out[f"fsq_{n}"] = np.sum(f(v[:, :-1]) ** 2, axis=1) / 2**n
-            if item == 3:
-                out[f"drift_{n}"] = (
-                    0.25
-                    * math.comb(q, 2)
-                    * gaussian_moment(q - 2)
-                    * riemann_sum_rows(v, f, order=2)
-                )
-    return out
+        return 1 if q % 2 == 1 else even_item
+    if item != 1 and q % 2 == 1:
+        raise RegimeError(f"corollary items 2-6 require even q, got {q}")
+    if item == 1 and (q % 2 == 0 or hurst <= 0.5):
+        raise RegimeError("corollary item 1 requires odd q and H > 1/2")
+    if item != 1 and item != even_item:
+        raise RegimeError(f"H={hurst} outside the range of corollary item {item}")
+    return item
 
 
 def run_corollary(cfg: ExperimentConfig) -> ExperimentReport:
@@ -652,78 +692,31 @@ def run_corollary(cfg: ExperimentConfig) -> ExperimentReport:
     t0 = time.perf_counter()
     q = cfg.order
     item = _corollary_item(cfg)
-    if item != 1 and q % 2 == 1:
-        raise RegimeError(f"corollary items 2-6 require even q, got {q}")
-    if item == 1 and (q % 2 == 0 or cfg.hurst <= 0.5):
-        raise RegimeError("corollary item 1 requires odd q and H > 1/2")
-    expected_range = {
-        2: cfg.hurst < 0.25,
-        3: cfg.hurst == 0.25,
-        4: 0.25 < cfg.hurst < 0.75,
-        5: cfg.hurst == 0.75,
-        6: cfg.hurst > 0.75,
-    }
-    if item != 1 and not expected_range[item]:
-        raise RegimeError(f"H={cfg.hurst} outside the range of corollary item {item}")
-
-    fine = max(cfg.levels) + (cfg.fine_offset if item == 6 else 0)
-    data = _collect(cfg, _corollary_block, fine)
+    kernel = {
+        1: partial(_pathwise_kernel, item=1),
+        2: partial(_pathwise_kernel, item=2),
+        3: partial(_normalised_kernel, power=True, drift=True),
+        4: partial(_normalised_kernel, power=True),
+        5: partial(_normalised_kernel, power=True, critical=True),
+        6: partial(_young_kernel, power=True),
+    }[item]
+    data = _collect(cfg, kernel, fine=item == 6)
     flags: list[str] = []
-    levels: list[dict] = []
 
     if item in (1, 2):
-        for n in cfg.levels:
-            m, se = mean_and_se(data[f"diff_sq_{n}"])
-            levels.append(
-                {"level": n, "stat": m, "stat_se": se, "statistic": "mean_sq_distance"}
-            )
+        levels = _level_entries(cfg, data, "diff_sq", mean_and_se, "mean_sq_distance")
         # the stated contract for these items is a decreasing coupled
         # distance; the chaos-q fluctuation floor decays too slowly for a
         # fixed final-ratio gate at desk-scale level windows
-        vals = [e["stat"] for e in levels]
-        inversions = count_inversions(vals)
-        ok = inversions <= cfg.max_inversions and vals[-1] < vals[0]
-        summary = {
-            "initial": vals[0],
-            "final": vals[-1],
-            "final_over_initial": vals[-1] / vals[0],
-            "inversions": inversions,
-        }
+        ok, summary = _decreasing(cfg, [e["stat"] for e in levels])
+        ok = ok and summary["final"] < summary["initial"]
     elif item == 6:
-        for n in cfg.levels:
-            d_sq, d_se = mean_and_se(data[f"diff_sq_{n}"])
-            v_sq, _ = mean_and_se(data[f"v_sq_{n}"])
-            rel = math.sqrt(d_sq / v_sq) if v_sq > 0 else 0.0
-            levels.append(
-                {
-                    "level": n,
-                    "stat": rel,
-                    "stat_se": 0.5 * rel * (d_se / d_sq) if d_sq > 0 else 0.0,
-                    "statistic": "relative_l2_distance",
-                }
-            )
-        rels = [e["stat"] for e in levels]
-        inversions = count_inversions(rels)
-        ok = inversions <= cfg.max_inversions and rels[-1] < 0.15
-        summary = {
-            "initial": rels[0],
-            "final": rels[-1],
-            "inversions": inversions,
-            "final_threshold": 0.15,
-        }
+        levels, ok, summary = _relative_l2(cfg, data, detailed=False)
     elif item == 4:
         st = sigma_tilde(cfg.hurst, q, rel_tol=cfg.rel_tol)
         target_base = st.value**2
-        for n in cfg.levels:
-            y = data[f"y_{n}"]
-            var, var_se = variance_and_se(
-                y, known_mean=0.0 if cfg.weight == "one" else None
-            )
-            levels.append(
-                {"level": n, "stat": var, "stat_se": var_se, "statistic": "variance"}
-            )
-        n_top = max(cfg.levels)
-        f2 = float(np.mean(data[f"fsq_{n_top}"]))
+        levels = _level_entries(cfg, data, "y", _variance(cfg), "variance")
+        f2 = float(np.mean(data[f"fsq_{max(cfg.levels)}"]))
         target = target_base * (1.0 if cfg.weight == "one" else f2)
         rel_err = abs(levels[-1]["stat"] / target - 1.0)
         ok = rel_err <= cfg.variance_rtol
@@ -736,101 +729,30 @@ def run_corollary(cfg: ExperimentConfig) -> ExperimentReport:
     elif item == 5:
         printed = sigma_tilde_critical(q)
         corrected = sigma_tilde_critical_corrected(q)
-        for n in cfg.levels:
-            y = data[f"y_{n}"]
-            var, var_se = variance_and_se(
-                y, known_mean=0.0 if cfg.weight == "one" else None
-            )
-            shape = centered_power_second_moment(cfg.hurst, q, n) / (2.0**n * n)
-            levels.append(
-                {
-                    "level": n,
-                    "stat": var,
-                    "stat_se": var_se,
-                    "statistic": "variance",
-                    "exact_f1_variance": shape,
-                }
-            )
-        n_top = max(cfg.levels)
-        f2 = float(np.mean(data[f"fsq_{n_top}"])) if cfg.weight != "one" else 1.0
-        shape_top = levels[-1]["exact_f1_variance"] * f2
-        predictions = {
-            "printed": shape_top * (printed**2 / corrected**2),
-            "corrected": shape_top,
-        }
-        matches = {
-            k: abs(levels[-1]["stat"] / p - 1.0) <= cfg.slope_rtol
-            for k, p in predictions.items()
-        }
-        matched = [k for k, v in matches.items() if v]
+        readings = {"printed": printed**2 / corrected**2, "corrected": 1.0}
+        levels, _, summary = _arbitrate(
+            cfg, data, centered_power_second_moment, readings
+        )
         coincide = abs(printed / corrected - 1.0) <= 1e-12
         if coincide:
             # at q = 2 the printed formula equals the pattern-consistent
             # value, so there is nothing to arbitrate
-            ok = bool(matches["corrected"])
-            matched_variant = "coincide" if ok else None
+            ok = bool(summary["matches"]["corrected"])
+            summary["matched_variant"] = "coincide" if ok else None
         else:
-            ok = len(matched) == 1
-            matched_variant = matched[0] if len(matched) == 1 else None
-        summary = {
-            "printed_sigma_tilde": printed,
-            "corrected_sigma_tilde": corrected,
-            "variants_coincide": coincide,
-            "predicted_finite_level_variance": predictions,
-            "matches": matches,
-            "matched_variant": matched_variant,
-        }
+            ok = summary["matched_variant"] is not None
+        summary.update(
+            printed_sigma_tilde=printed,
+            corrected_sigma_tilde=corrected,
+            variants_coincide=coincide,
+        )
         flags.append("arbitrates the printed/corrected critical-constant ambiguity")
     else:  # item 3
         flags.append("EXPLORATORY")
         st = sigma_tilde(cfg.hurst, q, rel_tol=cfg.rel_tol)
-        for n in cfg.levels:
-            y = data[f"y_{n}"]
-            m, se = mean_and_se(y)
-            levels.append({"level": n, "stat": m, "stat_se": se, "statistic": "mean"})
-        n_top = max(cfg.levels)
-        y = data[f"y_{n_top}"]
-        drift = data[f"drift_{n_top}"]
-        drift_mean, drift_se = mean_and_se(drift)
-        mean, mean_se = mean_and_se(y)
-        excess = float(np.var(y, ddof=1) - np.var(drift, ddof=1))
-        f2 = float(np.mean(data[f"fsq_{n_top}"]))
-        target_var = st.value**2 * f2
-        mean_ok = abs(mean - drift_mean) <= 3.0 * math.hypot(mean_se, drift_se)
-        var_ok = abs(excess / target_var - 1.0) <= 2 * cfg.variance_rtol
-        ok = mean_ok and var_ok
-        summary = {
-            "mean": mean,
-            "mean_se": mean_se,
-            "drift_target": drift_mean,
-            "drift_target_se": drift_se,
-            "excess_variance": excess,
-            "target_excess_variance": target_var,
-            "variance_tolerance": 2 * cfg.variance_rtol,
-            "mean_ok": mean_ok,
-            "variance_ok": var_ok,
-        }
+        levels, ok, summary = _drift_excess(cfg, data, st.value)
     summary["item"] = item
     return _report(cfg, levels, summary, flags, "PASS" if ok else "FAIL", t0)
-
-
-# ---------------------------------------------------------------------------
-# symmetric Riemann sums (trapezoid rule) and the x^3 counterexample
-
-
-def _trapezoid_block(cfg: ExperimentConfig, start: int, count: int) -> dict:
-    f = parse_weight(cfg.weight)
-    n_max = max(cfg.levels)
-    vals = _values_block(cfg.hurst, n_max, cfg.master_seed, start, count)
-    f0 = float(f.derivative(0, np.zeros(1))[0])
-    out = {}
-    for n in cfg.levels:
-        v = vals[:, :: 2 ** (n_max - n)]
-        fprime = f.derivative(1, v)
-        t_sum = 0.5 * np.sum((fprime[:, 1:] + fprime[:, :-1]) * np.diff(v, axis=1), axis=1)
-        target = f.derivative(0, v[:, -1]) - f0
-        out[f"err_{n}"] = np.abs(t_sum - target)
-    return out
 
 
 def run_trapezoid(cfg: ExperimentConfig) -> ExperimentReport:
@@ -847,51 +769,18 @@ def run_trapezoid(cfg: ExperimentConfig) -> ExperimentReport:
     """
     t0 = time.perf_counter()
     arm = "convergence" if cfg.hurst > 1.0 / 6.0 else "counterexample"
-    data = _collect(cfg, _trapezoid_block, max(cfg.levels))
-    levels = []
-    for n in cfg.levels:
-        med, se = median_and_se(data[f"err_{n}"])
-        levels.append(
-            {"level": n, "stat": med, "stat_se": se, "statistic": "median_abs_error"}
-        )
-    meds = [e["stat"] for e in levels]
-    summary = {
-        "arm": arm,
-        "initial": meds[0],
-        "final": meds[-1],
-        "final_over_initial": meds[-1] / meds[0],
-        "inversions": count_inversions(meds),
-    }
+    data = _collect(cfg, _trapezoid_kernel)
+    levels = _level_entries(cfg, data, "err", median_and_se, "median_abs_error")
+    monotone, summary = _decreasing(cfg, [e["stat"] for e in levels])
+    summary["arm"] = arm
     if arm == "convergence":
         # a sum that telescopes exactly (e.g. f = x^2 at H = 1/2) leaves only
         # rounding noise; treat anything at the float floor as converged
-        at_floor = meds[-1] < 1e-12
-        ok = at_floor or (
-            summary["inversions"] <= cfg.max_inversions
-            and summary["final_over_initial"] < cfg.final_ratio
-        )
+        at_floor = summary["final"] < 1e-12
+        ok = at_floor or (monotone and summary["final_over_initial"] < cfg.final_ratio)
     else:
         ok = summary["final_over_initial"] >= 0.5
     return _report(cfg, levels, summary, [], "PASS" if ok else "FAIL", t0)
-
-
-# ---------------------------------------------------------------------------
-# conjectured critical-low case H = 1/(2q)
-
-
-def _conjecture_block(cfg: ExperimentConfig, start: int, count: int) -> dict:
-    f = parse_weight(cfg.weight)
-    q, hurst = cfg.order, cfg.hurst
-    n_max = max(cfg.levels)
-    vals = _values_block(hurst, n_max, cfg.master_seed, start, count)
-    const = (-1.0) ** q / (2.0**q * math.factorial(q))
-    out = {}
-    for n in cfg.levels:
-        v = vals[:, :: 2 ** (n_max - n)]
-        out[f"y_{n}"] = 2.0 ** (-n / 2.0) * hermite_variation_rows(v, hurst, n, f, q)
-        out[f"drift_{n}"] = const * riemann_sum_rows(v, f, order=q)
-        out[f"fsq_{n}"] = np.sum(f(v[:, :-1]) ** 2, axis=1) / 2**n
-    return out
 
 
 def run_conjecture_quarter(cfg: ExperimentConfig) -> ExperimentReport:
@@ -901,41 +790,14 @@ def run_conjecture_quarter(cfg: ExperimentConfig) -> ExperimentReport:
     Proven only for q = 2 (H = 1/4); flagged UNPROVEN for q >= 3."""
     t0 = time.perf_counter()
     q = cfg.order
-    if classify_regime(cfg.hurst, q).case_id is not RegimeCase.CRITICAL_LOW:
-        raise RegimeError(
-            f"conjecture_quarter needs H = 1/(2q) = {1.0/(2*q)}, got {cfg.hurst}"
-        )
+    _require_regime(cfg, "conjecture_quarter")
     flags = ["EXPLORATORY"]
     if q >= 3:
         flags.append("UNPROVEN")
     sigma = sigma_clt(cfg.hurst, q, rel_tol=cfg.rel_tol)
-    data = _collect(cfg, _conjecture_block, max(cfg.levels))
-    levels = []
-    for n in cfg.levels:
-        m, se = mean_and_se(data[f"y_{n}"])
-        levels.append({"level": n, "stat": m, "stat_se": se, "statistic": "mean"})
-    n_top = max(cfg.levels)
-    y = data[f"y_{n_top}"]
-    drift = data[f"drift_{n_top}"]
-    mean, mean_se = mean_and_se(y)
-    drift_mean, drift_se = mean_and_se(drift)
-    excess = float(np.var(y, ddof=1) - np.var(drift, ddof=1))
-    target_var = sigma.value**2 * float(np.mean(data[f"fsq_{n_top}"]))
-    mean_ok = abs(mean - drift_mean) <= 3.0 * math.hypot(mean_se, drift_se)
-    var_ok = abs(excess / target_var - 1.0) <= 2 * cfg.variance_rtol
-    summary = {
-        "mean": mean,
-        "mean_se": mean_se,
-        "drift_target": drift_mean,
-        "drift_target_se": drift_se,
-        "excess_variance": excess,
-        "target_excess_variance": target_var,
-        "sigma2": sigma.value**2,
-        "variance_tolerance": 2 * cfg.variance_rtol,
-        "mean_ok": mean_ok,
-        "variance_ok": var_ok,
-    }
-    ok = mean_ok and var_ok
+    data = _collect(cfg, partial(_normalised_kernel, drift=True))
+    levels, ok, summary = _drift_excess(cfg, data, sigma.value)
+    summary["sigma2"] = sigma.value**2
     return _report(cfg, levels, summary, flags, "PASS" if ok else "FAIL", t0)
 
 
@@ -957,8 +819,11 @@ def variance_order_audit(
     Returns the least-squares slope plus the 'excess slope': the slope of
     log2 E[V_n^2] - n regressed on log2(n), which is ~1 when the variance
     carries the critical n 2^n factor and ~0 when it is a clean power."""
+    # ExperimentConfig validates the inputs and carries them to the engine,
+    # which reads only the sampling fields; the audit has no regime, so the
+    # experiment id is a placeholder that nothing reads
     cfg = ExperimentConfig(
-        experiment_id="clt",  # engine reuse; regime is irrelevant here
+        experiment_id="clt",
         hurst=hurst,
         order=q,
         weight=weight,
@@ -967,15 +832,10 @@ def variance_order_audit(
         master_seed=master_seed,
         threads=threads,
     )
-    data = _collect(cfg, _audit_block, max(levels))
-    log_means = []
-    ses = []
-    for n in levels:
-        m, se = mean_and_se(data[f"vsq_{n}"])
-        log_means.append(math.log2(m))
-        ses.append(se / (m * math.log(2.0)))
-    from .stats import least_squares_slope
-
+    data = _collect(cfg, _audit_kernel)
+    means = _level_entries(cfg, data, "vsq", mean_and_se, "mean_sq")
+    log_means = [math.log2(e["stat"]) for e in means]
+    ses = [e["stat_se"] / (e["stat"] * math.log(2.0)) for e in means]
     slope, _ = least_squares_slope(levels, log_means)
     excess = [lm - n for lm, n in zip(log_means, levels)]
     excess_slope, _ = least_squares_slope([math.log2(n) for n in levels], excess)
@@ -986,15 +846,3 @@ def variance_order_audit(
         "slope": slope,
         "excess_slope": excess_slope,
     }
-
-
-def _audit_block(cfg: ExperimentConfig, start: int, count: int) -> dict:
-    f = parse_weight(cfg.weight)
-    q, hurst = cfg.order, cfg.hurst
-    n_max = max(cfg.levels)
-    vals = _values_block(hurst, n_max, cfg.master_seed, start, count)
-    out = {}
-    for n in cfg.levels:
-        v = vals[:, :: 2 ** (n_max - n)]
-        out[f"vsq_{n}"] = hermite_variation_rows(v, hurst, n, f, q) ** 2
-    return out

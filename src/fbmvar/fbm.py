@@ -261,7 +261,12 @@ def read_binary(fh: IO[bytes]) -> FbmPath:
         raise DomainError(f"bad magic {magic!r}, expected {_BIN_MAGIC!r}")
     hurst = struct.unpack("<d", fh.read(8))[0]
     level = struct.unpack("<i", fh.read(4))[0]
+    # checked before the level sizes the read below
+    if not 1 <= level <= CIRCULANT_MAX_LEVEL:
+        raise DomainError(f"header level {level} outside [1, {CIRCULANT_MAX_LEVEL}]")
     seed = struct.unpack("<Q", fh.read(8))[0]
     raw = fh.read(8 * (2**level + 1))
     values = np.frombuffer(raw, dtype="<f8").copy()
+    if fh.read(1):
+        raise DomainError("trailing bytes after the FBM1 values")
     return FbmPath(hurst, level, values, seed)

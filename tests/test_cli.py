@@ -92,6 +92,30 @@ def test_experiment_regime_error_exit_code(capsys):
     assert "error" in err
 
 
+def test_experiment_config_parse_error_names_key(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("id = clt\nH = 0.5\norder = two\n")
+    code, _, err = run_cli(capsys, "experiment", "--id", "clt", "--config", str(cfg))
+    assert code == 1
+    assert err.startswith("error:") and "'order'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra, names", [
+    (("--levels", "0,1"), "levels"),
+    (("--threads", "0"), "threads"),
+    (("--threads", "-3"), "threads"),
+    (("--fine-offset", "-2"), "fine_offset"),
+    (("--levels", "6,19", "--fine-offset", "6"), "level 25"),
+])
+def test_experiment_bad_values_exit_one(capsys, extra, names):
+    # every case is rejected before a worker starts or a block is drawn
+    code, _, err = run_cli(capsys, "experiment", "--id", "noncentral", "--H", "0.9",
+                           "--q", "2", "--replicates", "100", *extra)
+    assert code == 1
+    assert err.startswith("error:") and names in err
+
+
 def test_experiment_runs_and_writes_outputs(tmp_path, capsys):
     out_json = tmp_path / "rep.json"
     out_csv = tmp_path / "rep.csv"

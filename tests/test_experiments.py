@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from fbmvar.errors import ConfigError, RegimeError
+from fbmvar import experiments
+from fbmvar.errors import ConfigError, RegimeError, SizeLimitError
 from fbmvar.experiments import (
     ExperimentConfig,
     run_clt,
@@ -13,6 +14,7 @@ from fbmvar.experiments import (
     run_noncentral,
     run_small_h,
     run_trapezoid,
+    variance_order_audit,
 )
 
 
@@ -31,13 +33,32 @@ def small_cfg(**kw):
 
 
 class TestConfig:
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
         with pytest.raises(ConfigError):
             small_cfg(replicates=50)
         with pytest.raises(ConfigError):
             small_cfg(levels=(10, 8))
         with pytest.raises(ConfigError):
             small_cfg(experiment_id="bogus")
+        with pytest.raises(ConfigError):
+            small_cfg(experiment_id="noncentral", hurst=0.9, order=2, levels=(0, 1))
+        for threads in (0, -3):  # rejected before any worker starts
+            with pytest.raises(ConfigError):
+                small_cfg(threads=threads)
+        with pytest.raises(ConfigError):
+            small_cfg(fine_offset=-2)
+
+        # a finest sampled level above the circulant ceiling (19 + 6 = 25)
+        # fails before any block is drawn
+        def no_sampling(*args):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(experiments, "_values_block", no_sampling)
+        with pytest.raises(SizeLimitError):
+            run_noncentral(small_cfg(experiment_id="noncentral", hurst=0.9, order=2,
+                                     levels=(6, 19), fine_offset=6))
+        with pytest.raises(SizeLimitError):
+            run_clt(small_cfg(levels=(8, 25)))
 
     def test_default_levels(self):
         cfg = ExperimentConfig("trapezoid", hurst=0.5, order=2, replicates=100)
@@ -190,6 +211,63 @@ class TestCorollary:
         )
         assert rep.summary["item"] == 6
 
+    def test_item6_relative_l2_verdict(self):
+        # the verdict is "decreasing and final relative L2 below an absolute
+        # 0.15"; item 6 reports only the four common per-level keys
+        passing = run_corollary(
+            ExperimentConfig(
+                "corollary", hurst=0.9, order=2, weight="cos:1.0",
+                levels=(5, 6, 7), replicates=150, master_seed=12, fine_offset=3,
+            )
+        )
+        failing = run_corollary(
+            ExperimentConfig(
+                "corollary", hurst=0.85, order=4, weight="cos:1.0",
+                levels=(5, 6), replicates=150, master_seed=26, fine_offset=4,
+            )
+        )
+        for rep, verdict in ((passing, "PASS"), (failing, "FAIL")):
+            assert rep.summary["item"] == 6
+            assert rep.summary["final_threshold"] == 0.15
+            assert rep.verdict == verdict
+            ok = rep.summary["inversions"] <= 1 and rep.summary["final"] < 0.15
+            assert ok == (verdict == "PASS")
+            for e in rep.levels:
+                assert list(e) == ["level", "stat", "stat_se", "statistic"]
+                assert e["statistic"] == "relative_l2_distance"
+        assert failing.summary["inversions"] == 0  # failed on the threshold alone
+
+    def test_item2_small_h_power(self):
+        rep = run_corollary(
+            ExperimentConfig(
+                "corollary", hurst=0.2, order=2, weight="cos:1.0",
+                levels=(6, 8, 10), replicates=300, master_seed=22,
+            )
+        )
+        assert rep.summary["item"] == 2
+        assert rep.verdict == "PASS"
+        assert [e["level"] for e in rep.levels] == [6, 8, 10]
+        assert all(e["statistic"] == "mean_sq_distance" for e in rep.levels)
+        assert rep.levels[-1]["stat"] < rep.levels[0]["stat"]
+        assert rep.summary["final"] == rep.levels[-1]["stat"]
+
+    def test_item3_quarter_drift_and_excess(self):
+        rep = run_corollary(
+            ExperimentConfig(
+                "corollary", hurst=0.25, order=2, weight="cos:1.0",
+                levels=(8, 10), replicates=400, master_seed=23,
+            )
+        )
+        assert rep.summary["item"] == 3
+        assert rep.flags == ["EXPLORATORY"]
+        assert {
+            "mean", "mean_se", "drift_target", "drift_target_se", "excess_variance",
+            "target_excess_variance", "variance_tolerance", "mean_ok", "variance_ok",
+        } <= set(rep.summary)
+        assert rep.summary["variance_tolerance"] == pytest.approx(0.1)
+        assert rep.verdict == "PASS"
+        assert all(e["statistic"] == "mean" for e in rep.levels)
+
     def test_item4_brownian_collapse(self):
         rep = run_corollary(
             ExperimentConfig(
@@ -247,6 +325,16 @@ class TestConjecture:
         assert rep.verdict == "PASS"
         assert abs(rep.summary["drift_target"]) < 1e-15
         assert "EXPLORATORY" in rep.flags
+
+
+def test_variance_order_audit_brownian():
+    # H = 1/2, q = 2, f = 1: the normalised increments are i.i.d. N(0,1), so
+    # E[V_n^2] = 2^n E[H_2^2] = 2^n / 2 exactly and log2 E[V_n^2] = n - 1
+    audit = variance_order_audit(0.5, 2, "one", (6, 7, 8, 9), 400, 3)
+    assert audit["levels"] == [6, 7, 8, 9]
+    assert abs(audit["slope"] - 1.0) < 0.1
+    for n, lm, se in zip(audit["levels"], audit["log2_mean_sq"], audit["log2_se"]):
+        assert abs(lm - (n - 1)) <= 3 * se
 
 
 def test_report_csv_and_tsv():

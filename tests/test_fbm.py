@@ -1,5 +1,6 @@
 import io
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -162,6 +163,29 @@ def test_binary_round_trip():
 def test_binary_bad_magic():
     with pytest.raises(DomainError):
         fbm.read_binary(io.BytesIO(b"NOPE" + b"\0" * 100))
+
+
+def test_binary_header_level_checked_before_read():
+    for level in (-1, 0, fbm.CIRCULANT_MAX_LEVEL + 1, 2**31 - 1):
+        header = b"FBM1" + struct.pack("<d", 0.5) + struct.pack("<i", level)
+        with pytest.raises(DomainError):
+            fbm.read_binary(io.BytesIO(header + struct.pack("<Q", 0) + b"\0" * 64))
+
+
+def test_binary_trailing_bytes_rejected():
+    path = fbm.sample_fbm_circulant(0.62, 4, seed=3)
+    buf = io.BytesIO()
+    fbm.write_binary(path, buf)
+    with pytest.raises(DomainError):
+        fbm.read_binary(io.BytesIO(buf.getvalue() + b"\0"))
+
+
+def test_binary_truncated_values_rejected():
+    path = fbm.sample_fbm_circulant(0.62, 4, seed=3)
+    buf = io.BytesIO()
+    fbm.write_binary(path, buf)
+    with pytest.raises(DomainError):
+        fbm.read_binary(io.BytesIO(buf.getvalue()[:-8]))
 
 
 def test_path_invariants_enforced():
