@@ -26,7 +26,7 @@ from .constants import (
     sigma_clt,
     sigma_tilde,
 )
-from .errors import ConfigError, FbmvarError
+from .errors import ConfigError, DomainError, FbmvarError, SeriesDivergenceError
 from .experiments import EXPERIMENT_IDS, ExperimentConfig, run_experiment
 from .hermite_process import simulate_hermite
 from .variations import renormalize, weighted_hermite_variation, weighted_power_variation
@@ -38,6 +38,12 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(1)
+
+
+def _precision(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"precision must be an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _fmt(value, precision: int | None):
@@ -86,7 +92,7 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=("csv", "bin", "json"), default="csv",
                    help="output format")
     p.add_argument("--out", help="output file (default stdout; required for bin)")
-    p.add_argument("--precision", type=int, help="significant digits (default 17)")
+    p.add_argument("--precision", type=_precision, help="significant digits (default 17)")
 
     p = sub.add_parser("variation",
                        help="weighted Hermite/power variation of a sampled path")
@@ -104,7 +110,7 @@ def build_parser() -> _Parser:
     p.add_argument("--renormalize", action="store_true",
                    help="also apply the regime prefactor")
     p.add_argument("--out")
-    p.add_argument("--precision", type=int)
+    p.add_argument("--precision", type=_precision)
 
     p = sub.add_parser("constants",
                        help="limit constants and regime for (H, q)")
@@ -113,7 +119,7 @@ def build_parser() -> _Parser:
     p.add_argument("--rel-tol", type=float, default=1e-8)
     p.add_argument("--seed", type=int, default=0, help="echoed (no randomness)")
     p.add_argument("--out")
-    p.add_argument("--precision", type=int)
+    p.add_argument("--precision", type=_precision)
 
     p = sub.add_parser("hermite-process",
                        help="simulate the Hermite process from a fine fBm path")
@@ -125,7 +131,7 @@ def build_parser() -> _Parser:
     p.add_argument("--stream", type=int, default=0)
     p.add_argument("--export", choices=("csv", "json"), default="json")
     p.add_argument("--out")
-    p.add_argument("--precision", type=int)
+    p.add_argument("--precision", type=_precision)
 
     p = sub.add_parser("experiment",
                        help="run a seeded Monte Carlo experiment")
@@ -236,16 +242,16 @@ def _cmd_constants(args) -> int:
         payload.update(
             sigma=s.value, truncation_radius=s.radius, tail_bound=s.tail_bound
         )
-    except FbmvarError:
+    except SeriesDivergenceError:
         pass
     try:
         st = sigma_tilde(args.H, args.q, rel_tol=args.rel_tol)
         payload["sigma_tilde"] = st.value
-    except FbmvarError:
+    except SeriesDivergenceError:
         pass
     try:
         payload["c_qH"] = hermite_process_variance_const(args.q, args.H)
-    except FbmvarError:
+    except DomainError:
         pass
     _emit(payload, args.out, args.precision)
     return 0

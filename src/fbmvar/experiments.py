@@ -9,11 +9,14 @@ used where the underlying convergence is in L2; distributional checks
 (variance, KS, conditional-variance regression) where it is in law.
 
 One engine (``_collect``) owns sampling, coarsening, blocking and the
-worker pool; runners only reduce.  A runner passes a kernel, a
-module-level (picklable) function mapping (cfg, f, v, m, n) to named
-per-replicate arrays for level n, where v is one block of paths at level
-m: the top-level path coarsened to m = n, or for a ``fine`` kernel a path
-resampled at m = n + fine_offset.
+worker pool; runners only reduce.  Each replicate draws one path, at the
+finest level the run needs: max(levels), plus fine_offset for a ``fine``
+kernel.  A runner passes a kernel, a module-level (picklable) function
+mapping (cfg, f, v, m, n) to named per-replicate arrays for level n,
+where v is one block of that path restricted to level m = n (m = n +
+fine_offset for a fine kernel).  The restriction of an exact fBm path to
+a coarser dyadic grid is exact fBm, so each level has the right law; the
+levels of one replicate are coupled through the shared path.
 
 Verdict policy (stated in every report): decreasing-sequence checks
 allow at most max_inversions (default 1) adjacent inversions and require
@@ -45,6 +48,7 @@ from . import fbm
 from .constants import (
     RegimeCase,
     classify_regime,
+    renorm_factor,
     sigma_clt,
     sigma_critical_high,
     sigma_critical_high_corrected,
@@ -228,17 +232,13 @@ def _replicate_block(
 ) -> dict[str, np.ndarray]:
     """Kernel outputs for replicates start .. start+count-1, every level."""
     f = parse_weight(cfg.weight)
+    offset = cfg.fine_offset if fine else 0
+    top = max(cfg.levels) + offset
+    vals = _values_block(cfg.hurst, top, cfg.master_seed, start, count)
     out: dict[str, np.ndarray] = {}
-    if fine:
-        for n in cfg.levels:
-            m = n + cfg.fine_offset
-            vals = _values_block(cfg.hurst, m, cfg.master_seed, start, count)
-            out.update(kernel(cfg, f, vals, m, n))
-        return out
-    n_max = max(cfg.levels)
-    vals = _values_block(cfg.hurst, n_max, cfg.master_seed, start, count)
     for n in cfg.levels:
-        out.update(kernel(cfg, f, vals[:, :: 2 ** (n_max - n)], n, n))
+        m = n + offset
+        out.update(kernel(cfg, f, vals[:, :: 2 ** (top - m)], m, n))
     return out
 
 
@@ -300,20 +300,18 @@ def _pathwise_kernel(cfg, f, v, m, n, item=None):
         stat = 2.0 ** (2 * n * hurst - n) * pv
         limit = _power_drift(f, v, q)
     else:
-        raw = hermite_variation_rows(v, hurst, n, f, q)
-        stat = 2.0 ** (n * (q * hurst - 1.0)) * raw
+        stat = renorm_factor(hurst, q, n) * hermite_variation_rows(v, hurst, n, f, q)
         limit = _hermite_drift(f, v, q)
     return {f"diff_sq_{n}": (stat - limit) ** 2}
 
 
-def _normalised_kernel(cfg, f, v, m, n, power=False, critical=False, drift=False):
+def _normalised_kernel(cfg, f, v, m, n, power=False, drift=False):
     """y = 2^(-n/2) V_n (Hermite, or centred power when `power`), further
-    divided by sqrt(n) at a critical point, with the Riemann sum of f(B)^2
-    and, when `drift`, the drift part of the mixed limit at H = 1/(2q)."""
+    divided by sqrt(n) at a critical point H = 1 - 1/(2q) (q = 2 for the
+    power variation), with the Riemann sum of f(B)^2 and, when `drift`,
+    the drift part of the mixed limit at H = 1/(2q)."""
     q, hurst = cfg.order, cfg.hurst
-    norm = 2.0 ** (-n / 2.0)
-    if critical:
-        norm /= math.sqrt(n)
+    norm = renorm_factor(hurst, 2 if power else q, n)
     if power:
         raw = power_variation_rows(v, hurst, n, f, q, centered=True)
     else:
@@ -336,8 +334,7 @@ def _young_kernel(cfg, f, v, m, n, power=False):
         stat = 2.0 ** (m - 2.0 * hurst * m) * pv
         const, order = 2.0 * gaussian_moment(q - 2) * math.comb(q, 2), 2
     else:
-        raw = hermite_variation_rows(v, hurst, m, f, q)
-        stat = 2.0 ** (m * (q * (1.0 - hurst) - 1.0)) * raw
+        stat = renorm_factor(hurst, q, m) * hermite_variation_rows(v, hurst, m, f, q)
         const, order = 1.0, q
     z_vals = hermite_partial_sums(np.diff(v, axis=1), hurst, m, order, n)
     limit = const * young_integral_rows(f, v[:, :: 2 ** (m - n)], z_vals)
@@ -615,7 +612,7 @@ def run_critical_high(cfg: ExperimentConfig) -> ExperimentReport:
     printed = sigma_critical_high(q)
     corrected_var = sigma_critical_high_corrected(q) ** 2  # == printed
     printed_var = printed**2
-    data = _collect(cfg, partial(_normalised_kernel, critical=True))
+    data = _collect(cfg, _normalised_kernel)
     readings = {"printed_as_sigma": printed_var / corrected_var, "sqrt_corrected": 1.0}
     levels, shape_top, arbitration = _arbitrate(
         cfg, data, unweighted_second_moment, readings
@@ -697,7 +694,7 @@ def run_corollary(cfg: ExperimentConfig) -> ExperimentReport:
         2: partial(_pathwise_kernel, item=2),
         3: partial(_normalised_kernel, power=True, drift=True),
         4: partial(_normalised_kernel, power=True),
-        5: partial(_normalised_kernel, power=True, critical=True),
+        5: partial(_normalised_kernel, power=True),
         6: partial(_young_kernel, power=True),
     }[item]
     data = _collect(cfg, kernel, fine=item == 6)

@@ -255,18 +255,22 @@ def write_binary(path: FbmPath, fh: IO[bytes]) -> None:
     fh.write(np.ascontiguousarray(path.values, dtype="<f8").tobytes())
 
 
+def _read_exact(fh: IO[bytes], size: int, what: str) -> bytes:
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise DomainError(f"truncated FBM1 {what}: {len(raw)} of {size} bytes")
+    return raw
+
+
 def read_binary(fh: IO[bytes]) -> FbmPath:
     magic = fh.read(4)
     if magic != _BIN_MAGIC:
         raise DomainError(f"bad magic {magic!r}, expected {_BIN_MAGIC!r}")
-    hurst = struct.unpack("<d", fh.read(8))[0]
-    level = struct.unpack("<i", fh.read(4))[0]
+    hurst, level, seed = struct.unpack("<diQ", _read_exact(fh, 20, "header"))
     # checked before the level sizes the read below
     if not 1 <= level <= CIRCULANT_MAX_LEVEL:
         raise DomainError(f"header level {level} outside [1, {CIRCULANT_MAX_LEVEL}]")
-    seed = struct.unpack("<Q", fh.read(8))[0]
-    raw = fh.read(8 * (2**level + 1))
-    values = np.frombuffer(raw, dtype="<f8").copy()
+    raw = _read_exact(fh, 8 * (2**level + 1), "values")
     if fh.read(1):
         raise DomainError("trailing bytes after the FBM1 values")
-    return FbmPath(hurst, level, values, seed)
+    return FbmPath(hurst, level, np.frombuffer(raw, dtype="<f8").copy(), seed)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import ScalingRegime, classify_regime, renorm_factor
-from .errors import SizeLimitError
+from .errors import DomainError, SizeLimitError
 from .fbm import FbmPath, rho
 from .hermite import gaussian_moment, hermite_eval
 from .weights import WeightFunction
@@ -56,7 +56,7 @@ class DiagnosticSums:
 def weighted_hermite_variation(path: FbmPath, f: WeightFunction, q: int) -> float:
     """V_n^(q)(f) for one path, exactly accumulated."""
     if q < 1:
-        raise ValueError(f"order must be >= 1, got {q}")
+        raise DomainError(f"order must be >= 1, got {q}")
     scaled = 2.0 ** (path.level * path.hurst) * path.increments
     terms = f(path.values[:-1]) * hermite_eval(q, scaled)
     return math.fsum(terms)
@@ -67,7 +67,7 @@ def weighted_power_variation(
 ) -> float:
     """sum_k f(B_(k-1)2^-n) [ (2^{nH} dB)^q - (centered ? mu_q : 0) ]."""
     if q < 1:
-        raise ValueError(f"order must be >= 1, got {q}")
+        raise DomainError(f"order must be >= 1, got {q}")
     scaled = 2.0 ** (path.level * path.hurst) * path.increments
     powers = scaled**q
     if centered:
@@ -95,7 +95,7 @@ def beta_sums(hurst: float, level: int, q: int) -> dict[int, float]:
     an O(2^n) computation allowed up to level 24.
     """
     if q < 1:
-        raise ValueError(f"order must be >= 1, got {q}")
+        raise DomainError(f"order must be >= 1, got {q}")
     if level > BETA_MAX_LEVEL:
         raise SizeLimitError(f"level {level} exceeds beta ceiling {BETA_MAX_LEVEL}")
     n_pts = 2**level

@@ -213,6 +213,36 @@ def test_precision_flag(capsys):
     assert sigma_short == float(f"{sigma_full:.4g}")
 
 
+def test_variation_order_below_one_exits_one(capsys):
+    code, out, err = run_cli(capsys, "variation", "--H", "0.5", "--n", "4", "--q", "0")
+    assert code == 1
+    assert out == ""
+    assert "error: order must be >= 1" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "x"])
+@pytest.mark.parametrize("argv", [
+    ("sample", "--H", "0.5", "--n", "3", "--format", "json"),
+    ("variation", "--H", "0.5", "--n", "4", "--q", "2"),
+    ("constants", "--H", "0.6", "--q", "2"),
+    ("hermite-process", "--q", "2", "--H", "0.9", "--m", "6", "--n-out", "3"),
+])
+def test_precision_below_one_exits_one(capsys, argv, value):
+    code, out, err = run_cli(capsys, *argv, "--precision", value)
+    assert code == 1
+    assert out == ""
+    assert "error: argument --precision" in err
+
+
+def test_constants_bad_rel_tol_exits_one(capsys):
+    # a rejected tolerance is an error, not a constant that does not exist
+    code, out, err = run_cli(capsys, "constants", "--H", "0.6", "--q", "2",
+                             "--rel-tol", "0.5")
+    assert code == 1
+    assert out == ""
+    assert "error: rel_tol" in err
+
+
 def test_hermite_process_csv(capsys):
     code, out, _ = run_cli(
         capsys, "hermite-process", "--q", "2", "--H", "0.9", "--m", "8",

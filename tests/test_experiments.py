@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from fbmvar import experiments
+from fbmvar import experiments, fbm
 from fbmvar.errors import ConfigError, RegimeError, SizeLimitError
 from fbmvar.experiments import (
     ExperimentConfig,
@@ -119,6 +120,47 @@ class TestDeterminism:
         assert "wall_clock" not in rep.to_json()
         payload = json.loads(rep.to_json())
         assert payload["schema"] == "fbmvar-report/1"
+
+
+class TestEngine:
+    def nc_cfg(self, **kw):
+        base = dict(hurst=0.9, order=2, weight="cos:1.0", levels=(5, 6, 7),
+                    replicates=300, master_seed=4, fine_offset=6)
+        base.update(kw)
+        return ExperimentConfig("noncentral", **base)
+
+    def test_fine_run_draws_one_block_per_replicate_block(self, monkeypatch):
+        drawn = []
+        values_block = experiments._values_block
+
+        def counting(hurst, level, seed, start, count):
+            drawn.append((level, start, count))
+            return values_block(hurst, level, seed, start, count)
+
+        monkeypatch.setattr(experiments, "_values_block", counting)
+        run_noncentral(self.nc_cfg())
+        # finest level 7 + 6 = 13: 2^22 >> 14 = 256 replicates per block
+        assert drawn == [(13, 0, 256), (13, 256, 44)]
+
+    def test_fine_levels_are_restrictions_of_the_finest_path(self):
+        cfg = self.nc_cfg(replicates=100, fine_offset=3)
+        seen = {}
+
+        def recording(cfg, f, v, m, n):
+            seen[n] = (m, v.copy())
+            return {f"x_{n}": v[:, -1]}
+
+        experiments._collect(cfg, recording, fine=True)
+        for i in (0, 57, 99):
+            finest = fbm.sample_fbm_circulant(cfg.hurst, 10, cfg.master_seed, i)
+            for n, (m, v) in seen.items():
+                assert m == n + 3
+                assert np.array_equal(v[i], fbm.coarsen(finest, m).values)
+
+    def test_thread_count_does_not_change_noncentral_report(self):
+        serial = run_noncentral(self.nc_cfg())
+        parallel = run_noncentral(self.nc_cfg(threads=2))
+        assert serial.to_json() == parallel.to_json()
 
 
 class TestCltExperiment:

@@ -188,6 +188,17 @@ def test_binary_truncated_values_rejected():
         fbm.read_binary(io.BytesIO(buf.getvalue()[:-8]))
 
 
+def test_binary_every_truncation_rejected():
+    path = fbm.sample_fbm_circulant(0.62, 4, seed=3)
+    buf = io.BytesIO()
+    fbm.write_binary(path, buf)
+    data = buf.getvalue()
+    assert len(data) == 4 + 8 + 4 + 8 + 8 * 17
+    for cut in range(len(data)):  # inside the magic, the header and the values
+        with pytest.raises(DomainError):
+            fbm.read_binary(io.BytesIO(data[:cut]))
+
+
 def test_path_invariants_enforced():
     with pytest.raises(DomainError):
         fbm.FbmPath(hurst=0.5, level=2, values=np.array([1.0, 0.0, 0.0, 0.0, 0.0]), seed=0)
