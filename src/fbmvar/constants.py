@@ -171,34 +171,11 @@ def rho_tail_mass_bound(hurst: float, p: int, radius: int) -> float:
     return 2.0 * c * (radius - 1.0) ** (1.0 - s) / (s - 1.0)
 
 
-_EXACT_RHO_MAX_LAG = 64
-
-
-def _rho_powers_stable(hurst: float, p: int, radius: int) -> tuple[float, float]:
-    """(sum_{r=1..R} rho^p, sum of |rho|^p) without cancellation noise.
-
-    The three-term formula for rho_H(r) loses a relative eps * r**2 to
-    cancellation (the terms are ~r**2H, the difference ~r**(2H-2)), which
-    would swamp the analytic tail control when summing millions of lags.
-    For r > 64 the expansion rho = a(a-1) r**(a-2) (1 + e1 x**2 + e2 x**4
-    + e3 x**6), x = 1/r, is exact to ~x**8/5 < 3e-16 relative instead.
-    """
-    a = 2.0 * hurst
-    lags = np.arange(1, min(radius, _EXACT_RHO_MAX_LAG) + 1)
-    head = rho(lags, hurst) ** p
-    total = math.fsum(head)
-    total_abs = math.fsum(np.abs(head))
-    if radius > _EXACT_RHO_MAX_LAG:
-        r = np.arange(_EXACT_RHO_MAX_LAG + 1, radius + 1, dtype=float)
-        e1 = (a - 2.0) * (a - 3.0) / 12.0
-        e2 = e1 * (a - 4.0) * (a - 5.0) / 30.0
-        e3 = e2 * (a - 6.0) * (a - 7.0) / 56.0
-        x2 = r**-2.0
-        psi = 1.0 + x2 * (e1 + x2 * (e2 + x2 * e3))
-        tail = (a * (a - 1.0)) ** p * r ** ((a - 2.0) * p) * psi**p
-        total += math.fsum(tail)
-        total_abs += math.fsum(np.abs(tail))
-    return total, total_abs
+def _rho_powers_stable(hurst: float, p: int, radius: int) -> float:
+    """sum_{r=1..R} rho^p, exactly rounded.  ``fbm.rho`` evaluates the large
+    lags without cancellation noise, which would otherwise swamp the
+    analytic tail control when summing millions of lags."""
+    return math.fsum(rho(np.arange(1, radius + 1, dtype=float), hurst) ** p)
 
 
 def rho_power_sum(
@@ -233,16 +210,18 @@ def rho_power_sum(
     fixed = radius is not None
     r_cur = max(radius, 32) if fixed else _START_RADIUS
     while True:
-        one_sided, one_sided_abs = _rho_powers_stable(hurst, p, r_cur)
+        one_sided = _rho_powers_stable(hurst, p, r_cur)
         partial = 2.0**p + 2.0 * one_sided
         z_s, rem_s = _zeta_tail_em(s, r_cur)
         z_s2, rem_s2 = _zeta_tail_em(s + 2.0, r_cur)
         tail = 2.0 * c_p * (z_s + p * e1 * z_s2)
         # analytic residual plus a float-noise allowance for the partial sum
-        # (stable evaluation keeps per-term relative error below ~1e-14)
+        # (stable evaluation keeps per-term relative error below ~1e-14; each
+        # rho_H(r), r >= 1, has the sign of 2H - 1, so |one_sided| is the sum
+        # of the terms' magnitudes)
         bound = 2.0 * abs(c_p) * (
             rem_s + p * abs(e1) * rem_s2 + k_exp * _zeta_tail_upper(s + 4.0, r_cur)
-        ) + 1e-13 * (2.0**p + 2.0 * one_sided_abs)
+        ) + 1e-13 * (2.0**p + 2.0 * abs(one_sided))
         value = partial + tail
         converged = bound <= rel_tol * abs(value)
         if converged or fixed or r_cur >= _MAX_RADIUS:
