@@ -107,7 +107,7 @@ def rho(r, hurst: float):
     The three-term formula loses a relative eps * r**2 to cancellation
     (the terms are ~r**2H, the difference ~r**(2H-2)), so beyond lag 64
     the expansion rho = a(a-1) r**(a-2) (1 + e1 x**2 + e2 x**4 + e3 x**6),
-    a = 2H, x = 1/r, is used instead, exact to ~x**8/5 < 3e-16 relative.
+    a = 2H, x = 1/r, is used instead, exact to ~x**8/5 < 7e-16 relative.
     """
     _check_h(hurst)
     r = np.abs(np.asarray(r, dtype=float))

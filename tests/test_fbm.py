@@ -1,6 +1,7 @@
 import io
 import math
 import struct
+from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
@@ -37,6 +38,29 @@ def test_rho_asymptotics():
         r = 10_000
         expected = 2 * hurst * (2 * hurst - 1) * r ** (2 * hurst - 2)
         assert fbm.rho(r, hurst) == pytest.approx(expected, rel=1e-3)
+
+
+def test_rho_accurate_at_large_lags():
+    # a 40-digit reference of the three-term formula; in double precision
+    # that formula loses a relative eps * r**2 to cancellation
+    getcontext().prec = 40
+    for hurst in (0.1, 0.3, 0.49, 0.51, 0.7, 0.9, 0.99):
+        a = Decimal(repr(2 * hurst))
+        for r in (65, 100, 1000, 10**5, 2**22):
+            d = Decimal(r)
+            exact = sum(c * (x.ln() * a).exp() for c, x in ((1, d + 1), (1, d - 1), (-2, d)))
+            assert fbm.rho(r, hurst) == pytest.approx(float(exact), rel=1e-14)
+
+
+def test_circulant_eigenvalues_nonnegative_near_h_one():
+    # the fGn circulant embedding is nonnegative definite, so negative
+    # eigenvalues can only come from rounding in the covariance row
+    hurst, level = 0.99, 20
+    n_inc = 2**level
+    cov = fbm.increment_autocovariance(hurst, level, np.arange(n_inc + 1))
+    lam = np.fft.fft(np.concatenate([cov, cov[1:n_inc][::-1]])).real
+    assert lam.min() > 0.0
+    assert fbm.sample_increments_circulant(hurst, level, 1, 0, 1).shape == (1, n_inc)
 
 
 def test_rho_power_summability_tail_ratio():
