@@ -144,7 +144,6 @@ def build_parser() -> _Parser:
     p.add_argument("--replicates", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--fine-offset", type=int)
-    p.add_argument("--corollary-item", type=int)
     p.add_argument("--threads", type=int,
                    help="worker processes (default FBMVAR_THREADS or 1)")
     p.add_argument("--out", help="report JSON file (default stdout)")
@@ -317,7 +316,6 @@ def _build_experiment_config(args) -> ExperimentConfig:
         "replicates": args.replicates,
         "master_seed": args.seed,
         "fine_offset": args.fine_offset,
-        "corollary_item": args.corollary_item,
         "threads": args.threads,
     }
     raw.update({k: v for k, v in cli_values.items() if v is not None})
@@ -335,8 +333,7 @@ def _build_experiment_config(args) -> ExperimentConfig:
                 converted[key] = tuple(val)
             elif key in ("experiment_id", "weight"):
                 converted[key] = str(val)
-            elif key in ("hurst", "rel_tol", "variance_rtol", "slope_rtol", "ks_alpha",
-                         "final_ratio"):
+            elif key == "hurst":
                 converted[key] = float(val)
             else:
                 converted[key] = int(val)

@@ -18,19 +18,22 @@ fine_offset for a fine kernel).  The restriction of an exact fBm path to
 a coarser dyadic grid is exact fBm, so each level has the right law; the
 levels of one replicate are coupled through the shared path.
 
-Verdict policy (stated in every report): decreasing-sequence checks
-allow at most max_inversions (default 1) adjacent inversions and require
-final < final_ratio * initial (default 1/4) in small_h and the trapezoid
-convergence arm, a final relative L2 distance below an absolute 0.15 in
-noncentral and corollary item 6, and final < initial in corollary items
-1 and 2 (the trapezoid counterexample arm needs final >= initial / 2).
-Variance comparisons use a relative tolerance (default 5%) and KS tests
-reject below p = 0.01.  Every per-level statistic carries a Monte Carlo
-standard error.
+Verdict policy (fixed, ``THRESHOLDS``, echoed in every report):
+decreasing-sequence checks allow at most max_inversions = 1 adjacent
+inversion and require final < final_ratio * initial (final_ratio = 1/4)
+in small_h and the trapezoid convergence arm, a final relative L2
+distance below an absolute 0.15 in noncentral and corollary item 6, and
+final < initial in corollary items 1 and 2 (the trapezoid counterexample
+arm needs final >= initial / 2).  Variance comparisons use a relative
+tolerance variance_rtol = 5%, regression slopes and the printed/corrected
+arbitration slope_rtol = 10%, and KS tests reject below ks_alpha = 0.01.
+Series constants are evaluated at the library's default tolerance.  A
+configuration sets only what a run varies; no threshold is configurable.
+Every per-level statistic carries a Monte Carlo standard error.
 
-The report's wall-clock time is deliberately not part of the canonical
-JSON (reports must be byte-reproducible); it is exposed separately on
-the report object.
+The report's wall-clock time, taken once in ``run_experiment``, is
+deliberately not part of the canonical JSON (reports must be
+byte-reproducible); it is exposed separately on the report object.
 """
 
 from __future__ import annotations
@@ -89,6 +92,14 @@ EXPERIMENT_IDS = (
     "conjecture_quarter",
 )
 
+THRESHOLDS = {
+    "final_ratio": 0.25,
+    "max_inversions": 1,
+    "variance_rtol": 0.05,
+    "slope_rtol": 0.10,
+    "ks_alpha": 0.01,
+}
+
 _DEFAULT_LEVELS = {
     "small_h": (6, 7, 8, 9, 10, 11, 12),
     "clt": (10, 12, 14),
@@ -112,13 +123,6 @@ class ExperimentConfig:
     replicates: int = 1000
     master_seed: int = 0
     fine_offset: int = 6
-    corollary_item: int | None = None
-    rel_tol: float = 1e-8
-    variance_rtol: float = 0.05
-    slope_rtol: float = 0.10
-    ks_alpha: float = 0.01
-    final_ratio: float = 0.25
-    max_inversions: int = 1
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -211,7 +215,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         "trapezoid": run_trapezoid,
         "conjecture_quarter": run_conjecture_quarter,
     }[config.experiment_id]
-    return runner(config)
+    t0 = time.perf_counter()
+    report = runner(config)
+    report.wall_clock_seconds = time.perf_counter() - t0
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +398,12 @@ def _variance(cfg: ExperimentConfig) -> Callable:
     return partial(variance_and_se, known_mean=0.0 if cfg.weight == "one" else None)
 
 
-def _decreasing(cfg: ExperimentConfig, values: list[float]) -> tuple[bool, dict]:
+def _decreasing(values: list[float]) -> tuple[bool, dict]:
     """Inversion count and final/initial ratio of a per-level sequence;
     ok when the inversions are within max_inversions."""
     inversions = count_inversions(values)
     ratio = values[-1] / values[0] if values[0] != 0 else 0.0
-    return inversions <= cfg.max_inversions, {
+    return inversions <= THRESHOLDS["max_inversions"], {
         "initial": values[0],
         "final": values[-1],
         "final_over_initial": ratio,
@@ -427,7 +434,7 @@ def _relative_l2(
         levels.append(entry)
     rels = [e["stat"] for e in levels]
     inversions = count_inversions(rels)
-    ok = inversions <= cfg.max_inversions and rels[-1] < 0.15
+    ok = inversions <= THRESHOLDS["max_inversions"] and rels[-1] < 0.15
     summary = {
         "initial": rels[0],
         "final": rels[-1],
@@ -452,7 +459,7 @@ def _drift_excess(
     excess = float(np.var(y, ddof=1) - np.var(drift, ddof=1))
     target_var = sigma_value**2 * float(np.mean(data[f"fsq_{n_top}"]))
     mean_ok = abs(mean - drift_mean) <= 3.0 * math.hypot(mean_se, drift_se)
-    var_ok = abs(excess / target_var - 1.0) <= 2 * cfg.variance_rtol
+    var_ok = abs(excess / target_var - 1.0) <= 2 * THRESHOLDS["variance_rtol"]
     summary = {
         "mean": mean,
         "mean_se": mean_se,
@@ -460,7 +467,7 @@ def _drift_excess(
         "drift_target_se": drift_se,
         "excess_variance": excess,
         "target_excess_variance": target_var,
-        "variance_tolerance": 2 * cfg.variance_rtol,
+        "variance_tolerance": 2 * THRESHOLDS["variance_rtol"],
         "mean_ok": mean_ok,
         "variance_ok": var_ok,
     }
@@ -483,7 +490,7 @@ def _arbitrate(
     shape_top = levels[-1]["exact_f1_variance"] * f2
     predictions = {k: shape_top * ratio for k, ratio in readings.items()}
     matches = {
-        k: abs(levels[-1]["stat"] / p - 1.0) <= cfg.slope_rtol
+        k: abs(levels[-1]["stat"] / p - 1.0) <= THRESHOLDS["slope_rtol"]
         for k, p in predictions.items()
     }
     matched = [k for k, v in matches.items() if v]
@@ -494,22 +501,15 @@ def _arbitrate(
     }
 
 
-def _report(cfg, levels, summary, flags, verdict, t0) -> ExperimentReport:
+def _report(cfg, levels, summary, flags, ok: bool) -> ExperimentReport:
     return ExperimentReport(
         experiment_id=cfg.experiment_id,
         config=cfg.canonical_dict(),
         levels=levels,
         summary=summary,
-        thresholds={
-            "final_ratio": cfg.final_ratio,
-            "max_inversions": cfg.max_inversions,
-            "variance_rtol": cfg.variance_rtol,
-            "slope_rtol": cfg.slope_rtol,
-            "ks_alpha": cfg.ks_alpha,
-        },
+        thresholds=dict(THRESHOLDS),
         flags=flags,
-        verdict=verdict,
-        wall_clock_seconds=time.perf_counter() - t0,
+        verdict="PASS" if ok else "FAIL",
     )
 
 
@@ -526,16 +526,15 @@ def run_small_h(cfg: ExperimentConfig) -> ExperimentReport:
     can therefore only pass when final_ratio > 2^((2qH-1)(n_last-n_first)),
     up to Monte Carlo noise: a correct run at H=0.2, q=2 over the default
     levels 6..12 reaches about 2^(-1.2) ~ 0.435 at best and reports FAIL
-    against the default 1/4.
+    against the fixed 1/4.
     """
-    t0 = time.perf_counter()
     _require_regime(cfg, "small_h")
     data = _collect(cfg, _pathwise_kernel)
     levels = _level_entries(cfg, data, "diff_sq", mean_and_se, "mean_sq_distance")
-    ok, summary = _decreasing(cfg, [e["stat"] for e in levels])
-    ok = ok and summary["final_over_initial"] < cfg.final_ratio
+    ok, summary = _decreasing([e["stat"] for e in levels])
+    ok = ok and summary["final_over_initial"] < THRESHOLDS["final_ratio"]
     summary["limit"] = "((-1)^q / (2^q q!)) * integral of f^(q)(B_s) ds"
-    return _report(cfg, levels, summary, [], "PASS" if ok else "FAIL", t0)
+    return _report(cfg, levels, summary, [], ok)
 
 
 def run_clt(cfg: ExperimentConfig) -> ExperimentReport:
@@ -546,9 +545,8 @@ def run_clt(cfg: ExperimentConfig) -> ExperimentReport:
     of (2^(-n/2) V_n)^2 on the Riemann sum of f(B)^2; the slope estimates
     sigma_{H,q}^2 (the mixed-Gaussian conditional variance).
     """
-    t0 = time.perf_counter()
     _require_regime(cfg, "clt")
-    sigma = sigma_clt(cfg.hurst, cfg.order, rel_tol=cfg.rel_tol)
+    sigma = sigma_clt(cfg.hurst, cfg.order)
     sigma2 = sigma.value**2
     unweighted = cfg.weight == "one"
     data = _collect(cfg, _normalised_kernel)
@@ -582,17 +580,18 @@ def run_clt(cfg: ExperimentConfig) -> ExperimentReport:
             ks_stat=ks_d,
             ks_p=ks_p,
         )
-        ok = summary["variance_rel_err"] <= cfg.variance_rtol and ks_p > cfg.ks_alpha
+        ok = summary["variance_rel_err"] <= THRESHOLDS["variance_rtol"]
+        ok = ok and ks_p > THRESHOLDS["ks_alpha"]
     else:
         f2 = float(np.mean(data[f"fsq_{max(cfg.levels)}"]))
         summary["slope_rel_err"] = abs(top["stat"] / sigma2 - 1.0)
         summary["mean_f_sq"] = f2
         summary["variance_rel_err"] = abs(top["variance"] / (sigma2 * f2) - 1.0)
         ok = (
-            summary["slope_rel_err"] <= cfg.slope_rtol
-            and summary["variance_rel_err"] <= cfg.slope_rtol
+            summary["slope_rel_err"] <= THRESHOLDS["slope_rtol"]
+            and summary["variance_rel_err"] <= THRESHOLDS["slope_rtol"]
         )
-    return _report(cfg, levels, summary, flags, "PASS" if ok else "FAIL", t0)
+    return _report(cfg, levels, summary, flags, ok)
 
 
 def run_critical_high(cfg: ExperimentConfig) -> ExperimentReport:
@@ -606,7 +605,6 @@ def run_critical_high(cfg: ExperimentConfig) -> ExperimentReport:
     the variant's claimed limit.  This preserves the 10x separation
     between the variants while removing the shared finite-size factor.
     """
-    t0 = time.perf_counter()
     q = cfg.order
     _require_regime(cfg, "critical_high")
     printed = sigma_critical_high(q)
@@ -634,14 +632,13 @@ def run_critical_high(cfg: ExperimentConfig) -> ExperimentReport:
         summary.update(ks_stat=ks_d, ks_p=ks_p)
         flags.append("ks check reported, not gated (critical-case slow normality)")
     ok = arbitration["matched_variant"] is not None
-    return _report(cfg, levels, summary, flags, "PASS" if ok else "FAIL", t0)
+    return _report(cfg, levels, summary, flags, ok)
 
 
 def run_noncentral(cfg: ExperimentConfig) -> ExperimentReport:
     """Coupled check of 2^(n q(1-H) - n) V_n^(q)(f) against the Young sum
     of f(B) against the Hermite process built from the same fine path
     (m = n + fine_offset)."""
-    t0 = time.perf_counter()
     _require_regime(cfg, "noncentral")
     data = _collect(cfg, _young_kernel, fine=True)
     levels, ok, summary = _relative_l2(cfg, data, detailed=True)
@@ -650,30 +647,22 @@ def run_noncentral(cfg: ExperimentConfig) -> ExperimentReport:
             max(np.max(data[f"diff_sq_{n}"]) for n in cfg.levels)
         )
         ok = ok and summary["identity_max_sq"] <= 1e-24
-    return _report(cfg, levels, summary, [], "PASS" if ok else "FAIL", t0)
+    return _report(cfg, levels, summary, [], ok)
 
 
 def _corollary_item(cfg: ExperimentConfig) -> int:
-    """The configured item, else the one (parity of q, range of H) selects;
-    RegimeError when (q, H) lies outside the item's range."""
-    q, hurst, item = cfg.order, cfg.hurst, cfg.corollary_item
+    """The item (parity of q, range of H) selects; RegimeError for odd q
+    at H <= 1/2, which no item covers."""
+    if cfg.order % 2 == 1:
+        if cfg.hurst <= 0.5:
+            raise RegimeError("corollary item 1 (odd q) requires H > 1/2")
+        return 1
     # an even-q centred power variation is led by its second chaos, so
     # items 2-6 follow the q = 2 regime of H (boundaries 1/4 and 3/4)
-    even_item = {
+    return {
         RegimeCase.SMALL_H: 2, RegimeCase.CRITICAL_LOW: 3, RegimeCase.CLT: 4,
         RegimeCase.CRITICAL_HIGH: 5, RegimeCase.NONCENTRAL: 6,
-    }[classify_regime(hurst, 2).case_id]
-    if item is None:
-        if q % 2 == 1 and hurst <= 0.5:
-            raise RegimeError("corollary item 1 (odd q) requires H > 1/2")
-        return 1 if q % 2 == 1 else even_item
-    if item != 1 and q % 2 == 1:
-        raise RegimeError(f"corollary items 2-6 require even q, got {q}")
-    if item == 1 and (q % 2 == 0 or hurst <= 0.5):
-        raise RegimeError("corollary item 1 requires odd q and H > 1/2")
-    if item != 1 and item != even_item:
-        raise RegimeError(f"H={hurst} outside the range of corollary item {item}")
-    return item
+    }[classify_regime(cfg.hurst, 2).case_id]
 
 
 def run_corollary(cfg: ExperimentConfig) -> ExperimentReport:
@@ -686,7 +675,6 @@ def run_corollary(cfg: ExperimentConfig) -> ExperimentReport:
     5. even q, H = 3/4: printed/corrected arbitration for sigma~
     6. even q, H > 3/4: coupled L2 to 2 mu_{q-2} C(q,2) int f(B) dZ^(2)
     """
-    t0 = time.perf_counter()
     q = cfg.order
     item = _corollary_item(cfg)
     kernel = {
@@ -705,18 +693,18 @@ def run_corollary(cfg: ExperimentConfig) -> ExperimentReport:
         # the stated contract for these items is a decreasing coupled
         # distance; the chaos-q fluctuation floor decays too slowly for a
         # fixed final-ratio gate at desk-scale level windows
-        ok, summary = _decreasing(cfg, [e["stat"] for e in levels])
+        ok, summary = _decreasing([e["stat"] for e in levels])
         ok = ok and summary["final"] < summary["initial"]
     elif item == 6:
         levels, ok, summary = _relative_l2(cfg, data, detailed=False)
     elif item == 4:
-        st = sigma_tilde(cfg.hurst, q, rel_tol=cfg.rel_tol)
+        st = sigma_tilde(cfg.hurst, q)
         target_base = st.value**2
         levels = _level_entries(cfg, data, "y", _variance(cfg), "variance")
         f2 = float(np.mean(data[f"fsq_{max(cfg.levels)}"]))
         target = target_base * (1.0 if cfg.weight == "one" else f2)
         rel_err = abs(levels[-1]["stat"] / target - 1.0)
-        ok = rel_err <= cfg.variance_rtol
+        ok = rel_err <= THRESHOLDS["variance_rtol"]
         summary = {
             "sigma_tilde2": target_base,
             "target_variance": target,
@@ -746,10 +734,10 @@ def run_corollary(cfg: ExperimentConfig) -> ExperimentReport:
         flags.append("arbitrates the printed/corrected critical-constant ambiguity")
     else:  # item 3
         flags.append("EXPLORATORY")
-        st = sigma_tilde(cfg.hurst, q, rel_tol=cfg.rel_tol)
+        st = sigma_tilde(cfg.hurst, q)
         levels, ok, summary = _drift_excess(cfg, data, st.value)
     summary["item"] = item
-    return _report(cfg, levels, summary, flags, "PASS" if ok else "FAIL", t0)
+    return _report(cfg, levels, summary, flags, ok)
 
 
 def run_trapezoid(cfg: ExperimentConfig) -> ExperimentReport:
@@ -764,20 +752,19 @@ def run_trapezoid(cfg: ExperimentConfig) -> ExperimentReport:
     final_ratio > 2^((1/2-3H)(n_last-n_first)), up to Monte Carlo noise:
     at H=0.3 over levels 6..14 that bound is 2^(-3.2) ~ 0.109.
     """
-    t0 = time.perf_counter()
     arm = "convergence" if cfg.hurst > 1.0 / 6.0 else "counterexample"
     data = _collect(cfg, _trapezoid_kernel)
     levels = _level_entries(cfg, data, "err", median_and_se, "median_abs_error")
-    monotone, summary = _decreasing(cfg, [e["stat"] for e in levels])
+    monotone, summary = _decreasing([e["stat"] for e in levels])
     summary["arm"] = arm
     if arm == "convergence":
+        ok = monotone and summary["final_over_initial"] < THRESHOLDS["final_ratio"]
         # a sum that telescopes exactly (e.g. f = x^2 at H = 1/2) leaves only
         # rounding noise; treat anything at the float floor as converged
-        at_floor = summary["final"] < 1e-12
-        ok = at_floor or (monotone and summary["final_over_initial"] < cfg.final_ratio)
+        ok = ok or summary["final"] < 1e-12
     else:
         ok = summary["final_over_initial"] >= 0.5
-    return _report(cfg, levels, summary, [], "PASS" if ok else "FAIL", t0)
+    return _report(cfg, levels, summary, [], ok)
 
 
 def run_conjecture_quarter(cfg: ExperimentConfig) -> ExperimentReport:
@@ -785,17 +772,16 @@ def run_conjecture_quarter(cfg: ExperimentConfig) -> ExperimentReport:
     mean of 2^(-n/2) V_n -> ((-1)^q/(2^q q!)) E int f^(q)(B) ds and the
     variance in excess of the drift part -> sigma_{1/(2q),q}^2 E int f^2.
     Proven only for q = 2 (H = 1/4); flagged UNPROVEN for q >= 3."""
-    t0 = time.perf_counter()
     q = cfg.order
     _require_regime(cfg, "conjecture_quarter")
     flags = ["EXPLORATORY"]
     if q >= 3:
         flags.append("UNPROVEN")
-    sigma = sigma_clt(cfg.hurst, q, rel_tol=cfg.rel_tol)
+    sigma = sigma_clt(cfg.hurst, q)
     data = _collect(cfg, partial(_normalised_kernel, drift=True))
     levels, ok, summary = _drift_excess(cfg, data, sigma.value)
     summary["sigma2"] = sigma.value**2
-    return _report(cfg, levels, summary, flags, "PASS" if ok else "FAIL", t0)
+    return _report(cfg, levels, summary, flags, ok)
 
 
 # ---------------------------------------------------------------------------

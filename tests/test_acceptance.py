@@ -247,8 +247,7 @@ def test_criterion_10_critical_arbitration():
 def test_criterion_11_symmetric_riemann_sums():
     conv = run_trapezoid(
         ExperimentConfig("trapezoid", hurst=0.3, order=2, weight="sin:1.0",
-                         levels=tuple(range(6, 15)), replicates=1000,
-                         master_seed=11, final_ratio=0.10)
+                         levels=tuple(range(6, 15)), replicates=1000, master_seed=11)
     )
     conv_ratio = conv.summary["final_over_initial"]
     # the slowest error term decays as 2^(n(1/2-3H))

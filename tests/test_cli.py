@@ -18,8 +18,8 @@ EXPECTED_FLAGS = {
     "hermite-process": {"--q", "--H", "--m", "--n-out", "--seed", "--stream",
                         "--export", "--out", "--precision"},
     "experiment": {"--id", "--config", "--H", "--q", "--weight", "--levels",
-                   "--replicates", "--seed", "--fine-offset", "--corollary-item",
-                   "--threads", "--out", "--csv", "--plot-data"},
+                   "--replicates", "--seed", "--fine-offset", "--threads", "--out",
+                   "--csv", "--plot-data"},
     "report": {"--merge", "--format", "--seed", "--out"},
 }
 
@@ -99,6 +99,17 @@ def test_experiment_config_parse_error_names_key(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:") and "'order'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["corollary_item", "rel_tol", "variance_rtol",
+                                 "slope_rtol", "ks_alpha", "final_ratio", "max_inversions"])
+def test_experiment_config_rejects_policy_keys(tmp_path, capsys, key):
+    # the verdict thresholds are fixed and the corollary item follows from (H, q)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"H = 0.5\nq = 2\nreplicates = 100\n{key} = 0.5\n")
+    code, out, err = run_cli(capsys, "experiment", "--id", "clt", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err == f"error: unknown config key {key!r}\n"
 
 
 @pytest.mark.parametrize("extra, names", [
