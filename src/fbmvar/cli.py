@@ -363,7 +363,13 @@ def _cmd_report(args) -> int:
     reports = []
     for name in args.merge:
         with open(name) as fh:
-            reports.append(json.load(fh))
+            try:
+                rep = json.load(fh)
+            except ValueError as exc:  # not JSON, or not text at all
+                raise FbmvarError(f"{name}: not a JSON report ({exc})") from None
+        if not isinstance(rep, dict) or not isinstance(rep.get("config", {}), dict):
+            raise FbmvarError(f"{name}: not an experiment report (want a JSON object)")
+        reports.append(rep)
     if args.format == "json":
         _write_text(
             json.dumps(

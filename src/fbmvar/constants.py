@@ -188,8 +188,11 @@ def rho_power_sum(
 
     Pass `radius` to pin the truncation radius (the tail estimate is still
     applied); otherwise the radius doubles from 1024 until the certified
-    residual bound drops below rel_tol * |value|.
+    residual bound drops below rel_tol * |value|; rel_tol must lie in
+    (0, 1e-3].
     """
+    if not 0.0 < rel_tol <= 1e-3:
+        raise DomainError(f"rel_tol must be in (0, 1e-3], got {rel_tol}")
     if not 0.0 < hurst < 1.0:
         raise DomainError(f"hurst must be in (0,1), got {hurst}")
     if p < 1:
@@ -244,8 +247,6 @@ def sigma_clt(
     is enforced instead.
     """
     _check_order(q)
-    if not 0.0 < rel_tol <= 1e-3:
-        raise DomainError(f"rel_tol must be in (0, 1e-3], got {rel_tol}")
     if strict_regime and not (1.0 / (2 * q) < hurst < 1.0 - 1.0 / (2 * q)):
         raise RegimeError(
             f"H={hurst} outside the strict CLT window (1/{2*q}, 1-1/{2*q}) for q={q}"

@@ -11,6 +11,7 @@ why a fixed 1/4 or 1/10 reduction cannot be reached at those levels.
 import math
 
 import numpy as np
+import pytest
 
 from fbmvar import fbm, hermite
 from fbmvar.constants import sigma_clt, sigma_tilde
@@ -29,6 +30,8 @@ from fbmvar.constants import hermite_process_variance_const
 from fbmvar.stats import ks_2samp, least_squares_slope
 from fbmvar.variations import hermite_variation_rows
 from fbmvar.weights import parse_weight
+
+pytestmark = pytest.mark.acceptance
 
 
 def report(num: int, ok: bool, detail: str) -> bool:

@@ -189,6 +189,22 @@ def test_report_merge(tmp_path, capsys):
     assert len(merged["reports"]) == 1
 
 
+@pytest.mark.parametrize("content, names", [
+    (b"level,stat\n8,0.1\n", "not a JSON report"),
+    (b"FBM1\x00\xff\xfe", "not a JSON report"),
+    (b"[1, 2]", "not an experiment report"),
+    (b'{"config": [1]}', "not an experiment report"),
+])
+def test_report_merge_bad_input_exits_one(tmp_path, capsys, content, names):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    for fmt in ("table", "json"):
+        code, out, err = run_cli(capsys, "report", "--merge", str(bad), "--format", fmt)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and names in err
+        assert "Traceback" not in err
+
+
 def test_unknown_subcommand_exits_one(capsys):
     code, _, err = run_cli(capsys, "frobnicate")
     assert code == 1

@@ -102,6 +102,19 @@ def test_sigma_clt_domain():
         C.sigma_clt(0.6, 2, rel_tol=0.5)
 
 
+@pytest.mark.parametrize("rel_tol", [-1.0, 0.0, 0.5])
+def test_rel_tol_checked_on_every_series_entry_point(rel_tol):
+    # checked before any lag is summed, also at the H = 1/2 shortcut
+    for call in (
+        lambda: C.rho_power_sum(0.6, 2, rel_tol=rel_tol),
+        lambda: C.rho_power_sum(0.5, 2, rel_tol=rel_tol),
+        lambda: C.sigma_tilde(0.6, 2, rel_tol=rel_tol),
+        lambda: C.sigma_clt(0.6, 2, rel_tol=rel_tol),
+    ):
+        with pytest.raises(DomainError, match="rel_tol must be in"):
+            call()
+
+
 def test_rho_power_sum_monotonicity_invariant():
     # value at radius 10 R differs from value at R by less than the
     # tail bound reported at R

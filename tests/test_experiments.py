@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fbmvar import experiments, fbm
+from fbmvar.constants import renorm_factor
 from fbmvar.errors import ConfigError, RegimeError, SizeLimitError
 from fbmvar.experiments import (
     ExperimentConfig,
@@ -18,6 +19,8 @@ from fbmvar.experiments import (
     run_trapezoid,
     variance_order_audit,
 )
+from fbmvar.stats import through_origin_slope
+from fbmvar.variations import hermite_variation_rows
 
 
 def small_cfg(**kw):
@@ -199,6 +202,21 @@ class TestSmallH:
         assert rep.verdict == "PASS"
         stats = [e["stat"] for e in rep.levels]
         assert stats[-1] < stats[0]
+
+    def test_variation_tracks_its_limit_per_replicate(self):
+        # criterion 6's decay exponent is set by the chaos-2q floor and
+        # cannot see the limit itself; regressing the renormalised variation
+        # on its limit, replicate by replicate, can (slope 1 when they match)
+        def pair(cfg, f, v, m, n):
+            q, hurst = cfg.order, cfg.hurst
+            stat = renorm_factor(hurst, q, n) * hermite_variation_rows(v, hurst, n, f, q)
+            return {"stat": stat, "limit": experiments._hermite_drift(f, v, q)}
+
+        cfg = ExperimentConfig("small_h", hurst=0.2, order=2, weight="cos:1.0",
+                               levels=(12,), replicates=2000, master_seed=2024)
+        data = experiments._collect(cfg, pair)
+        slope, _ = through_origin_slope(data["limit"], data["stat"])
+        assert abs(slope - 1.0) <= 0.25
 
 
 class TestTrapezoid:
