@@ -22,7 +22,8 @@ Verdict policy (fixed, ``THRESHOLDS``, echoed in every report):
 decreasing-sequence checks allow at most max_inversions = 1 adjacent
 inversion and require final < final_ratio * initial (final_ratio = 1/4)
 in small_h and the trapezoid convergence arm, a final relative L2
-distance below an absolute 0.15 in noncentral and corollary item 6, and
+distance below an absolute 0.15 in noncentral (at f = 1 only the exact
+identity, max squared distance <= 1e-24) and corollary item 6, and
 final < initial in corollary items 1 and 2 (the trapezoid counterexample
 arm needs final >= initial / 2).  Variance comparisons use a relative
 tolerance variance_rtol = 5%, regression slopes and the printed/corrected
@@ -638,7 +639,9 @@ def run_critical_high(cfg: ExperimentConfig) -> ExperimentReport:
 def run_noncentral(cfg: ExperimentConfig) -> ExperimentReport:
     """Coupled check of 2^(n q(1-H) - n) V_n^(q)(f) against the Young sum
     of f(B) against the Hermite process built from the same fine path
-    (m = n + fine_offset)."""
+    (m = n + fine_offset).  At f = 1 the two sides agree identically, so
+    the relative L2 values are rounding noise in any order and the verdict
+    rests on the identity check alone."""
     _require_regime(cfg, "noncentral")
     data = _collect(cfg, _young_kernel, fine=True)
     levels, ok, summary = _relative_l2(cfg, data, detailed=True)
@@ -646,7 +649,7 @@ def run_noncentral(cfg: ExperimentConfig) -> ExperimentReport:
         summary["identity_max_sq"] = float(
             max(np.max(data[f"diff_sq_{n}"]) for n in cfg.levels)
         )
-        ok = ok and summary["identity_max_sq"] <= 1e-24
+        ok = summary["identity_max_sq"] <= 1e-24
     return _report(cfg, levels, summary, [], ok)
 
 

@@ -253,6 +253,20 @@ class TestNoncentral:
         assert rep.verdict == "PASS"
         assert rep.summary["identity_max_sq"] <= 1e-24
 
+    def test_identity_weight_ignores_rounding_noise_order(self):
+        # relative L2 values near 1e-15 come in random order; two
+        # inversions among them must not fail an exact identity
+        rep = run_noncentral(
+            ExperimentConfig(
+                "noncentral", hurst=0.8, order=2, weight="one",
+                levels=(5, 6, 7), replicates=200, master_seed=49,
+            )
+        )
+        assert rep.summary["inversions"] == 2
+        assert rep.summary["final"] < 1e-13
+        assert rep.summary["identity_max_sq"] <= 1e-24
+        assert rep.verdict == "PASS"
+
     def test_coupled_distance_decreases(self):
         rep = run_noncentral(
             ExperimentConfig(
