@@ -44,6 +44,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -93,13 +94,14 @@ EXPERIMENT_IDS = (
     "conjecture_quarter",
 )
 
-THRESHOLDS = {
+# read-only, so no caller can loosen a verdict in place
+THRESHOLDS = MappingProxyType({
     "final_ratio": 0.25,
     "max_inversions": 1,
     "variance_rtol": 0.05,
     "slope_rtol": 0.10,
     "ks_alpha": 0.01,
-}
+})
 
 _DEFAULT_LEVELS = {
     "small_h": (6, 7, 8, 9, 10, 11, 12),

@@ -78,8 +78,9 @@ class TestConfig:
             "master_seed", "fine_offset", "threads",
         ]
         rep = run_experiment(small_cfg())
-        assert rep.thresholds == experiments.THRESHOLDS
-        assert rep.thresholds is not experiments.THRESHOLDS
+        assert rep.thresholds == dict(experiments.THRESHOLDS)
+        with pytest.raises(TypeError):  # the policy cannot be loosened in place
+            experiments.THRESHOLDS["slope_rtol"] = 0.5
 
 
 class TestRegimeContracts:
