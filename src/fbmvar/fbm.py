@@ -13,8 +13,13 @@ so the unit-lag increment autocovariance at level n is
 Two exact samplers are provided:
 
 * ``sample_fbm_circulant`` embeds the increment autocovariance in a
-  circulant of length 2**(n+1) and synthesises the stationary Gaussian
-  increments through one FFT (Davies-Harte).  Cost O(n 2**n).
+  circulant of length m = 2**(n+1) and synthesises the stationary Gaussian
+  increments through one real inverse FFT of length m (Davies-Harte).  The
+  embedding row is real and symmetric, so its spectrum is real and even
+  and the Gaussian spectrum of a path is Hermitian: only the half
+  spectrum, frequencies 0 .. 2**n, is built, and the square roots of the
+  2**n + 1 eigenvalues it needs are cached per (H, n) as a read-only
+  array.  Cost O(n 2**n).
 * ``sample_fbm_cholesky`` factorises the dense increment covariance;
   it is O(2**(3n)) and capped at n <= 12, and serves as the independent
   oracle for the circulant sampler in tests.
@@ -132,14 +137,19 @@ def increment_autocovariance(hurst: float, level: int, lags) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _circulant_sqrt_eigs(hurst: float, level: int) -> np.ndarray:
-    """sqrt of the eigenvalues of the length-2**(n+1) embedded circulant."""
+    """sqrt of eigenvalues 0 .. 2**n of the length-2**(n+1) embedded circulant.
+
+    The embedding row is real and symmetric, so its spectrum is real and
+    even: eigenvalue m - k equals eigenvalue k, and the half spectrum from
+    one real FFT holds all of them.  The cached array is read-only.
+    """
     n_inc = 2**level
     m = 2 * n_inc
     row = np.empty(m)
     cov = increment_autocovariance(hurst, level, np.arange(n_inc + 1))
     row[: n_inc + 1] = cov
     row[n_inc + 1 :] = cov[1:n_inc][::-1]
-    lam = np.fft.fft(row).real
+    lam = np.fft.rfft(row).real
     floor = -EIG_REL_TOL * lam.max()
     if lam.min() < floor:
         raise CirculantEmbeddingError(
@@ -156,7 +166,9 @@ def _circulant_sqrt_eigs(hurst: float, level: int) -> np.ndarray:
             level,
         )
         lam = np.maximum(lam, 0.0)
-    return np.sqrt(lam)
+    sq = np.sqrt(lam)
+    sq.flags.writeable = False
+    return sq
 
 
 def _increments_from_normals(sq: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -164,20 +176,23 @@ def _increments_from_normals(sq: np.ndarray, z: np.ndarray) -> np.ndarray:
 
     Draw order for a path at level n (m = 2**(n+1) normals): z[0] feeds
     frequency 0, z[1] feeds frequency m/2, and the pair (z[2k], z[2k+1])
-    feeds frequency k for k = 1 .. m/2 - 1.
+    feeds frequency k for k = 1 .. m/2 - 1.  The spectrum is Hermitian, so
+    the paths are the real inverse FFT of its half, frequencies 0 .. m/2;
+    the sign of the imaginary part keeps them equal to the forward
+    transform of the full spectrum, Re FFT(S) / sqrt(m) = sqrt(m) irfft(conj S).
     """
     z = np.atleast_2d(z)
     b, m = z.shape
     half = m // 2
-    spec = np.zeros((b, m), dtype=complex)
-    spec[:, 0] = sq[0] * z[:, 0]
-    spec[:, half] = sq[half] * z[:, 1]
-    k = np.arange(1, half)
-    w = (z[:, 2 * k] + 1j * z[:, 2 * k + 1]) * (sq[k] / np.sqrt(2.0))
-    spec[:, 1:half] = w
-    spec[:, half + 1 :] = np.conj(w[:, ::-1])
-    x = np.fft.fft(spec, axis=1).real / np.sqrt(m)
-    return x[:, :half]
+    weight = sq * np.sqrt(m)
+    weight[1:half] /= np.sqrt(2.0)
+    spec = np.zeros((b, half + 1), dtype=complex)
+    spec.real[:, 0] = z[:, 0]
+    spec.real[:, half] = z[:, 1]
+    spec.real[:, 1:half] = z[:, 2::2]
+    np.negative(z[:, 3::2], out=spec.imag[:, 1:half])
+    spec *= weight
+    return np.fft.irfft(spec, n=m, axis=1)[:, :half]
 
 
 def sample_fbm_circulant(
@@ -206,7 +221,7 @@ def sample_increments_circulant(
     m = 2 ** (level + 1)
     z = np.empty((count, m))
     for i in range(count):
-        z[i] = stream(seed, first_stream + i).standard_normal(m)
+        stream(seed, first_stream + i).standard_normal(out=z[i])
     return _increments_from_normals(sq, z)
 
 

@@ -6,8 +6,9 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from fbmvar import fbm
+from fbmvar import experiments, fbm
 from fbmvar.errors import DomainError, SizeLimitError
+from fbmvar.rng import stream
 from fbmvar.stats import ks_2samp
 
 
@@ -61,6 +62,57 @@ def test_circulant_eigenvalues_nonnegative_near_h_one():
     lam = np.fft.fft(np.concatenate([cov, cov[1:n_inc][::-1]])).real
     assert lam.min() > 0.0
     assert fbm.sample_increments_circulant(hurst, level, 1, 0, 1).shape == (1, n_inc)
+
+
+def _dense_complex_synthesis(sq, z):
+    """Oracle: the full length-m Hermitian spectrum through a complex FFT,
+    in the documented draw order."""
+    b, m = z.shape
+    half = m // 2
+    spec = np.zeros((b, m), dtype=complex)
+    spec[:, 0] = sq[0] * z[:, 0]
+    spec[:, half] = sq[half] * z[:, 1]
+    k = np.arange(1, half)
+    w = (z[:, 2 * k] + 1j * z[:, 2 * k + 1]) * (sq[k] / np.sqrt(2.0))
+    spec[:, 1:half] = w
+    spec[:, half + 1 :] = np.conj(w[:, ::-1])
+    return (np.fft.fft(spec, axis=1).real / np.sqrt(m))[:, :half]
+
+
+@pytest.mark.parametrize("hurst,level", [(0.3, 10), (0.6, 14), (0.9, 16)])
+def test_synthesis_matches_dense_complex_fft(hurst, level):
+    sq = fbm._circulant_sqrt_eigs(hurst, level)
+    assert sq.shape == (2**level + 1,)
+    m = 2 ** (level + 1)
+    z = np.stack([stream(3, i).standard_normal(m) for i in range(4)])
+    inc = fbm._increments_from_normals(sq, z)
+    oracle = _dense_complex_synthesis(sq, z)
+    assert inc.shape == oracle.shape == (4, m // 2)
+    assert np.max(np.abs(inc - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+
+def test_circulant_eigenvalues_read_only():
+    sq = fbm._circulant_sqrt_eigs(0.6, 8)
+    with pytest.raises(ValueError):
+        sq[0] = 1.0
+    assert fbm._circulant_sqrt_eigs(0.6, 8) is sq
+
+
+@pytest.mark.parametrize("count", [1, 37, 128])
+def test_block_rows_independent_of_block_size(count):
+    hurst, level, seed, first = 0.7, 8, 5, 11
+    block = fbm.sample_increments_circulant(hurst, level, seed, first, count)
+    for i in range(count):
+        row = fbm.sample_increments_circulant(hurst, level, seed, first + i, 1)[0]
+        assert np.array_equal(block[i], row)
+
+
+def test_engine_rows_equal_single_paths():
+    hurst, level, seed, start, count = 0.4, 9, 19, 4, 37
+    vals = experiments._values_block(hurst, level, seed, start, count)
+    for i in range(count):
+        path = fbm.sample_fbm_circulant(hurst, level, seed, start + i)
+        assert np.array_equal(vals[i], path.values)
 
 
 def test_rho_power_summability_tail_ratio():
