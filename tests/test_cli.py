@@ -194,6 +194,8 @@ def test_report_merge(tmp_path, capsys):
     (b"FBM1\x00\xff\xfe", "not a JSON report"),
     (b"[1, 2]", "not an experiment report"),
     (b'{"config": [1]}', "not an experiment report"),
+    (b'{"config": {"levels": 5}}', "config.levels is not a list"),
+    (b'{"config": {"levels": "abc"}}', "config.levels is not a list"),
 ])
 def test_report_merge_bad_input_exits_one(tmp_path, capsys, content, names):
     bad = tmp_path / "bad.json"
