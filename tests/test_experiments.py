@@ -317,6 +317,31 @@ class TestCorollary:
                 assert e["statistic"] == "relative_l2_distance"
         assert failing.summary["inversions"] == 0  # failed on the threshold alone
 
+    def test_item6_identity_ignores_rounding_noise_order(self):
+        # at q = 2, f = 1 the centred power variation equals twice the
+        # Young sum exactly; relative L2 values near 1e-15 come in random
+        # order, and two inversions among them must not fail the identity
+        rep = run_corollary(
+            ExperimentConfig(
+                "corollary", hurst=0.8, order=2, weight="one",
+                levels=(5, 6, 7), replicates=200, master_seed=12, fine_offset=5,
+            )
+        )
+        assert rep.summary["item"] == 6
+        assert rep.summary["inversions"] == 2
+        assert rep.summary["final"] < 1e-13
+        assert rep.summary["identity_max_sq"] <= 1e-24
+        assert rep.verdict == "PASS"
+        # at q = 4 it is no identity, so the relative L2 rule still decides
+        q4 = run_corollary(
+            ExperimentConfig(
+                "corollary", hurst=0.85, order=4, weight="one",
+                levels=(5, 6), replicates=150, master_seed=26, fine_offset=4,
+            )
+        )
+        assert "identity_max_sq" not in q4.summary
+        assert q4.summary["final"] > 0.1
+
     def test_item2_small_h_power(self):
         rep = run_corollary(
             ExperimentConfig(
