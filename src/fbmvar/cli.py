@@ -370,7 +370,9 @@ def _cmd_report(args) -> int:
         if not isinstance(rep, dict) or not isinstance(rep.get("config", {}), dict):
             raise FbmvarError(f"{name}: not an experiment report (want a JSON object)")
         if not isinstance(rep.get("config", {}).get("levels", []), list):
-            raise FbmvarError(f"{name}: not an experiment report (config.levels is not a list)")
+            raise FbmvarError(
+                f"{name}: not an experiment report (config.levels is not a list)"
+            )
         reports.append(rep)
     if args.format == "json":
         _write_text(

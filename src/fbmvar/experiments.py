@@ -704,7 +704,7 @@ def run_corollary(cfg: ExperimentConfig) -> ExperimentReport:
         ok, summary = _decreasing([e["stat"] for e in levels])
         ok = ok and summary["final"] < summary["initial"]
     elif item == 6:
-        # at q = 2, f = 1 the centred power variation is 2 Z(1) exactly
+        # at q = 2, f = 1 the power variation equals 2 mu_0 C(2,2) Z(1) exactly
         levels, ok, summary = _relative_l2(
             cfg, data, detailed=False, identity=q == 2 and cfg.weight == "one"
         )
