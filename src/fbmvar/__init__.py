@@ -8,7 +8,6 @@ experiments verifying each limit theorem at desk scale.
 """
 
 from .constants import (
-    LimitKind,
     RegimeCase,
     ScalingRegime,
     TruncatedSeries,

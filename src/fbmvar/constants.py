@@ -64,21 +64,23 @@ class RegimeCase(Enum):
     NONCENTRAL = "NONCENTRAL"
 
 
-class LimitKind(Enum):
-    L2_DERIVATIVE_INTEGRAL = "L2_DERIVATIVE_INTEGRAL"
-    STABLE_MIXED_GAUSSIAN = "STABLE_MIXED_GAUSSIAN"
-    L2_HERMITE_INTEGRAL = "L2_HERMITE_INTEGRAL"
+# renormalisation exponent and window of each case: the one statement of
+# where (H, q) sits against lo = 1/(2q) and hi = 1 - 1/(2q)
+_CASES = {
+    RegimeCase.SMALL_H: ("2^(n(qH-1))", "H < 1/(2q) = {lo}"),
+    RegimeCase.CRITICAL_LOW: ("2^(-n/2)", "H = 1/(2q) = {lo}"),
+    RegimeCase.CLT: ("2^(-n/2)", "1/(2q) = {lo} < H < 1 - 1/(2q) = {hi}"),
+    RegimeCase.CRITICAL_HIGH: ("n^(-1/2) 2^(-n/2)", "H = 1 - 1/(2q) = {hi}"),
+    RegimeCase.NONCENTRAL: ("2^(n(q(1-H)-1))", "H > 1 - 1/(2q) = {hi}"),
+}
 
 
 @dataclass(frozen=True)
 class ScalingRegime:
     """Convergence case of (H, q) with its renormalisation prefactor."""
 
-    hurst: float
-    order: int
     case_id: RegimeCase
     renorm_exponent: str
-    limit_kind: LimitKind
     conjectural: bool = False
 
 
@@ -103,31 +105,28 @@ def classify_regime(hurst: float, q: int) -> ScalingRegime:
     if not 0.0 < hurst < 1.0:
         raise DomainError(f"hurst must be in (0,1), got {hurst}")
     lo = 1.0 / (2 * q)
-    hi = 1.0 - 1.0 / (2 * q)
+    hi = 1.0 - lo
     if hurst < lo:
-        return ScalingRegime(
-            hurst, q, RegimeCase.SMALL_H, "2^(n(qH-1))",
-            LimitKind.L2_DERIVATIVE_INTEGRAL,
-        )
-    if hurst == lo:
-        return ScalingRegime(
-            hurst, q, RegimeCase.CRITICAL_LOW, "2^(-n/2)",
-            LimitKind.STABLE_MIXED_GAUSSIAN, conjectural=True,
-        )
-    if hurst < hi:
-        return ScalingRegime(
-            hurst, q, RegimeCase.CLT, "2^(-n/2)",
-            LimitKind.STABLE_MIXED_GAUSSIAN,
-        )
-    if hurst == hi:
-        return ScalingRegime(
-            hurst, q, RegimeCase.CRITICAL_HIGH, "n^(-1/2) 2^(-n/2)",
-            LimitKind.STABLE_MIXED_GAUSSIAN,
-        )
+        case = RegimeCase.SMALL_H
+    elif hurst == lo:
+        case = RegimeCase.CRITICAL_LOW
+    elif hurst < hi:
+        case = RegimeCase.CLT
+    elif hurst == hi:
+        case = RegimeCase.CRITICAL_HIGH
+    else:
+        case = RegimeCase.NONCENTRAL
     return ScalingRegime(
-        hurst, q, RegimeCase.NONCENTRAL, "2^(n(q(1-H)-1))",
-        LimitKind.L2_HERMITE_INTEGRAL,
+        case, _CASES[case][0], conjectural=case is RegimeCase.CRITICAL_LOW
     )
+
+
+def require_regime(hurst: float, q: int, case: RegimeCase, who: str) -> None:
+    """Raise RegimeError naming `who` unless (H, q) lies in `case`."""
+    if classify_regime(hurst, q).case_id is not case:
+        lo = 1.0 / (2 * q)
+        window = _CASES[case][1].format(lo=lo, hi=1.0 - lo)
+        raise RegimeError(f"{who} needs {window}, got H={hurst}, q={q}")
 
 
 def renorm_factor(hurst: float, q: int, level: int) -> float:
@@ -237,20 +236,13 @@ def sigma_clt(
     q: int,
     rel_tol: float = DEFAULT_REL_TOL,
     radius: int | None = None,
-    strict_regime: bool = False,
 ) -> TruncatedSeries:
     """CLT constant sigma_{H,q} = sqrt( S_q(H) / (2**q q!) ).
 
     Defined whenever S_q converges, i.e. H < 1 - 1/(2q); this includes the
     low-H regimes, where the constant still appears (e.g. at H = 1/(2q)).
-    With strict_regime=True the strict CLT window 1/(2q) < H < 1 - 1/(2q)
-    is enforced instead.
     """
     _check_order(q)
-    if strict_regime and not (1.0 / (2 * q) < hurst < 1.0 - 1.0 / (2 * q)):
-        raise RegimeError(
-            f"H={hurst} outside the strict CLT window (1/{2*q}, 1-1/{2*q}) for q={q}"
-        )
     series = rho_power_sum(hurst, q, rel_tol=rel_tol, radius=radius)
     scale = 2.0**q * math.factorial(q)
     var = series.value / scale

@@ -54,6 +54,7 @@ from .constants import (
     RegimeCase,
     classify_regime,
     renorm_factor,
+    require_regime,
     sigma_clt,
     sigma_critical_high,
     sigma_critical_high_corrected,
@@ -367,24 +368,6 @@ def _audit_kernel(cfg, f, v, m, n):
 # shared reducers and verdicts
 
 
-# the regime each runner requires, and what its error says it needs
-_REGIMES = {
-    "small_h": (RegimeCase.SMALL_H, "H < 1/(2q) = {low}, got H={h}"),
-    "clt": (RegimeCase.CLT, "1/(2q) < H < 1-1/(2q), got H={h}, q={q}"),
-    "critical_high": (RegimeCase.CRITICAL_HIGH, "H = 1 - 1/(2q) = {high}, got {h}"),
-    "noncentral": (RegimeCase.NONCENTRAL, "H > 1 - 1/(2q) = {high}, got {h}"),
-    "conjecture_quarter": (RegimeCase.CRITICAL_LOW, "H = 1/(2q) = {low}, got {h}"),
-}
-
-
-def _require_regime(cfg: ExperimentConfig, runner: str) -> None:
-    case, needs = _REGIMES[runner]
-    if classify_regime(cfg.hurst, cfg.order).case_id is not case:
-        low = 1.0 / (2 * cfg.order)
-        needs = needs.format(h=cfg.hurst, q=cfg.order, low=low, high=1.0 - low)
-        raise RegimeError(f"{runner} needs {needs}")
-
-
 def _level_entries(
     cfg: ExperimentConfig, data: dict, key: str, estimator: Callable, name: str
 ) -> list[dict]:
@@ -538,7 +521,7 @@ def run_small_h(cfg: ExperimentConfig) -> ExperimentReport:
     levels 6..12 reaches about 2^(-1.2) ~ 0.435 at best and reports FAIL
     against the fixed 1/4.
     """
-    _require_regime(cfg, "small_h")
+    require_regime(cfg.hurst, cfg.order, RegimeCase.SMALL_H, "small_h")
     data = _collect(cfg, _pathwise_kernel)
     levels = _level_entries(cfg, data, "diff_sq", mean_and_se, "mean_sq_distance")
     ok, summary = _decreasing([e["stat"] for e in levels])
@@ -555,7 +538,7 @@ def run_clt(cfg: ExperimentConfig) -> ExperimentReport:
     of (2^(-n/2) V_n)^2 on the Riemann sum of f(B)^2; the slope estimates
     sigma_{H,q}^2 (the mixed-Gaussian conditional variance).
     """
-    _require_regime(cfg, "clt")
+    require_regime(cfg.hurst, cfg.order, RegimeCase.CLT, "clt")
     sigma = sigma_clt(cfg.hurst, cfg.order)
     sigma2 = sigma.value**2
     unweighted = cfg.weight == "one"
@@ -616,7 +599,7 @@ def run_critical_high(cfg: ExperimentConfig) -> ExperimentReport:
     between the variants while removing the shared finite-size factor.
     """
     q = cfg.order
-    _require_regime(cfg, "critical_high")
+    require_regime(cfg.hurst, cfg.order, RegimeCase.CRITICAL_HIGH, "critical_high")
     printed = sigma_critical_high(q)
     corrected_var = sigma_critical_high_corrected(q) ** 2  # == printed
     printed_var = printed**2
@@ -650,7 +633,7 @@ def run_noncentral(cfg: ExperimentConfig) -> ExperimentReport:
     of f(B) against the Hermite process built from the same fine path
     (m = n + fine_offset).  At f = 1 the two sides agree identically, so
     the verdict rests on the identity check alone."""
-    _require_regime(cfg, "noncentral")
+    require_regime(cfg.hurst, cfg.order, RegimeCase.NONCENTRAL, "noncentral")
     data = _collect(cfg, _young_kernel, fine=True)
     levels, ok, summary = _relative_l2(
         cfg, data, detailed=True, identity=cfg.weight == "one"
@@ -784,7 +767,7 @@ def run_conjecture_quarter(cfg: ExperimentConfig) -> ExperimentReport:
     variance in excess of the drift part -> sigma_{1/(2q),q}^2 E int f^2.
     Proven only for q = 2 (H = 1/4); flagged UNPROVEN for q >= 3."""
     q = cfg.order
-    _require_regime(cfg, "conjecture_quarter")
+    require_regime(cfg.hurst, cfg.order, RegimeCase.CRITICAL_LOW, "conjecture_quarter")
     flags = ["EXPLORATORY"]
     if q >= 3:
         flags.append("UNPROVEN")

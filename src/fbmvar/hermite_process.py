@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import RegimeCase, classify_regime
-from .errors import DomainError, GridAlignmentError, RegimeError
+from .constants import RegimeCase, require_regime
+from .errors import DomainError, GridAlignmentError
 from .fbm import FbmPath
 from .hermite import hermite_eval
 from .weights import WeightFunction
@@ -33,12 +33,8 @@ from .weights import WeightFunction
 class HermiteApprox:
     """Discrete Hermite-process approximation on a coarse dyadic grid."""
 
-    order: int
-    hurst: float
-    fine_level: int
     out_level: int
     values: np.ndarray  # Z at t_j = j 2^-out_level, values[0] == 0
-    source: FbmPath | None = None
 
     @property
     def times(self) -> np.ndarray:
@@ -68,11 +64,7 @@ def simulate_hermite(path: FbmPath, q: int, out_level: int) -> HermiteApprox:
     Requires the non-central regime H > 1 - 1/(2q) and out_level <= the
     path's level.  Deterministic given the path: same seed, same Z.
     """
-    if classify_regime(path.hurst, q).case_id is not RegimeCase.NONCENTRAL:
-        raise RegimeError(
-            f"Hermite process of order {q} requires H > 1 - 1/(2q) = "
-            f"{1.0 - 1.0 / (2 * q)}, got H={path.hurst}"
-        )
+    require_regime(path.hurst, q, RegimeCase.NONCENTRAL, "the Hermite process")
     if not 1 <= out_level <= path.level:
         raise DomainError(
             f"out_level must be in [1, {path.level}], got {out_level}"
@@ -80,14 +72,7 @@ def simulate_hermite(path: FbmPath, q: int, out_level: int) -> HermiteApprox:
     values = hermite_partial_sums(
         path.increments, path.hurst, path.level, q, out_level
     )
-    return HermiteApprox(
-        order=q,
-        hurst=path.hurst,
-        fine_level=path.level,
-        out_level=out_level,
-        values=values,
-        source=path,
-    )
+    return HermiteApprox(out_level, values)
 
 
 def young_integral(

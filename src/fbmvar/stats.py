@@ -46,11 +46,11 @@ def kolmogorov_sf(lam: float) -> float:
     return min(1.0, max(0.0, 2.0 * total))
 
 
-def ks_1samp_normal(sample, mean: float = 0.0, std: float = 1.0) -> tuple[float, float]:
-    """(D, p) of a one-sample KS test against N(mean, std**2)."""
+def ks_1samp_normal(sample) -> tuple[float, float]:
+    """(D, p) of a one-sample KS test against N(0, 1)."""
     x = np.sort(np.asarray(sample, dtype=float))
     n = len(x)
-    cdf = normal_cdf((x - mean) / std)
+    cdf = normal_cdf(x)
     i = np.arange(1, n + 1)
     d = max(float(np.max(i / n - cdf)), float(np.max(cdf - (i - 1) / n)))
     lam = d * (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n))

@@ -38,10 +38,6 @@ class WeightFunction:
     def antiderivative(self, x):
         raise NotImplementedError
 
-    @property
-    def spec(self) -> str:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ConstantOne(WeightFunction):
@@ -51,10 +47,6 @@ class ConstantOne(WeightFunction):
 
     def antiderivative(self, x):
         return np.asarray(x, dtype=float)
-
-    @property
-    def spec(self) -> str:
-        return "one"
 
 
 @dataclass(frozen=True)
@@ -76,10 +68,6 @@ class Polynomial(WeightFunction):
         )
         return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs)
 
-    @property
-    def spec(self) -> str:
-        return "poly:" + ",".join(repr(c) for c in self.coefficients)
-
 
 @dataclass(frozen=True)
 class Cosine(WeightFunction):
@@ -95,10 +83,6 @@ class Cosine(WeightFunction):
             return np.asarray(x, dtype=float)
         return np.sin(a * np.asarray(x, dtype=float)) / a
 
-    @property
-    def spec(self) -> str:
-        return f"cos:{self.frequency!r}"
-
 
 @dataclass(frozen=True)
 class Sine(WeightFunction):
@@ -113,10 +97,6 @@ class Sine(WeightFunction):
         if a == 0.0:
             return np.zeros_like(np.asarray(x, dtype=float))
         return (1.0 - np.cos(a * np.asarray(x, dtype=float))) / a
-
-    @property
-    def spec(self) -> str:
-        return f"sin:{self.frequency!r}"
 
 
 @dataclass(frozen=True)
@@ -136,10 +116,6 @@ class Exponential(WeightFunction):
         if a == 0.0:
             return np.asarray(x, dtype=float)
         return (np.exp(a * np.asarray(x, dtype=float)) - 1.0) / a
-
-    @property
-    def spec(self) -> str:
-        return f"exp:{self.rate!r}"
 
 
 def parse_weight(spec: str) -> WeightFunction:

@@ -32,6 +32,15 @@ def test_classifier_boundaries_and_domain():
         C.classify_regime(0.5, 1)
 
 
+def test_require_regime_names_the_window():
+    C.require_regime(0.6, 2, C.RegimeCase.CLT, "clt")
+    with pytest.raises(
+        RegimeError,
+        match=r"^clt needs 1/\(2q\) = 0\.25 < H < 1 - 1/\(2q\) = 0\.75, got H=0\.75, q=2$",
+    ):
+        C.require_regime(0.75, 2, C.RegimeCase.CLT, "clt")
+
+
 def _expected_case(hurst, q):
     lo, hi = 1.0 / (2 * q), 1.0 - 1.0 / (2 * q)
     if hurst < lo:
@@ -94,8 +103,6 @@ def test_sigma_clt_two_radius_consistency():
 def test_sigma_clt_domain():
     with pytest.raises(SeriesDivergenceError):
         C.sigma_clt(0.8, 2)  # H >= 1 - 1/(2q): series diverges
-    with pytest.raises(RegimeError):
-        C.sigma_clt(0.2, 2, strict_regime=True)
     # but the constant exists below the CLT window (used at H = 1/(2q))
     assert C.sigma_clt(0.2, 2).value > 0
     with pytest.raises(DomainError):
