@@ -289,17 +289,21 @@ def _parse_config_file(path: str) -> dict:
         "q": "order",
         "seed": "master_seed",
     }
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FbmvarError(f"bad config line {raw.rstrip()!r} (want key = value)")
-            key, _, val = line.partition("=")
-            key = key.strip().lower().replace("-", "_")
-            key = keymap.get(key, key)
-            values[key] = val.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text ({exc})") from None
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise FbmvarError(f"bad config line {raw.rstrip()!r} (want key = value)")
+        key, _, val = line.partition("=")
+        key = key.strip().lower().replace("-", "_")
+        key = keymap.get(key, key)
+        values[key] = val.strip()
     return values
 
 

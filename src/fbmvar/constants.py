@@ -99,6 +99,14 @@ def _check_order(q: int) -> None:
         raise DomainError(f"order q must be an integer >= 2, got {q}")
 
 
+def _check_constant_order(q: int) -> None:
+    # the constants are doubles: 2^q q!, the scale of sigma_(H,q), and the
+    # sigma~ sums are finite up to q = 150
+    _check_order(q)
+    if q > 150:
+        raise DomainError(f"limit constants overflow a double above q=150, got q={q}")
+
+
 def classify_regime(hurst: float, q: int) -> ScalingRegime:
     """Assign (H, q) to the convergence case with exact boundary handling."""
     _check_order(q)
@@ -242,7 +250,7 @@ def sigma_clt(
     Defined whenever S_q converges, i.e. H < 1 - 1/(2q); this includes the
     low-H regimes, where the constant still appears (e.g. at H = 1/(2q)).
     """
-    _check_order(q)
+    _check_constant_order(q)
     series = rho_power_sum(hurst, q, rel_tol=rel_tol, radius=radius)
     scale = 2.0**q * math.factorial(q)
     var = series.value / scale
@@ -260,7 +268,7 @@ def sigma_critical_high(q: int) -> float:
 
     (2 log 2 / q!) (1 - 1/(2q))**q (1 - 1/q)**q
     """
-    _check_order(q)
+    _check_constant_order(q)
     return (
         2.0 * math.log(2.0) / math.factorial(q)
         * (1.0 - 1.0 / (2 * q)) ** q
@@ -289,7 +297,7 @@ def sigma_tilde(
     sigma~**2 = sum_p (p! C(q,p) mu_{q-p})**2 sigma_{H,p}**2 holds term
     by term against ``sigma_clt``.
     """
-    _check_order(q)
+    _check_constant_order(q)
     if q % 2 == 0:
         if not 0.0 < hurst < 0.75:
             raise SeriesDivergenceError(
@@ -328,7 +336,7 @@ def sigma_tilde_critical(q: int) -> float:
 
     (the trailing factors carry the exponent q, not p, as printed).
     """
-    _check_order(q)
+    _check_constant_order(q)
     if q % 2 == 1:
         raise DomainError(f"sigma_tilde_critical addresses even q, got {q}")
     shape = (1.0 - 1.0 / (2 * q)) ** q * (1.0 - 1.0 / q) ** q
@@ -350,7 +358,7 @@ def sigma_tilde_critical_corrected(q: int) -> float:
 
     sigma~**2 = (2 C(q,2) mu_{q-2})**2 * sigma_critical_high(2).
     """
-    _check_order(q)
+    _check_constant_order(q)
     if q % 2 == 1:
         raise DomainError(f"sigma_tilde_critical addresses even q, got {q}")
     return 2.0 * math.comb(q, 2) * gaussian_moment(q - 2) * math.sqrt(
@@ -364,15 +372,20 @@ def hermite_process_variance_const(q: int, hurst: float) -> float:
     Defined for H > 1 - 1/(2q), where the Hermite process of order q
     exists; Var Z_t = q! c_{q,H} t**((2H-2)q+2).
     """
-    _check_order(q)
+    _check_constant_order(q)
     if not hurst > 1.0 - 1.0 / (2 * q):
         raise DomainError(
             f"c_(q,H) requires H > 1 - 1/(2q) = {1.0 - 1.0/(2*q)}, got {hurst}"
         )
     num = hurst**q * (2.0 * hurst - 1.0) ** q
-    den = (
-        math.factorial(q) ** 2
-        * (hurst * q - q + 1.0)
-        * (2.0 * hurst * q - 2.0 * q + 1.0)
-    )
+    try:
+        den = (
+            math.factorial(q) ** 2
+            * (hurst * q - q + 1.0)
+            * (2.0 * hurst * q - 2.0 * q + 1.0)
+        )
+    except OverflowError:  # q!^2 has no double from q = 99 on
+        den = 0.0
+    if not den > 0.0:  # or 2Hq - 2q + 1 cancelled within an ulp of 1 - 1/(2q)
+        raise DomainError(f"c_(q,H) is out of double range at H={hurst}, q={q}")
     return num / den

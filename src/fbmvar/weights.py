@@ -104,7 +104,7 @@ class Exponential(WeightFunction):
     rate: float = 1.0
 
     def __post_init__(self) -> None:
-        if abs(self.rate) > 1.0:
+        if not abs(self.rate) <= 1.0:
             raise DomainError(f"exp weight requires |a| <= 1, got {self.rate}")
 
     def derivative(self, order: int, x):
@@ -118,6 +118,13 @@ class Exponential(WeightFunction):
         return (np.exp(a * np.asarray(x, dtype=float)) - 1.0) / a
 
 
+def _parameter(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"parameter {text.strip()!r} is not finite")
+    return value
+
+
 def parse_weight(spec: str) -> WeightFunction:
     """Parse the CLI weight grammar: one | poly:c0,c1,... | cos:a | sin:a | exp:a."""
     spec = spec.strip()
@@ -128,13 +135,13 @@ def parse_weight(spec: str) -> WeightFunction:
     kind, _, args = spec.partition(":")
     try:
         if kind == "poly":
-            return Polynomial(tuple(float(c) for c in args.split(",")))
+            return Polynomial(tuple(_parameter(c) for c in args.split(",")))
         if kind == "cos":
-            return Cosine(float(args))
+            return Cosine(_parameter(args))
         if kind == "sin":
-            return Sine(float(args))
+            return Sine(_parameter(args))
         if kind == "exp":
-            return Exponential(float(args))
+            return Exponential(_parameter(args))
     except ValueError as exc:
         raise DomainError(f"cannot parse weight spec {spec!r}: {exc}") from exc
     raise DomainError(f"unknown weight kind {kind!r}")

@@ -118,6 +118,8 @@ def test_experiment_config_rejects_policy_keys(tmp_path, capsys, key):
     (("--threads", "-3"), "threads"),
     (("--fine-offset", "-2"), "fine_offset"),
     (("--levels", "6,19", "--fine-offset", "6"), "level 25"),
+    (("--weight", "poly:nan"), "not finite"),
+    (("--weight", "exp:nan"), "not finite"),
 ])
 def test_experiment_bad_values_exit_one(capsys, extra, names):
     # every case is rejected before a worker starts or a block is drawn
@@ -125,6 +127,36 @@ def test_experiment_bad_values_exit_one(capsys, extra, names):
                            "--q", "2", "--replicates", "100", *extra)
     assert code == 1
     assert err.startswith("error:") and names in err
+
+
+def test_experiment_config_not_utf8_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(b"H = 0.6\nq = 2\n\xff\n")
+    code, out, err = run_cli(capsys, "experiment", "--id", "clt", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and str(cfg) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("constants", "--H", "0.3", "--q", "171"),
+    ("constants", "--H", "0.3", "--q", "160"),
+    ("experiment", "--id", "clt", "--H", "0.6", "--q", "200", "--levels", "4",
+     "--replicates", "100"),
+])
+def test_large_order_exits_one(capsys, argv):
+    # 2^q q! has no finite double above q = 150: an error, not a traceback
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "overflow" in err
+
+
+def test_constants_large_order_prints_null(capsys):
+    # q!^2 overflows a double at q = 100, so c_qH is printed as null
+    code, out, _ = run_cli(capsys, "constants", "--H", "0.9975", "--q", "100")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["regime"] == "NONCENTRAL"
+    assert payload["c_qH"] is None and payload["sigma"] is None
 
 
 def test_experiment_runs_and_writes_outputs(tmp_path, capsys):

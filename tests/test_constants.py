@@ -109,6 +109,23 @@ def test_sigma_clt_domain():
         C.sigma_clt(0.6, 2, rel_tol=0.5)
 
 
+def test_large_order_raises_domain_error():
+    # the last orders with finite constants, then the first without
+    assert C.sigma_clt(0.3, 150, radius=64).value > 0
+    assert C.hermite_process_variance_const(98, 0.999) > 0
+    for call in (
+        lambda: C.sigma_clt(0.3, 151, radius=64),  # 2^q q! is inf: var was 0.0
+        lambda: C.sigma_clt(0.3, 171, radius=64),  # q! has no double at all
+        lambda: C.sigma_tilde(0.3, 151, radius=64),  # returned inf
+        lambda: C.sigma_critical_high(171),
+        lambda: C.sigma_tilde_critical(172),
+    ):
+        with pytest.raises(DomainError, match="overflow"):
+            call()
+    with pytest.raises(DomainError, match="out of double range"):
+        C.hermite_process_variance_const(99, 0.999)
+
+
 @pytest.mark.parametrize("rel_tol", [-1.0, 0.0, 0.5])
 def test_rel_tol_checked_on_every_series_entry_point(rel_tol):
     # checked before any lag is summed, also at the H = 1/2 shortcut

@@ -1,12 +1,18 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 from fbmvar import experiments, fbm
-from fbmvar.constants import renorm_factor
-from fbmvar.errors import ConfigError, RegimeError, SizeLimitError
+from fbmvar.constants import (
+    RegimeCase,
+    classify_regime,
+    hermite_process_variance_const,
+    renorm_factor,
+)
+from fbmvar.errors import ConfigError, DomainError, RegimeError, SizeLimitError
 from fbmvar.experiments import (
     ExperimentConfig,
     run_clt,
@@ -19,6 +25,7 @@ from fbmvar.experiments import (
     run_trapezoid,
     variance_order_audit,
 )
+from fbmvar.hermite_process import simulate_hermite
 from fbmvar.stats import through_origin_slope
 from fbmvar.variations import hermite_variation_rows
 
@@ -109,6 +116,52 @@ class TestRegimeContracts:
     def test_corollary_parity(self):
         with pytest.raises(RegimeError):
             run_corollary(small_cfg(experiment_id="corollary", hurst=0.4, order=3))
+
+
+class _GuardPassed(Exception):
+    pass
+
+
+def _stop(*args, **kwargs):
+    raise _GuardPassed
+
+
+_GUARDS = {
+    run_small_h: RegimeCase.SMALL_H,
+    run_clt: RegimeCase.CLT,
+    run_critical_high: RegimeCase.CRITICAL_HIGH,
+    run_noncentral: RegimeCase.NONCENTRAL,
+    run_conjecture_quarter: RegimeCase.CRITICAL_LOW,
+}
+
+
+@pytest.mark.parametrize("q", range(2, 13))
+def test_guards_match_classify_regime_at_boundaries(monkeypatch, q):
+    # each guard raises exactly when classify_regime puts (H, q) elsewhere,
+    # at both critical points as doubles and at the doubles either side
+    monkeypatch.setattr(experiments, "_collect", _stop)
+    monkeypatch.setattr(experiments, "sigma_clt", _stop)
+    for edge in (1.0 / (2 * q), 1.0 - 1.0 / (2 * q)):
+        for hurst in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)):
+            case = classify_regime(hurst, q).case_id
+            for runner, wants in _GUARDS.items():
+                cfg = small_cfg(experiment_id=runner.__name__[4:], hurst=hurst, order=q)
+                with pytest.raises(_GuardPassed if case is wants else RegimeError):
+                    runner(cfg)
+            path = fbm.sample_fbm_circulant(hurst, 2, seed=0)
+            if case is RegimeCase.NONCENTRAL:
+                simulate_hermite(path, q, 1)
+                if q in (6, 9, 10) and hurst == math.nextafter(edge, 1.0):
+                    # the printed factor 2Hq - 2q + 1 rounds to 0 here
+                    with pytest.raises(DomainError, match="out of double range"):
+                        hermite_process_variance_const(q, hurst)
+                else:
+                    assert 0.0 < hermite_process_variance_const(q, hurst) < math.inf
+            else:
+                with pytest.raises(RegimeError):
+                    simulate_hermite(path, q, 1)
+                with pytest.raises(DomainError):
+                    hermite_process_variance_const(q, hurst)
 
 
 class TestDeterminism:

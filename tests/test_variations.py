@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbmvar import fbm, variations as V
 from fbmvar.constants import RegimeCase
@@ -40,6 +42,38 @@ class TestWeights:
     def test_exp_rate_cap(self):
         with pytest.raises(DomainError):
             Exponential(1.5)
+
+    @pytest.mark.parametrize(
+        "spec", ["poly:nan", "poly:0,inf", "cos:inf", "cos:1e400", "sin:-inf", "exp:nan"]
+    )
+    def test_parse_rejects_non_finite_parameters(self, spec):
+        with pytest.raises(DomainError, match="not finite"):
+            parse_weight(spec)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        spec=st.one_of(
+            st.text(max_size=20),
+            st.tuples(
+                st.sampled_from(["poly", "cos", "sin", "exp", "one", "tan"]),
+                st.one_of(
+                    st.text(max_size=12),
+                    st.lists(
+                        st.sampled_from(["nan", "inf", "-inf", "1e400"])
+                        | st.floats().map(repr),
+                        min_size=1,
+                        max_size=4,
+                    ).map(",".join),
+                ),
+            ).map(":".join),
+        )
+    )
+    def test_parse_gives_finite_weight_or_domain_error(self, spec):
+        try:
+            f = parse_weight(spec)
+        except DomainError:
+            return
+        assert np.isfinite(f(0.0))
 
     def test_derivative_closed_forms(self):
         x = np.linspace(-2, 2, 9)
