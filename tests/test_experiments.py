@@ -127,11 +127,11 @@ def _stop(*args, **kwargs):
 
 
 _GUARDS = {
-    run_small_h: RegimeCase.SMALL_H,
-    run_clt: RegimeCase.CLT,
-    run_critical_high: RegimeCase.CRITICAL_HIGH,
-    run_noncentral: RegimeCase.NONCENTRAL,
-    run_conjecture_quarter: RegimeCase.CRITICAL_LOW,
+    "small_h": (run_small_h, RegimeCase.SMALL_H),
+    "clt": (run_clt, RegimeCase.CLT),
+    "critical_high": (run_critical_high, RegimeCase.CRITICAL_HIGH),
+    "noncentral": (run_noncentral, RegimeCase.NONCENTRAL),
+    "conjecture_quarter": (run_conjecture_quarter, RegimeCase.CRITICAL_LOW),
 }
 
 
@@ -144,8 +144,8 @@ def test_guards_match_classify_regime_at_boundaries(monkeypatch, q):
     for edge in (1.0 / (2 * q), 1.0 - 1.0 / (2 * q)):
         for hurst in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)):
             case = classify_regime(hurst, q).case_id
-            for runner, wants in _GUARDS.items():
-                cfg = small_cfg(experiment_id=runner.__name__[4:], hurst=hurst, order=q)
+            for experiment_id, (runner, wants) in _GUARDS.items():
+                cfg = small_cfg(experiment_id=experiment_id, hurst=hurst, order=q)
                 with pytest.raises(_GuardPassed if case is wants else RegimeError):
                     runner(cfg)
             path = fbm.sample_fbm_circulant(hurst, 2, seed=0)
