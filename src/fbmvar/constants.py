@@ -42,8 +42,10 @@ arbitrate the printed/corrected ambiguity empirically.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
@@ -370,22 +372,19 @@ def hermite_process_variance_const(q: int, hurst: float) -> float:
     """c_{q,H} = H**q (2H-1)**q / (q!**2 (Hq-q+1)(2Hq-2q+1)).
 
     Defined for H > 1 - 1/(2q), where the Hermite process of order q
-    exists; Var Z_t = q! c_{q,H} t**((2H-2)q+2).
+    exists; Var Z_t = q! c_{q,H} t**((2H-2)q+2).  Evaluated exactly in the
+    rationals at the double H and rounded once: in doubles the factor
+    2Hq - 2q + 1 cancels within a few ulps of 1 - 1/(2q).
     """
     _check_constant_order(q)
     if not hurst > 1.0 - 1.0 / (2 * q):
         raise DomainError(
             f"c_(q,H) requires H > 1 - 1/(2q) = {1.0 - 1.0/(2*q)}, got {hurst}"
         )
-    num = hurst**q * (2.0 * hurst - 1.0) ** q
-    try:
-        den = (
-            math.factorial(q) ** 2
-            * (hurst * q - q + 1.0)
-            * (2.0 * hurst * q - 2.0 * q + 1.0)
-        )
-    except OverflowError:  # q!^2 has no double from q = 99 on
-        den = 0.0
-    if not den > 0.0:  # or 2Hq - 2q + 1 cancelled within an ulp of 1 - 1/(2q)
+    h = Fraction(hurst)
+    factorial_sq = math.factorial(q) ** 2
+    den = factorial_sq * (h * q - q + 1) * (2 * h * q - 2 * q + 1)
+    # q!^2 has no double from q = 99 on
+    if factorial_sq > sys.float_info.max or not den > 0:
         raise DomainError(f"c_(q,H) is out of double range at H={hurst}, q={q}")
-    return num / den
+    return float(h**q * (2 * h - 1) ** q / den)

@@ -12,11 +12,13 @@ One engine (``_collect``) owns sampling, coarsening, blocking and the
 worker pool; runners only reduce.  Each replicate draws one path, at the
 finest level the run needs: max(levels), plus fine_offset for a ``fine``
 kernel.  A runner passes a kernel, a module-level (picklable) function
-mapping (cfg, f, v, m, n) to named per-replicate arrays for level n,
+mapping (cfg, w, v, m, n) to named per-replicate arrays for level n,
 where v is one block of that path restricted to level m = n (m = n +
-fine_offset for a fine kernel).  The restriction of an exact fBm path to
-a coarser dyadic grid is exact fBm, so each level has the right law; the
-levels of one replicate are coupled through the shared path.
+fine_offset for a fine kernel) and w(order) is f^(order) at every point
+of v, evaluated once per block on the finest grid.  The restriction of
+an exact fBm path to a coarser dyadic grid is exact fBm, so each level
+has the right law; the levels of one replicate are coupled through the
+shared path.
 
 Verdict policy (fixed, ``THRESHOLDS``, echoed in every report):
 decreasing-sequence checks allow at most max_inversions = 1 adjacent
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -63,8 +66,8 @@ from .constants import (
     sigma_tilde_critical_corrected,
 )
 from .errors import ConfigError, RegimeError, SizeLimitError
-from .hermite import gaussian_moment
-from .hermite_process import hermite_partial_sums, young_integral_rows
+from .hermite import gaussian_moment, hermite_eval
+from .hermite_process import partial_sums_from_terms, young_integral_rows
 from .stats import (
     count_inversions,
     ks_1samp_normal,
@@ -81,7 +84,7 @@ from .variations import (
     unweighted_second_moment,
     centered_power_second_moment,
 )
-from .weights import parse_weight
+from .weights import WeightFunction, parse_weight
 
 REPORT_SCHEMA = "fbmvar-report/1"
 
@@ -238,6 +241,28 @@ def _values_block(
     return vals
 
 
+class _GridWeight:
+    """The weight f and its derivatives at every point of one level's paths.
+
+    A block evaluates each derivative order of f at most once, at every
+    point of its finest grid (`cache`), and a level reads the strided view
+    of that array its restriction of the paths sees.  An elementwise
+    function of the same doubles gives the same bits, so the values do not
+    depend on the grid they were evaluated on.
+    """
+
+    def __init__(self, f: WeightFunction, finest: np.ndarray, cache: dict, stride: int):
+        self.f = f
+        self._finest = finest
+        self._cache = cache
+        self._stride = stride
+
+    def __call__(self, order: int = 0) -> np.ndarray:
+        if order not in self._cache:
+            self._cache[order] = self.f.derivative(order, self._finest)
+        return self._cache[order][:, :: self._stride]
+
+
 def _replicate_block(
     cfg: ExperimentConfig, kernel: Callable, fine: bool, start: int, count: int
 ) -> dict[str, np.ndarray]:
@@ -246,11 +271,20 @@ def _replicate_block(
     offset = cfg.fine_offset if fine else 0
     top = max(cfg.levels) + offset
     vals = _values_block(cfg.hurst, top, cfg.master_seed, start, count)
+    cache: dict[int, np.ndarray] = {}
     out: dict[str, np.ndarray] = {}
     for n in cfg.levels:
         m = n + offset
-        out.update(kernel(cfg, f, vals[:, :: 2 ** (top - m)], m, n))
+        stride = 2 ** (top - m)
+        out.update(kernel(cfg, _GridWeight(f, vals, cache, stride), vals[:, ::stride], m, n))
     return out
+
+
+# Normals per block.  A row at level n draws 2^(n+1) normals, so a block of
+# 2^18 (2 MiB) keeps its normals, spectrum, paths and kernel arrays near a
+# 2 MiB L2 through every elementwise pass.  Rows are independent, so the
+# split does not change any replicate's values.
+_BLOCK_NORMALS = 1 << 18
 
 
 def _collect(
@@ -263,8 +297,7 @@ def _collect(
             f"finest sampled level {fine_level} exceeds the circulant "
             f"sampler's ceiling {fbm.CIRCULANT_MAX_LEVEL}"
         )
-    # keep one block's normals around 2^22 floats (~32 MB)
-    size = max(1, (1 << 22) >> (fine_level + 1))
+    size = max(1, _BLOCK_NORMALS >> (fine_level + 1))
     blocks = [
         (start, min(size, cfg.replicates - start))
         for start in range(0, cfg.replicates, size)
@@ -273,7 +306,8 @@ def _collect(
         from concurrent.futures import ProcessPoolExecutor
 
         args = zip(*((cfg, kernel, fine, s, c) for s, c in blocks))
-        with ProcessPoolExecutor(max_workers=min(cfg.threads, len(blocks))) as ex:
+        workers = min(cfg.threads, len(blocks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             parts = list(ex.map(_replicate_block, *args))
     else:
         parts = [_replicate_block(cfg, kernel, fine, s, c) for s, c in blocks]
@@ -281,42 +315,41 @@ def _collect(
 
 
 # ---------------------------------------------------------------------------
-# kernels: (cfg, f, v, m, n) -> named per-replicate arrays for level n
+# kernels: (cfg, w, v, m, n) -> named per-replicate arrays for level n, where
+# w(order) is f^(order) at every point of v (a _GridWeight)
 
 
-def _hermite_drift(f, v: np.ndarray, q: int) -> np.ndarray:
+def _hermite_drift(w: _GridWeight, v: np.ndarray, q: int) -> np.ndarray:
     """((-1)^q / (2^q q!)) * Riemann sum of f^(q)(B): the small-H limit."""
     const = (-1.0) ** q / (2.0**q * math.factorial(q))
-    return const * riemann_sum_rows(v, f, order=q)
+    return const * riemann_sum_rows(v, w(q))
 
 
-def _power_drift(f, v: np.ndarray, q: int) -> np.ndarray:
+def _power_drift(w: _GridWeight, v: np.ndarray, q: int) -> np.ndarray:
     """(1/4) C(q,2) mu_{q-2} * Riemann sum of f''(B): the even-q power drift."""
-    return 0.25 * math.comb(q, 2) * gaussian_moment(q - 2) * riemann_sum_rows(
-        v, f, order=2
-    )
+    return 0.25 * math.comb(q, 2) * gaussian_moment(q - 2) * riemann_sum_rows(v, w(2))
 
 
-def _pathwise_kernel(cfg, f, v, m, n, item=None):
+def _pathwise_kernel(cfg, w, v, m, n, item=None):
     """Squared distance of the renormalised variation to its pathwise limit
     on the same path: small_h, or corollary item 1 or 2."""
     q, hurst = cfg.order, cfg.hurst
     if item == 1:
-        pv = power_variation_rows(v, hurst, n, f, q, centered=False)
+        pv = power_variation_rows(v, hurst, n, w(), q, centered=False)
         stat = 2.0 ** (-n * hurst) * pv
         mu = gaussian_moment(q - 1)
-        limit = q * mu * (f.antiderivative(v[:, -1]) - f.antiderivative(0.0))
+        limit = q * mu * (w.f.antiderivative(v[:, -1]) - w.f.antiderivative(0.0))
     elif item == 2:
-        pv = power_variation_rows(v, hurst, n, f, q, centered=True)
+        pv = power_variation_rows(v, hurst, n, w(), q, centered=True)
         stat = 2.0 ** (2 * n * hurst - n) * pv
-        limit = _power_drift(f, v, q)
+        limit = _power_drift(w, v, q)
     else:
-        stat = renorm_factor(hurst, q, n) * hermite_variation_rows(v, hurst, n, f, q)
-        limit = _hermite_drift(f, v, q)
+        stat = renorm_factor(hurst, q, n) * hermite_variation_rows(v, hurst, n, w(), q)
+        limit = _hermite_drift(w, v, q)
     return {f"diff_sq_{n}": (stat - limit) ** 2}
 
 
-def _normalised_kernel(cfg, f, v, m, n, power=False, drift=False):
+def _normalised_kernel(cfg, w, v, m, n, power=False, drift=False):
     """y = 2^(-n/2) V_n (Hermite, or centred power when `power`), further
     divided by sqrt(n) at a critical point H = 1 - 1/(2q) (q = 2 for the
     power variation), with the Riemann sum of f(B)^2 and, when `drift`,
@@ -324,44 +357,48 @@ def _normalised_kernel(cfg, f, v, m, n, power=False, drift=False):
     q, hurst = cfg.order, cfg.hurst
     norm = renorm_factor(hurst, 2 if power else q, n)
     if power:
-        raw = power_variation_rows(v, hurst, n, f, q, centered=True)
+        raw = power_variation_rows(v, hurst, n, w(), q, centered=True)
     else:
-        raw = hermite_variation_rows(v, hurst, n, f, q)
+        raw = hermite_variation_rows(v, hurst, n, w(), q)
     # fsq: Riemann sum of f(B)^2, the conditional-variance weight
-    out = {f"y_{n}": norm * raw, f"fsq_{n}": np.sum(f(v[:, :-1]) ** 2, axis=1) / 2**n}
+    out = {f"y_{n}": norm * raw, f"fsq_{n}": np.sum(w()[:, :-1] ** 2, axis=1) / 2**n}
     if drift:
-        out[f"drift_{n}"] = _power_drift(f, v, q) if power else _hermite_drift(f, v, q)
+        out[f"drift_{n}"] = _power_drift(w, v, q) if power else _hermite_drift(w, v, q)
     return out
 
 
-def _young_kernel(cfg, f, v, m, n, power=False):
+def _young_kernel(cfg, w, v, m, n, power=False):
     """Renormalised fine-level variation against the Young sum of f(B)
     against the Hermite process built from the same path: of order q for
     V_n^(q) (noncentral), of order 2 and scaled by 2 mu_{q-2} C(q,2) for
-    the centred power variation (corollary item 6)."""
+    the centred power variation (corollary item 6).  The variation V_m^(q)
+    and the Hermite process share the terms H_q(2^{mH} dB)."""
     q, hurst = cfg.order, cfg.hurst
+    order = 2 if power else q
+    terms = hermite_eval(order, 2.0 ** (m * hurst) * np.diff(v, axis=1))
     if power:
-        pv = power_variation_rows(v, hurst, m, f, q, centered=True)
+        pv = power_variation_rows(v, hurst, m, w(), q, centered=True)
         stat = 2.0 ** (m - 2.0 * hurst * m) * pv
-        const, order = 2.0 * gaussian_moment(q - 2) * math.comb(q, 2), 2
+        const = 2.0 * gaussian_moment(q - 2) * math.comb(q, 2)
     else:
-        stat = renorm_factor(hurst, q, m) * hermite_variation_rows(v, hurst, m, f, q)
-        const, order = 1.0, q
-    z_vals = hermite_partial_sums(np.diff(v, axis=1), hurst, m, order, n)
-    limit = const * young_integral_rows(f, v[:, :: 2 ** (m - n)], z_vals)
+        stat = renorm_factor(hurst, q, m) * np.sum(w()[:, :-1] * terms, axis=1)
+        const = 1.0
+    z_vals = partial_sums_from_terms(terms, hurst, m, order, n)
+    coarse = 2 ** (m - n)
+    limit = const * young_integral_rows(w()[:, ::coarse], v[:, ::coarse], z_vals)
     return {f"diff_sq_{n}": (stat - limit) ** 2, f"v_sq_{n}": stat**2}
 
 
-def _trapezoid_kernel(cfg, f, v, m, n):
-    f0 = float(f.derivative(0, np.zeros(1))[0])
-    fprime = f.derivative(1, v)
+def _trapezoid_kernel(cfg, w, v, m, n):
+    f0 = float(w.f.derivative(0, np.zeros(1))[0])
+    fprime = w(1)
     t_sum = 0.5 * np.sum((fprime[:, 1:] + fprime[:, :-1]) * np.diff(v, axis=1), axis=1)
-    target = f.derivative(0, v[:, -1]) - f0
+    target = w.f.derivative(0, v[:, -1]) - f0
     return {f"err_{n}": np.abs(t_sum - target)}
 
 
-def _audit_kernel(cfg, f, v, m, n):
-    return {f"vsq_{n}": hermite_variation_rows(v, cfg.hurst, n, f, cfg.order) ** 2}
+def _audit_kernel(cfg, w, v, m, n):
+    return {f"vsq_{n}": hermite_variation_rows(v, cfg.hurst, n, w(), cfg.order) ** 2}
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .constants import ScalingRegime, classify_regime, renorm_factor
 from .errors import DomainError, SizeLimitError
 from .fbm import FbmPath, rho
 from .hermite import gaussian_moment, hermite_eval
-from .weights import WeightFunction
+from .weights import WeightFunction, at_left_endpoints
 
 ALPHA_GAMMA_MAX_LEVEL = 14
 BETA_MAX_LEVEL = 24
@@ -149,9 +149,13 @@ def diagnostic_sums(hurst: float, level: int, q: int) -> DiagnosticSums:
 def hermite_variation_rows(
     values: np.ndarray, hurst: float, level: int, f: WeightFunction, q: int
 ) -> np.ndarray:
-    """V_n^(q)(f) per row of a (replicates, 2^n + 1) path-value matrix."""
+    """V_n^(q)(f) per row of a (replicates, 2^n + 1) path-value matrix.
+
+    The row functions take f as a WeightFunction or as its values at every
+    point of `values` (see ``weights.at_left_endpoints``).
+    """
     scaled = 2.0 ** (level * hurst) * np.diff(values, axis=1)
-    return np.sum(f(values[:, :-1]) * hermite_eval(q, scaled), axis=1)
+    return np.sum(at_left_endpoints(f, values) * hermite_eval(q, scaled), axis=1)
 
 
 def power_variation_rows(
@@ -166,7 +170,7 @@ def power_variation_rows(
     powers = scaled**q
     if centered:
         powers = powers - gaussian_moment(q)
-    return np.sum(f(values[:, :-1]) * powers, axis=1)
+    return np.sum(at_left_endpoints(f, values) * powers, axis=1)
 
 
 def riemann_sum_rows(
@@ -174,7 +178,7 @@ def riemann_sum_rows(
 ) -> np.ndarray:
     """Left-endpoint Riemann sum 2^-n sum_k f^(order)(B_(k-1)2^-n) per row."""
     n_inc = values.shape[1] - 1
-    return np.sum(f.derivative(order, values[:, :-1]), axis=1) / n_inc
+    return np.sum(at_left_endpoints(f, values, order), axis=1) / n_inc
 
 
 def unweighted_second_moment(hurst: float, q: int, level: int) -> float:

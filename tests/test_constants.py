@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -241,6 +242,21 @@ def test_sigma_tilde_critical_printed():
     assert C.sigma_tilde_critical_corrected(4) == pytest.approx(
         2 * math.comb(4, 2) * 1.0 * math.sqrt(C.sigma_critical_high(2)), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("q", range(2, 13))
+def test_hermite_process_variance_const_exact_above_the_boundary(q):
+    # at the first doubles above 1 - 1/(2q), 2Hq - 2q + 1 evaluated in
+    # doubles cancels to a few ulps (or 0); c_qH is exact in the rationals
+    # at the double H, rounded once
+    hurst = 1.0 - 1.0 / (2 * q)
+    for _ in range(3):
+        hurst = math.nextafter(hurst, 1.0)
+        h = Fraction(hurst)
+        exact = (h * (2 * h - 1)) ** q / (
+            math.factorial(q) ** 2 * (1 - q * (1 - h)) * (1 - 2 * q * (1 - h))
+        )
+        assert C.hermite_process_variance_const(q, hurst) == float(exact)
 
 
 def test_hermite_process_variance_const():

@@ -1,6 +1,8 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -151,12 +153,8 @@ def test_guards_match_classify_regime_at_boundaries(monkeypatch, q):
             path = fbm.sample_fbm_circulant(hurst, 2, seed=0)
             if case is RegimeCase.NONCENTRAL:
                 simulate_hermite(path, q, 1)
-                if q in (6, 9, 10) and hurst == math.nextafter(edge, 1.0):
-                    # the printed factor 2Hq - 2q + 1 rounds to 0 here
-                    with pytest.raises(DomainError, match="out of double range"):
-                        hermite_process_variance_const(q, hurst)
-                else:
-                    assert 0.0 < hermite_process_variance_const(q, hurst) < math.inf
+                # finite also where 2Hq - 2q + 1 in doubles rounds to 0
+                assert 0.0 < hermite_process_variance_const(q, hurst) < math.inf
             else:
                 with pytest.raises(RegimeError):
                     simulate_hermite(path, q, 1)
@@ -201,8 +199,75 @@ class TestEngine:
 
         monkeypatch.setattr(experiments, "_values_block", counting)
         run_noncentral(self.nc_cfg())
-        # finest level 7 + 6 = 13: 2^22 >> 14 = 256 replicates per block
-        assert drawn == [(13, 0, 256), (13, 256, 44)]
+        # finest level 7 + 6 = 13 draws 2^14 normals per replicate
+        size = experiments._BLOCK_NORMALS >> 14
+        assert 1 <= size < 300
+        assert drawn == [(13, s, min(size, 300 - s)) for s in range(0, 300, size)]
+
+    def test_block_budget_does_not_change_reports(self, monkeypatch):
+        # rows are independent, so every report is byte-identical whether a
+        # block holds 2^22 normals, the default budget or a single replicate
+        def cfg(experiment_id, hurst, order, weight, levels, **kw):
+            return ExperimentConfig(experiment_id, hurst=hurst, order=order, weight=weight,
+                                    levels=levels, replicates=300, master_seed=31, **kw)
+
+        configs = [
+            cfg("small_h", 0.1, 3, "cos:1.0", (8, 10, 11)),
+            cfg("clt", 0.6, 2, "cos:1.0", (9, 11)),
+            cfg("critical_high", 0.75, 2, "exp:0.5", (10, 11)),
+            cfg("noncentral", 0.9, 2, "cos:1.0", (5, 6, 7), fine_offset=4),
+            cfg("corollary", 0.2, 2, "cos:1.0", (8, 10)),  # item 2
+            cfg("corollary", 0.5, 4, "sin:1.0", (9, 10)),  # item 4
+            cfg("corollary", 0.9, 2, "exp:0.5", (5, 6), fine_offset=5),  # item 6
+            cfg("trapezoid", 0.3, 2, "poly:0,0,0,1", (6, 8, 10)),
+            cfg("conjecture_quarter", 0.25, 2, "cos:1.0", (9, 10)),
+        ]
+        drawn = []
+        values_block = experiments._values_block
+
+        def counting(*args):
+            drawn.append(args)
+            return values_block(*args)
+
+        def run_all():
+            reports, blocks = [], []
+            for c in configs:
+                before = len(drawn)
+                reports.append(run_experiment(c).to_json())
+                blocks.append(len(drawn) - before)
+            return reports, blocks
+
+        monkeypatch.setattr(experiments, "_values_block", counting)
+        default, blocks = run_all()
+        assert min(blocks) >= 2  # the default budget already splits every run
+        for budget, per_run in ((1 << 22, 1), (1, 300)):
+            monkeypatch.setattr(experiments, "_BLOCK_NORMALS", budget)
+            assert run_all() == (default, [per_run] * len(configs))
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        # a serial stand-in records the pool size, so no large pool starts
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        serial = run_noncentral(self.nc_cfg()).to_json()
+        blocks = -(-300 // (experiments._BLOCK_NORMALS >> 14))
+        for cpus, workers in ((2, 2), (None, 1), (1000, blocks)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert run_noncentral(self.nc_cfg(threads=64)).to_json() == serial
+            assert sizes.pop() == workers
 
     def test_fine_levels_are_restrictions_of_the_finest_path(self):
         cfg = self.nc_cfg(replicates=100, fine_offset=3)
@@ -261,10 +326,10 @@ class TestSmallH:
         # criterion 6's decay exponent is set by the chaos-2q floor and
         # cannot see the limit itself; regressing the renormalised variation
         # on its limit, replicate by replicate, can (slope 1 when they match)
-        def pair(cfg, f, v, m, n):
+        def pair(cfg, w, v, m, n):
             q, hurst = cfg.order, cfg.hurst
-            stat = renorm_factor(hurst, q, n) * hermite_variation_rows(v, hurst, n, f, q)
-            return {"stat": stat, "limit": experiments._hermite_drift(f, v, q)}
+            stat = renorm_factor(hurst, q, n) * hermite_variation_rows(v, hurst, n, w.f, q)
+            return {"stat": stat, "limit": experiments._hermite_drift(w, v, q)}
 
         cfg = ExperimentConfig("small_h", hurst=0.2, order=2, weight="cos:1.0",
                                levels=(12,), replicates=2000, master_seed=2024)
