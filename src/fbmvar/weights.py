@@ -75,7 +75,12 @@ class Cosine(WeightFunction):
 
     def derivative(self, order: int, x):
         a = self.frequency
-        return a**order * np.cos(a * np.asarray(x, dtype=float) + order * math.pi / 2)
+        ax = a * np.asarray(x, dtype=float)
+        if order == 0:
+            # cos is even, so the phase + 0.0 (which only turns -0.0 into
+            # +0.0) and the factor 1.0 leave every bit as it is
+            return np.cos(ax)
+        return a**order * np.cos(ax + order * math.pi / 2)
 
     def antiderivative(self, x):
         a = self.frequency
@@ -109,7 +114,8 @@ class Exponential(WeightFunction):
 
     def derivative(self, order: int, x):
         a = self.rate
-        return a**order * np.exp(a * np.asarray(x, dtype=float))
+        values = np.exp(a * np.asarray(x, dtype=float))
+        return values if order == 0 else a**order * values
 
     def antiderivative(self, x):
         a = self.rate

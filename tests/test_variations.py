@@ -86,6 +86,15 @@ class TestWeights:
         assert np.allclose(poly.derivative(2, x), 6.0)
         assert np.allclose(poly.derivative(3, x), 0.0)
 
+    def test_weight_values_match_the_general_derivative_bit_for_bit(self):
+        # f itself skips the phase and the factor a**0 of the derivative formula
+        x = np.concatenate(([0.0, -0.0, 1e-300, -1e-300], np.linspace(-3, 3, 101)))
+        for a in (1.0, -0.7, 2.0, 0.0):
+            cos = a**0 * np.cos(a * x + 0 * math.pi / 2)
+            assert Cosine(a).derivative(0, x).tobytes() == cos.tobytes()
+            assert Exponential(a / 2).derivative(0, x).tobytes() == (
+                (a / 2) ** 0 * np.exp(a / 2 * x)).tobytes()
+
     def test_antiderivatives_vanish_at_zero(self):
         for w in (ONE, Polynomial((2.0, 1.0)), Cosine(1.3), Sine(0.7), Exponential(1.0)):
             assert w.antiderivative(np.zeros(1))[0] == pytest.approx(0.0, abs=1e-15)
