@@ -276,7 +276,8 @@ def _replicate_block(
     for n in cfg.levels:
         m = n + offset
         stride = 2 ** (top - m)
-        out.update(kernel(cfg, _GridWeight(f, vals, cache, stride), vals[:, ::stride], m, n))
+        w = _GridWeight(f, vals, cache, stride)
+        out.update(kernel(cfg, w, vals[:, ::stride], m, n))
     return out
 
 

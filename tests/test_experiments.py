@@ -208,8 +208,9 @@ class TestEngine:
         # rows are independent, so every report is byte-identical whether a
         # block holds 2^22 normals, the default budget or a single replicate
         def cfg(experiment_id, hurst, order, weight, levels, **kw):
-            return ExperimentConfig(experiment_id, hurst=hurst, order=order, weight=weight,
-                                    levels=levels, replicates=300, master_seed=31, **kw)
+            return ExperimentConfig(experiment_id, hurst=hurst, order=order,
+                                    weight=weight, levels=levels, replicates=300,
+                                    master_seed=31, **kw)
 
         configs = [
             cfg("small_h", 0.1, 3, "cos:1.0", (8, 10, 11)),
@@ -328,7 +329,8 @@ class TestSmallH:
         # on its limit, replicate by replicate, can (slope 1 when they match)
         def pair(cfg, w, v, m, n):
             q, hurst = cfg.order, cfg.hurst
-            stat = renorm_factor(hurst, q, n) * hermite_variation_rows(v, hurst, n, w.f, q)
+            variation = hermite_variation_rows(v, hurst, n, w.f, q)
+            stat = renorm_factor(hurst, q, n) * variation
             return {"stat": stat, "limit": experiments._hermite_drift(w, v, q)}
 
         cfg = ExperimentConfig("small_h", hurst=0.2, order=2, weight="cos:1.0",
