@@ -371,15 +371,15 @@ def sigma_tilde_critical_corrected(q: int) -> float:
 def hermite_process_variance_const(q: int, hurst: float) -> float:
     """c_{q,H} = H**q (2H-1)**q / (q!**2 (Hq-q+1)(2Hq-2q+1)).
 
-    Defined for H > 1 - 1/(2q), where the Hermite process of order q
+    Defined for 1 - 1/(2q) < H < 1, where the Hermite process of order q
     exists; Var Z_t = q! c_{q,H} t**((2H-2)q+2).  Evaluated exactly in the
     rationals at the double H and rounded once: in doubles the factor
     2Hq - 2q + 1 cancels within a few ulps of 1 - 1/(2q).
     """
     _check_constant_order(q)
-    if not hurst > 1.0 - 1.0 / (2 * q):
+    if not 1.0 - 1.0 / (2 * q) < hurst < 1.0:
         raise DomainError(
-            f"c_(q,H) requires H > 1 - 1/(2q) = {1.0 - 1.0/(2*q)}, got {hurst}"
+            f"c_(q,H) requires 1 - 1/(2q) = {1.0 - 1.0/(2*q)} < H < 1, got {hurst}"
         )
     h = Fraction(hurst)
     factorial_sq = math.factorial(q) ** 2

@@ -275,3 +275,6 @@ def test_hermite_process_variance_const():
         C.hermite_process_variance_const(2, 0.75)
     with pytest.raises(DomainError):
         C.hermite_process_variance_const(2, 0.6)
+    for hurst in (1.0, 1.5, math.inf, math.nan):  # no Hermite process at H >= 1
+        with pytest.raises(DomainError, match="< H < 1"):
+            C.hermite_process_variance_const(2, hurst)
