@@ -66,8 +66,8 @@ from .constants import (
     sigma_tilde_critical_corrected,
 )
 from .errors import ConfigError, RegimeError, SizeLimitError
-from .hermite import gaussian_moment, hermite_eval
-from .hermite_process import partial_sums_from_terms, young_integral_rows
+from .hermite import gaussian_moment
+from .hermite_process import hermite_partial_sums, young_integral_rows
 from .stats import (
     count_inversions,
     ks_1samp_normal,
@@ -283,9 +283,21 @@ def _replicate_block(
 
 # Normals per block.  A row at level n draws 2^(n+1) normals, so a block of
 # 2^18 (2 MiB) keeps its normals, spectrum, paths and kernel arrays near a
-# 2 MiB L2 through every elementwise pass.  Rows are independent, so the
-# split does not change any replicate's values.
+# 2 MiB L2 through every elementwise pass while it holds two rows or more
+# (fine level 16 or below).  Above that no block stays in cache, and a block
+# takes up to 2^22 normals (32 MiB): several rows per inverse FFT sample
+# faster than one.  Rows are independent, so the split does not change any
+# replicate's values.
 _BLOCK_NORMALS = 1 << 18
+_LARGE_BLOCK_NORMALS = 1 << 22
+
+
+def _block_rows(fine_level: int) -> int:
+    """Replicates per block for paths sampled at `fine_level`."""
+    rows = _BLOCK_NORMALS >> (fine_level + 1)
+    if rows < 2:
+        rows = max(1, _LARGE_BLOCK_NORMALS >> (fine_level + 1))
+    return rows
 
 
 def _collect(
@@ -298,7 +310,7 @@ def _collect(
             f"finest sampled level {fine_level} exceeds the circulant "
             f"sampler's ceiling {fbm.CIRCULANT_MAX_LEVEL}"
         )
-    size = max(1, _BLOCK_NORMALS >> (fine_level + 1))
+    size = _block_rows(fine_level)
     blocks = [
         (start, min(size, cfg.replicates - start))
         for start in range(0, cfg.replicates, size)
@@ -372,19 +384,16 @@ def _young_kernel(cfg, w, v, m, n, power=False):
     """Renormalised fine-level variation against the Young sum of f(B)
     against the Hermite process built from the same path: of order q for
     V_n^(q) (noncentral), of order 2 and scaled by 2 mu_{q-2} C(q,2) for
-    the centred power variation (corollary item 6).  The variation V_m^(q)
-    and the Hermite process share the terms H_q(2^{mH} dB)."""
+    the centred power variation (corollary item 6)."""
     q, hurst = cfg.order, cfg.hurst
-    order = 2 if power else q
-    terms = hermite_eval(order, 2.0 ** (m * hurst) * np.diff(v, axis=1))
     if power:
         pv = power_variation_rows(v, hurst, m, w(), q, centered=True)
         stat = 2.0 ** (m - 2.0 * hurst * m) * pv
-        const = 2.0 * gaussian_moment(q - 2) * math.comb(q, 2)
+        const, order = 2.0 * gaussian_moment(q - 2) * math.comb(q, 2), 2
     else:
-        stat = renorm_factor(hurst, q, m) * np.sum(w()[:, :-1] * terms, axis=1)
-        const = 1.0
-    z_vals = partial_sums_from_terms(terms, hurst, m, order, n)
+        stat = renorm_factor(hurst, q, m) * hermite_variation_rows(v, hurst, m, w(), q)
+        const, order = 1.0, q
+    z_vals = hermite_partial_sums(np.diff(v, axis=1), hurst, m, order, n)
     coarse = 2 ** (m - n)
     limit = const * young_integral_rows(w()[:, ::coarse], v[:, ::coarse], z_vals)
     return {f"diff_sq_{n}": (stat - limit) ** 2, f"v_sq_{n}": stat**2}

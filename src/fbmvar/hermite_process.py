@@ -26,7 +26,7 @@ from .constants import RegimeCase, require_regime
 from .errors import DomainError, GridAlignmentError
 from .fbm import FbmPath
 from .hermite import hermite_eval
-from .weights import WeightFunction, at_left_endpoints
+from .weights import WeightFunction
 
 
 @dataclass(frozen=True)
@@ -46,24 +46,15 @@ def hermite_partial_sums(
 ) -> np.ndarray:
     """Z values on the coarse grid from (rows of) fine increments."""
     inc = np.atleast_2d(increments)
-    terms = hermite_eval(q, 2.0 ** (fine_level * hurst) * inc)
-    out = partial_sums_from_terms(terms, hurst, fine_level, q, out_level)
+    scaled = 2.0 ** (fine_level * hurst) * inc
+    prefactor = 2.0 ** (fine_level * (q * (1.0 - hurst) - 1.0))
+    csum = np.cumsum(hermite_eval(q, scaled), axis=1)
+    stride = 2 ** (fine_level - out_level)
+    picks = np.arange(stride - 1, inc.shape[1], stride)
+    out = np.zeros((inc.shape[0], 2**out_level + 1))
+    out[:, 1:] = prefactor * csum[:, picks]
     if increments.ndim == 1:
         return out[0]
-    return out
-
-
-def partial_sums_from_terms(
-    terms: np.ndarray, hurst: float, fine_level: int, q: int, out_level: int
-) -> np.ndarray:
-    """Z values on the coarse grid from rows of H_q(2^{mH} dB) at fine level m,
-    for a caller that needs those terms for something else too."""
-    prefactor = 2.0 ** (fine_level * (q * (1.0 - hurst) - 1.0))
-    csum = np.cumsum(terms, axis=1)
-    stride = 2 ** (fine_level - out_level)
-    picks = np.arange(stride - 1, terms.shape[1], stride)
-    out = np.zeros((terms.shape[0], 2**out_level + 1))
-    out[:, 1:] = prefactor * csum[:, picks]
     return out
 
 
@@ -98,13 +89,13 @@ def young_integral(
 
 
 def young_integral_rows(
-    f: WeightFunction, coarse_values: np.ndarray, z_values: np.ndarray
+    weight: np.ndarray, coarse_values: np.ndarray, z_values: np.ndarray
 ) -> np.ndarray:
-    """Batched Young sums for (replicates, grid) matrices; f may be given as
-    its values at every point of `coarse_values`."""
-    if coarse_values.shape != z_values.shape:
+    """Batched Young sums for (replicates, grid) matrices; `weight` holds f
+    at every point of `coarse_values`."""
+    if not weight.shape == coarse_values.shape == z_values.shape:
         raise GridAlignmentError(
-            f"grid mismatch: {coarse_values.shape} vs {z_values.shape}"
+            f"grid mismatch: weight {weight.shape}, path {coarse_values.shape}, "
+            f"Z {z_values.shape}"
         )
-    weight = at_left_endpoints(f, coarse_values)
-    return np.sum(weight * np.diff(z_values, axis=1), axis=1)
+    return np.sum(weight[:, :-1] * np.diff(z_values, axis=1), axis=1)

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import ScalingRegime, classify_regime, renorm_factor
-from .errors import DomainError, SizeLimitError
+from .errors import DomainError, GridAlignmentError, SizeLimitError
 from .fbm import FbmPath, rho
 from .hermite import gaussian_moment, hermite_eval
-from .weights import WeightFunction, at_left_endpoints
+from .weights import WeightFunction
 
 ALPHA_GAMMA_MAX_LEVEL = 14
 BETA_MAX_LEVEL = 24
@@ -146,39 +146,54 @@ def diagnostic_sums(hurst: float, level: int, q: int) -> DiagnosticSums:
     )
 
 
+def _left_endpoints(weight: np.ndarray, values: np.ndarray) -> np.ndarray:
+    if weight.shape != values.shape:
+        raise GridAlignmentError(
+            f"grid mismatch: weight {weight.shape} vs path {values.shape}"
+        )
+    return weight[:, :-1]
+
+
 def hermite_variation_rows(
-    values: np.ndarray, hurst: float, level: int, f: WeightFunction, q: int
+    values: np.ndarray, hurst: float, level: int, f, q: int
 ) -> np.ndarray:
     """V_n^(q)(f) per row of a (replicates, 2^n + 1) path-value matrix.
 
-    The row functions take f as a WeightFunction or as its values at every
-    point of `values` (see ``weights.at_left_endpoints``).
+    f is a WeightFunction, or an array of its values at every point of
+    `values`, as the other row functions take it (the replicate engine
+    evaluates f once per block).
     """
     scaled = 2.0 ** (level * hurst) * np.diff(values, axis=1)
-    return np.sum(at_left_endpoints(f, values) * hermite_eval(q, scaled), axis=1)
+    if isinstance(f, WeightFunction):
+        weight = f(values[:, :-1])
+    else:
+        weight = _left_endpoints(f, values)
+    return np.sum(weight * hermite_eval(q, scaled), axis=1)
 
 
 def power_variation_rows(
     values: np.ndarray,
     hurst: float,
     level: int,
-    f: WeightFunction,
+    weight: np.ndarray,
     q: int,
     centered: bool,
 ) -> np.ndarray:
+    """Weighted power variation per row; `weight` holds f at every point of
+    `values`."""
     scaled = 2.0 ** (level * hurst) * np.diff(values, axis=1)
     powers = scaled**q
     if centered:
         powers = powers - gaussian_moment(q)
-    return np.sum(at_left_endpoints(f, values) * powers, axis=1)
+    return np.sum(_left_endpoints(weight, values) * powers, axis=1)
 
 
-def riemann_sum_rows(
-    values: np.ndarray, f: WeightFunction, order: int = 0
-) -> np.ndarray:
-    """Left-endpoint Riemann sum 2^-n sum_k f^(order)(B_(k-1)2^-n) per row."""
+def riemann_sum_rows(values: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Left-endpoint Riemann sum 2^-n sum_k g(B_(k-1)2^-n) per row, where
+    `weight` holds g (f or one of its derivatives) at every point of
+    `values`."""
     n_inc = values.shape[1] - 1
-    return np.sum(at_left_endpoints(f, values, order), axis=1) / n_inc
+    return np.sum(_left_endpoints(weight, values), axis=1) / n_inc
 
 
 def unweighted_second_moment(hurst: float, q: int, level: int) -> float:

@@ -124,18 +124,6 @@ class Exponential(WeightFunction):
         return (np.exp(a * np.asarray(x, dtype=float)) - 1.0) / a
 
 
-def at_left_endpoints(f, values: np.ndarray, order: int = 0) -> np.ndarray:
-    """f^(order) at the left endpoints values[:, :-1] of each row.
-
-    `f` is a WeightFunction, or an array that already holds f^(order) at
-    every point of `values` (the replicate engine evaluates each order once
-    per block), whose left-endpoint view is returned.
-    """
-    if isinstance(f, np.ndarray):
-        return f[:, :-1]
-    return f.derivative(order, values[:, :-1])
-
-
 def _parameter(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):

@@ -200,7 +200,7 @@ class TestEngine:
         monkeypatch.setattr(experiments, "_values_block", counting)
         run_noncentral(self.nc_cfg())
         # finest level 7 + 6 = 13 draws 2^14 normals per replicate
-        size = experiments._BLOCK_NORMALS >> 14
+        size = experiments._block_rows(13)
         assert 1 <= size < 300
         assert drawn == [(13, s, min(size, 300 - s)) for s in range(0, 300, size)]
 
@@ -243,7 +243,14 @@ class TestEngine:
         assert min(blocks) >= 2  # the default budget already splits every run
         for budget, per_run in ((1 << 22, 1), (1, 300)):
             monkeypatch.setattr(experiments, "_BLOCK_NORMALS", budget)
+            monkeypatch.setattr(experiments, "_LARGE_BLOCK_NORMALS", budget)
             assert run_all() == (default, [per_run] * len(configs))
+
+    def test_block_rows_by_fine_level(self):
+        # 2^18 normals while a block holds two rows or more; from fine level
+        # 17 on up to 2^22 normals, so the inverse FFT still batches rows
+        rows = [experiments._block_rows(n) for n in range(10, 23)]
+        assert rows == [128, 64, 32, 16, 8, 4, 2, 16, 8, 4, 2, 1, 1]
 
     def test_workers_capped_at_cpu_count(self, monkeypatch):
         # a serial stand-in records the pool size, so no large pool starts
@@ -264,7 +271,7 @@ class TestEngine:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         serial = run_noncentral(self.nc_cfg()).to_json()
-        blocks = -(-300 // (experiments._BLOCK_NORMALS >> 14))
+        blocks = -(-300 // experiments._block_rows(13))
         for cpus, workers in ((2, 2), (None, 1), (1000, blocks)):
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             assert run_noncentral(self.nc_cfg(threads=64)).to_json() == serial

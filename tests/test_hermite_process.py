@@ -10,6 +10,7 @@ from fbmvar.hermite_process import (
     hermite_partial_sums,
     simulate_hermite,
     young_integral,
+    young_integral_rows,
 )
 from fbmvar.variations import renormalize, weighted_hermite_variation
 from fbmvar.weights import ConstantOne, Cosine, Polynomial
@@ -96,6 +97,17 @@ def test_young_integral_grid_mismatch():
     z = simulate_hermite(path, 2, 6)
     with pytest.raises(GridAlignmentError):
         young_integral(ONE, fbm.coarsen(path, 5).values, z)
+
+
+def test_young_integral_rows_match_single_and_check_the_weight_grid():
+    path = fbm.sample_fbm_circulant(0.9, 10, seed=5)
+    z = simulate_hermite(path, 2, 6)
+    coarse = fbm.coarsen(path, 6).values
+    f = Cosine(1.0)
+    rows = young_integral_rows(f(coarse)[None, :], coarse[None, :], z.values[None, :])
+    assert rows[0] == pytest.approx(young_integral(f, coarse, z), rel=1e-12)
+    with pytest.raises(GridAlignmentError):
+        young_integral_rows(f(coarse[:-1])[None, :], coarse[None, :], z.values[None, :])
 
 
 def test_young_cauchy_refinement():

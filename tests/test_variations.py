@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fbmvar import fbm, variations as V
 from fbmvar.constants import RegimeCase
-from fbmvar.errors import DomainError, SizeLimitError
+from fbmvar.errors import DomainError, GridAlignmentError, SizeLimitError
 from fbmvar.hermite import monomial_in_hermite
 from fbmvar.weights import (
     ConstantOne,
@@ -146,6 +146,19 @@ class TestHermiteVariation:
         single = V.weighted_hermite_variation(path, Cosine(1.0), 3)
         assert rows[0] == pytest.approx(single, rel=1e-12)
 
+    def test_rows_take_the_weight_at_every_path_point(self):
+        vals = fbm.sample_fbm_circulant(0.6, 6, seed=19).values[None, :]
+        f = Cosine(1.0)
+        given = V.hermite_variation_rows(vals, 0.6, 6, f(vals), 3)
+        assert given.tobytes() == V.hermite_variation_rows(vals, 0.6, 6, f, 3).tobytes()
+        for short in (f(vals[:, :-1]), f(vals[0])):
+            with pytest.raises(GridAlignmentError):
+                V.hermite_variation_rows(vals, 0.6, 6, short, 3)
+            with pytest.raises(GridAlignmentError):
+                V.power_variation_rows(vals, 0.6, 6, short, 3, centered=True)
+            with pytest.raises(GridAlignmentError):
+                V.riemann_sum_rows(vals, short)
+
 
 class TestRenormalize:
     def test_prefactors(self):
@@ -183,7 +196,7 @@ class TestSecondMoments:
         inc = fbm.sample_increments_circulant(hurst, n, 4, 0, reps)
         vals = np.zeros((reps, 2**n + 1))
         np.cumsum(inc, axis=1, out=vals[:, 1:])
-        s = V.power_variation_rows(vals, hurst, n, ONE, q, centered=True)
+        s = V.power_variation_rows(vals, hurst, n, ONE(vals), q, centered=True)
         exact = V.centered_power_second_moment(hurst, q, n)
         se = np.std(s**2) / math.sqrt(reps)
         assert abs(np.mean(s**2) - exact) < 3 * se
