@@ -31,18 +31,12 @@ def hermite_eval(q: int, x):
         raise DomainError(f"degree must be >= 0, got {q}")
     scalar = np.isscalar(x)
     x = np.asarray(x, dtype=float)
+    prev = np.ones_like(x)
     if q == 0:
-        return 1.0 if scalar else np.ones_like(x)
-    if q == 1:
-        return float(x) if scalar else x.copy()
-    # H_0 = 1 stays a scalar and x is never written: each step fills one
-    # fresh array in place, with the same operations in the same order
-    prev, cur = 1.0, x
+        return float(prev) if scalar else prev
+    cur = x.copy()
     for k in range(1, q):
-        nxt = x * cur
-        nxt -= prev
-        nxt /= k + 1
-        prev, cur = cur, nxt
+        prev, cur = cur, (x * cur - prev) / (k + 1)
     return float(cur) if scalar else cur
 
 

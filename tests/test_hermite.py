@@ -47,38 +47,6 @@ def test_vectorised_evaluation():
     assert np.allclose(out, (x**2 - 1) / 2)
 
 
-def recurrence_before_in_place_update(q, x):
-    """Oracle: the evaluator as it was before it updated arrays in place
-    (a ones array for H_0, a copy of x for H_1, a new array per operation)."""
-    scalar = np.isscalar(x)
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if q == 0:
-        return float(prev) if scalar else prev
-    cur = x.copy()
-    for k in range(1, q):
-        prev, cur = cur, (x * cur - prev) / (k + 1)
-    return float(cur) if scalar else cur
-
-
-@pytest.mark.parametrize("q", range(0, 9))
-def test_in_place_recurrence_is_bit_identical(q):
-    rng = np.random.default_rng(q)
-    big = 4.0 * rng.standard_normal((6, 129))
-    for x in (-2.7, 0.0, 3.1, big[0], big, big[1:5, ::3], big[:, 7], big.T):
-        before = np.array(x, copy=True)
-        want = recurrence_before_in_place_update(q, x)
-        got = hermite.hermite_eval(q, x)
-        if np.isscalar(x):
-            assert type(got) is float
-            assert np.float64(got).tobytes() == np.float64(want).tobytes()
-            continue
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()  # bit for bit, -0.0 and NaN too
-        assert not np.shares_memory(got, x)  # a fresh array
-        assert np.array_equal(x, before)  # the input is left unchanged
-
-
 def test_gaussian_moments():
     assert hermite.gaussian_moment(1) == 0.0
     assert hermite.gaussian_moment(2) == 1.0
