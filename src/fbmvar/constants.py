@@ -45,7 +45,6 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
@@ -372,19 +371,21 @@ def hermite_process_variance_const(q: int, hurst: float) -> float:
     """c_{q,H} = H**q (2H-1)**q / (q!**2 (Hq-q+1)(2Hq-2q+1)).
 
     Defined for 1 - 1/(2q) < H < 1, where the Hermite process of order q
-    exists; Var Z_t = q! c_{q,H} t**((2H-2)q+2).  Evaluated exactly in the
-    rationals at the double H and rounded once: in doubles the factor
-    2Hq - 2q + 1 cancels within a few ulps of 1 - 1/(2q).
+    exists; Var Z_t = q! c_{q,H} t**((2H-2)q+2).  Evaluated exactly in
+    integers at the double H = a/b and rounded once by the division: in
+    doubles the factor 2Hq - 2q + 1 cancels within a few ulps of 1 - 1/(2q).
     """
     _check_constant_order(q)
     if not 1.0 - 1.0 / (2 * q) < hurst < 1.0:
         raise DomainError(
             f"c_(q,H) requires 1 - 1/(2q) = {1.0 - 1.0/(2*q)} < H < 1, got {hurst}"
         )
-    h = Fraction(hurst)
+    a, b = hurst.as_integer_ratio()
     factorial_sq = math.factorial(q) ** 2
-    den = factorial_sq * (h * q - q + 1) * (2 * h * q - 2 * q + 1)
+    # factors = b^2 (Hq - q + 1)(2Hq - 2q + 1); a^q (2a - b)^q = b^(2q) H^q (2H - 1)^q
+    factors = (a * q - (q - 1) * b) * (2 * a * q - (2 * q - 1) * b)
     # q!^2 has no double from q = 99 on
-    if factorial_sq > sys.float_info.max or not den > 0:
+    if factorial_sq > sys.float_info.max or not factors > 0:
         raise DomainError(f"c_(q,H) is out of double range at H={hurst}, q={q}")
-    return float(h**q * (2 * h - 1) ** q / den)
+    # int / int is correctly rounded
+    return a**q * (2 * a - b) ** q / (factorial_sq * b ** (2 * q - 2) * factors)
