@@ -197,7 +197,10 @@ def rho_power_sum(
     Pass `radius` to pin the truncation radius (the tail estimate is still
     applied); otherwise the radius doubles from 1024 until the certified
     residual bound drops below rel_tol * |value|; rel_tol must lie in
-    (0, 1e-3].
+    (0, 1e-3].  Two cases are exact and sum no lags: H = 1/2, where
+    S_p = 2**p, and p = 1 with H < 1/2, where S_1 = 0 (the partial sums
+    telescope to 2((R+1)**(2H) - R**(2H)), so a relative stop could never
+    pass on them).
     """
     if not 0.0 < rel_tol <= 1e-3:
         raise DomainError(f"rel_tol must be in (0, 1e-3], got {rel_tol}")
@@ -207,6 +210,9 @@ def rho_power_sum(
         raise DomainError(f"power must be >= 1, got {p}")
     if hurst == 0.5:
         return TruncatedSeries(value=2.0**p, radius=1, tail_bound=0.0, converged=True)
+    if p == 1 and hurst < 0.5:
+        # sum_{|r|<=R} rho_H(r) telescopes to 2((R+1)**(2H) - R**(2H)) -> 0
+        return TruncatedSeries(value=0.0, radius=1, tail_bound=0.0, converged=True)
     s = (2.0 - 2.0 * hurst) * p
     if s <= 1.0:
         raise SeriesDivergenceError(
@@ -293,8 +299,10 @@ def sigma_tilde(
 
     sigma~**2 = sum_p p! C(q,p)**2 mu_{q-p}**2 2**-p S_p(H), over the
     chaos orders p <= q of the centered monomial expansion: p >= 2 for
-    even q (valid for 0 < H < 3/4), and p >= 1 for odd q (the chaos-1
-    term contributes; its series requires H <= 1/2).  The identity
+    even q (valid for 0 < H < 3/4), and p >= 1 for odd q (valid for
+    H <= 1/2, where the chaos-1 series converges; it is S_1 = 0 for
+    H < 1/2 and S_1 = 2 at H = 1/2, so the chaos-1 term adds only at
+    H = 1/2).  The identity
     sigma~**2 = sum_p (p! C(q,p) mu_{q-p})**2 sigma_{H,p}**2 holds term
     by term against ``sigma_clt``.
     """

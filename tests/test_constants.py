@@ -156,6 +156,33 @@ def test_rho_power_sum_converged_contract():
     assert C.rho_power_sum(0.5, 5).value == 2.0**5
 
 
+@pytest.mark.parametrize("hurst", [0.1, 0.3, 0.45])
+def test_chaos1_series_is_exactly_zero_below_half(hurst):
+    series = C.rho_power_sum(hurst, 1)
+    assert series.value == 0.0
+    assert series.converged
+    assert series.tail_bound == 0.0
+
+
+@pytest.mark.parametrize("hurst", [0.1, 0.3, 0.45])
+def test_chaos1_partial_sums_telescope(hurst):
+    # sum_{|r|<=R} rho_H(r) = 2((R+1)^2H - R^2H), which tends to 0 for H < 1/2
+    import numpy as np
+
+    from fbmvar.fbm import rho
+
+    radius = 4096
+    partial = math.fsum(rho(np.arange(-radius, radius + 1), hurst))
+    telescoped = 2.0 * ((radius + 1) ** (2 * hurst) - radius ** (2 * hurst))
+    assert abs(partial - telescoped) <= 1e-12
+
+
+def test_chaos1_series_domain_unchanged():
+    assert C.rho_power_sum(0.5, 1).value == 2.0
+    with pytest.raises(SeriesDivergenceError):
+        C.rho_power_sum(0.6, 1)
+
+
 def test_raw_tail_mass_bound():
     import numpy as np
 
@@ -206,6 +233,15 @@ def test_sigma_tilde_cross_check_identity():
         assert C.sigma_tilde(hurst, q, radius=4096).value ** 2 == pytest.approx(
             total, rel=1e-10
         )
+
+
+def test_sigma_tilde_odd_q_converges():
+    # the chaos-1 series is exact, so the odd-q constant stops at the
+    # radius of its higher chaoses
+    series = C.sigma_tilde(0.3, 3)
+    assert series.converged
+    assert series.radius == 1024
+    assert abs(series.value - 2.414097078431407) <= 1e-12
 
 
 def test_sigma_tilde_equals_twice_sigma_for_q2():
