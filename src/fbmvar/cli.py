@@ -187,7 +187,7 @@ def _cmd_sample(args) -> int:
             "seed": args.seed,
             "stream": args.stream,
             "sampler": args.sampler,
-            "values": list(path.values),
+            "values": path.values.tolist(),
         },
         args.out,
         args.precision,
@@ -260,10 +260,7 @@ def _cmd_hermite_process(args) -> int:
     path = fbm.sample_fbm_circulant(args.H, args.m, args.seed, args.stream)
     z = simulate_hermite(path, args.q, args.n_out)
     if args.export == "csv":
-        lines = ["j,t,Z"]
-        for j, (t, v) in enumerate(zip(z.times, z.values)):
-            lines.append(f"{j},{float(t)!r},{float(v)!r}")
-        _write_text("\n".join(lines) + "\n", args.out)
+        _write_text("".join(["j,t,Z\n", *fbm.csv_rows(z.times, z.values)]), args.out)
         return 0
     _emit(
         {
@@ -273,7 +270,7 @@ def _cmd_hermite_process(args) -> int:
             "n_out": args.n_out,
             "seed": args.seed,
             "stream": args.stream,
-            "values": list(z.values),
+            "values": z.values.tolist(),
         },
         args.out,
         args.precision,

@@ -19,7 +19,8 @@ Two exact samplers are provided:
   and the Gaussian spectrum of a path is Hermitian: only the half
   spectrum, frequencies 0 .. 2**n, is built, and the square roots of the
   2**n + 1 eigenvalues it needs are cached per (H, n) as a read-only
-  array.  Cost O(n 2**n).
+  array, in a cache bounded by ``EIG_CACHE_BYTES``.  The inverse FFT
+  writes into the block's own normals.  Cost O(n 2**n).
 * ``sample_fbm_cholesky`` factorises the dense increment covariance;
   it is O(2**(3n)) and capped at n <= 12, and serves as the independent
   oracle for the circulant sampler in tests.
@@ -32,15 +33,22 @@ Eigenvalues of the embedded circulant are mathematically non-negative for
 fBm increments; values in [-eps, 0) with eps = 1e-9 * max eigenvalue are
 clamped to zero with a logged warning and anything below that raises
 ``CirculantEmbeddingError``.
+
+Path files: ``write_binary`` writes the path's values from their own
+memory (no copy for little-endian float64 values) and ``read_binary`` reads
+them straight into the array the returned path owns; the FBM1 bytes are
+those of ``tobytes()``.  ``write_csv`` builds its text 2**16 rows at a time.
 """
 
 from __future__ import annotations
 
 import logging
 import struct
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import IO
+from functools import lru_cache, wraps
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -53,6 +61,13 @@ EIG_REL_TOL = 1e-9
 CHOLESKY_MAX_LEVEL = 12
 CIRCULANT_MAX_LEVEL = 24
 _EXACT_RHO_MAX_LAG = 64
+# bound on the bytes of cached square-root eigenvalues: 2**n + 1 doubles per
+# (H, n), 32 MiB at n = 22
+EIG_CACHE_BYTES = 64 << 20
+# rows of CSV text built per string
+_CSV_CHUNK_ROWS = 1 << 16
+
+_CacheInfo = namedtuple("_CacheInfo", "hits misses maxbytes currbytes")
 
 _BIN_MAGIC = b"FBM1"
 
@@ -120,10 +135,23 @@ def rho(r, hurst: float):
     e1 = (a - 2.0) * (a - 3.0) / 12.0
     e2 = e1 * (a - 4.0) * (a - 5.0) / 30.0
     e3 = e2 * (a - 6.0) * (a - 7.0) / 56.0
-    far = np.maximum(r, _EXACT_RHO_MAX_LAG)
-    x2 = far**-2.0
-    psi = 1.0 + x2 * (e1 + x2 * (e2 + x2 * e3))
-    out = np.asarray(a * (a - 1.0) * far ** (a - 2.0) * psi)
+    # the expansion is evaluated in place, one operation at a time in the
+    # order of a(a-1) far**(a-2) (1 + x2 (e1 + x2 (e2 + x2 e3))): the same bits
+    # with two lag-sized temporaries fewer
+    out = np.maximum(r, _EXACT_RHO_MAX_LAG)
+    x2 = out**-2.0
+    psi = x2 * e3
+    psi += e2
+    psi *= x2
+    psi += e1
+    psi *= x2
+    psi += 1.0
+    del x2
+    out **= a - 2.0
+    out *= a * (a - 1.0)
+    out *= psi
+    del psi
+    out = np.asarray(out)
     near = r <= _EXACT_RHO_MAX_LAG
     r = r[near]
     out[near] = (r + 1.0) ** a + np.abs(r - 1.0) ** a - 2.0 * r**a
@@ -132,10 +160,62 @@ def rho(r, hurst: float):
 
 def increment_autocovariance(hurst: float, level: int, lags) -> np.ndarray:
     """E[dB_k dB_{k+r}] at the given level: 2**(-2Hn) rho_H(r) / 2."""
-    return 0.5 * 2.0 ** (-2.0 * hurst * level) * rho(lags, hurst)
+    cov = rho(lags, hurst)
+    cov *= 0.5 * 2.0 ** (-2.0 * hurst * level)
+    return cov
 
 
-@lru_cache(maxsize=64)
+def _lru_by_bytes(max_bytes: int):
+    """``lru_cache`` for functions of hashable arguments that return arrays,
+    bounded by the arrays' total size instead of their number.
+
+    The least recently used arrays are dropped once the total exceeds
+    `max_bytes`, but the newest one always stays: an array larger than the
+    bound is computed once and kept until the next miss replaces it.
+    ``cache_info()`` and ``cache_clear()`` work as for ``lru_cache``.
+    """
+
+    def decorate(fn):
+        entries: OrderedDict = OrderedDict()
+        lock = threading.Lock()
+        hits = misses = size = 0
+
+        @wraps(fn)
+        def cached(*args):
+            nonlocal hits, misses, size
+            with lock:
+                if args in entries:
+                    hits += 1
+                    entries.move_to_end(args)
+                    return entries[args]
+                misses += 1
+            value = fn(*args)
+            with lock:
+                if args not in entries:
+                    entries[args] = value
+                    size += value.nbytes
+                while size > max_bytes and len(entries) > 1:
+                    size -= entries.popitem(last=False)[1].nbytes
+            return value
+
+        def cache_info() -> _CacheInfo:
+            with lock:
+                return _CacheInfo(hits, misses, max_bytes, size)
+
+        def cache_clear() -> None:
+            nonlocal hits, misses, size
+            with lock:
+                entries.clear()
+                hits = misses = size = 0
+
+        cached.cache_info = cache_info
+        cached.cache_clear = cache_clear
+        return cached
+
+    return decorate
+
+
+@_lru_by_bytes(EIG_CACHE_BYTES)
 def _circulant_sqrt_eigs(hurst: float, level: int) -> np.ndarray:
     """sqrt of eigenvalues 0 .. 2**n of the length-2**(n+1) embedded circulant.
 
@@ -144,24 +224,26 @@ def _circulant_sqrt_eigs(hurst: float, level: int) -> np.ndarray:
     one real FFT holds all of them.  The cached array is read-only.
     """
     n_inc = 2**level
-    m = 2 * n_inc
-    row = np.empty(m)
     cov = increment_autocovariance(hurst, level, np.arange(n_inc + 1))
+    row = np.empty(2 * n_inc)
     row[: n_inc + 1] = cov
     row[n_inc + 1 :] = cov[1:n_inc][::-1]
+    del cov
     lam = np.fft.rfft(row).real
+    del row
+    lam_min = lam.min()
     floor = -EIG_REL_TOL * lam.max()
-    if lam.min() < floor:
+    if lam_min < floor:
         raise CirculantEmbeddingError(
-            f"circulant eigenvalue {lam.min():.3e} below tolerance {floor:.3e} "
+            f"circulant eigenvalue {lam_min:.3e} below tolerance {floor:.3e} "
             f"for H={hurst}, n={level}"
         )
-    if lam.min() < 0.0:
+    if lam_min < 0.0:
         logger.warning(
             "clamping %d tiny negative circulant eigenvalues (min %.3e) "
             "for H=%s, n=%d",
             int((lam < 0).sum()),
-            lam.min(),
+            lam_min,
             hurst,
             level,
         )
@@ -171,7 +253,9 @@ def _circulant_sqrt_eigs(hurst: float, level: int) -> np.ndarray:
     return sq
 
 
-def _increments_from_normals(sq: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _increments_from_normals(
+    sq: np.ndarray, z: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Synthesise stationary increments from one row (or matrix) of normals.
 
     Draw order for a path at level n (m = 2**(n+1) normals): z[0] feeds
@@ -180,19 +264,25 @@ def _increments_from_normals(sq: np.ndarray, z: np.ndarray) -> np.ndarray:
     the paths are the real inverse FFT of its half, frequencies 0 .. m/2;
     the sign of the imaginary part keeps them equal to the forward
     transform of the full spectrum, Re FFT(S) / sqrt(m) = sqrt(m) irfft(conj S).
+
+    The inverse FFT is written into `out`, a float64 array of z's 2-d
+    shape, when one is given; it may be z itself, which is read in full
+    before it is written.  The rows returned are views into that array.
     """
     z = np.atleast_2d(z)
     b, m = z.shape
     half = m // 2
     weight = sq * np.sqrt(m)
     weight[1:half] /= np.sqrt(2.0)
-    spec = np.zeros((b, half + 1), dtype=complex)
+    spec = np.empty((b, half + 1), dtype=complex)
     spec.real[:, 0] = z[:, 0]
     spec.real[:, half] = z[:, 1]
     spec.real[:, 1:half] = z[:, 2::2]
+    spec.imag[:, 0] = spec.imag[:, half] = 0.0
     np.negative(z[:, 3::2], out=spec.imag[:, 1:half])
     spec *= weight
-    return np.fft.irfft(spec, n=m, axis=1)[:, :half]
+    del weight
+    return np.fft.irfft(spec, n=m, axis=1, out=out)[:, :half]
 
 
 def sample_fbm_circulant(
@@ -205,7 +295,9 @@ def sample_fbm_circulant(
             f"level must be in [1, {CIRCULANT_MAX_LEVEL}], got {level}"
         )
     inc = sample_increments_circulant(hurst, level, seed, stream_index, 1)[0]
-    values = np.concatenate(([0.0], np.cumsum(inc)))
+    values = np.empty(inc.size + 1)
+    values[0] = 0.0
+    np.cumsum(inc, out=values[1:])
     return FbmPath(hurst, level, values, seed, stream_index)
 
 
@@ -222,7 +314,7 @@ def sample_increments_circulant(
     z = np.empty((count, m))
     for i in range(count):
         stream(seed, first_stream + i).standard_normal(out=z[i])
-    return _increments_from_normals(sq, z)
+    return _increments_from_normals(sq, z, out=z)
 
 
 def sample_fbm_cholesky(
@@ -267,11 +359,26 @@ def coarsen(path: FbmPath, level: int) -> FbmPath:
     return FbmPath(path.hurst, level, path.values[::step], path.seed, path.stream_index)
 
 
+def csv_rows(times: np.ndarray, values: np.ndarray) -> Iterator[str]:
+    """`k,t,value` rows in full precision (repr of each double), as strings
+    of up to 2**16 rows each."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    for start in range(0, len(values), _CSV_CHUNK_ROWS):
+        stop = start + _CSV_CHUNK_ROWS
+        yield "".join(
+            f"{k},{t!r},{v!r}\n"
+            for k, t, v in zip(
+                range(start, stop), times[start:stop].tolist(), values[start:stop].tolist()
+            )
+        )
+
+
 def write_csv(path: FbmPath, fh: IO[str]) -> None:
     """Write `k,t,B` rows in full precision."""
     fh.write("k,t,B\n")
-    for k, (t, v) in enumerate(zip(path.times, path.values)):
-        fh.write(f"{k},{float(t)!r},{float(v)!r}\n")
+    for chunk in csv_rows(path.times, path.values):
+        fh.write(chunk)
 
 
 def write_binary(path: FbmPath, fh: IO[bytes]) -> None:
@@ -280,25 +387,32 @@ def write_binary(path: FbmPath, fh: IO[bytes]) -> None:
     fh.write(struct.pack("<d", path.hurst))
     fh.write(struct.pack("<i", path.level))
     fh.write(struct.pack("<Q", path.seed & ((1 << 64) - 1)))
-    fh.write(np.ascontiguousarray(path.values, dtype="<f8").tobytes())
+    fh.write(memoryview(np.ascontiguousarray(path.values, dtype="<f8").view(np.uint8)))
 
 
-def _read_exact(fh: IO[bytes], size: int, what: str) -> bytes:
-    raw = fh.read(size)
-    if len(raw) != size:
-        raise DomainError(f"truncated FBM1 {what}: {len(raw)} of {size} bytes")
-    return raw
+def _read_exact(fh: IO[bytes], buf, what: str) -> None:
+    """Fill the writable byte buffer `buf` from fh, or raise on a short read."""
+    view = memoryview(buf)
+    got = 0
+    while got < len(view):
+        n = fh.readinto(view[got:])
+        if not n:
+            raise DomainError(f"truncated FBM1 {what}: {got} of {len(view)} bytes")
+        got += n
 
 
 def read_binary(fh: IO[bytes]) -> FbmPath:
     magic = fh.read(4)
     if magic != _BIN_MAGIC:
         raise DomainError(f"bad magic {magic!r}, expected {_BIN_MAGIC!r}")
-    hurst, level, seed = struct.unpack("<diQ", _read_exact(fh, 20, "header"))
+    header = bytearray(20)
+    _read_exact(fh, header, "header")
+    hurst, level, seed = struct.unpack("<diQ", header)
     # checked before the level sizes the read below
     if not 1 <= level <= CIRCULANT_MAX_LEVEL:
         raise DomainError(f"header level {level} outside [1, {CIRCULANT_MAX_LEVEL}]")
-    raw = _read_exact(fh, 8 * (2**level + 1), "values")
+    values = np.empty(2**level + 1, dtype="<f8")
+    _read_exact(fh, values.view(np.uint8), "values")
     if fh.read(1):
         raise DomainError("trailing bytes after the FBM1 values")
-    return FbmPath(hurst, level, np.frombuffer(raw, dtype="<f8").copy(), seed)
+    return FbmPath(hurst, level, values, seed)

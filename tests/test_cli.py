@@ -6,6 +6,7 @@ import pytest
 from fbmvar import fbm
 from fbmvar.cli import build_parser, main
 from fbmvar.constants import sigma_clt
+from fbmvar.hermite_process import simulate_hermite
 
 # every flag each subcommand documents; the enumeration harness below
 # fails if a flag is added without updating this table (or vice versa)
@@ -314,6 +315,9 @@ def test_hermite_process_csv(capsys):
     assert lines[0] == "j,t,Z"
     assert len(lines) == 1 + 17
     assert lines[1].split(",")[2] == "0.0"
+    z = simulate_hermite(fbm.sample_fbm_circulant(0.9, 8, 2), 2, 4)
+    rows = [f"{j},{float(t)!r},{float(v)!r}" for j, (t, v) in enumerate(zip(z.times, z.values))]
+    assert out == "\n".join(["j,t,Z", *rows]) + "\n"
 
 
 def test_flag_enumeration_matches_help():

@@ -91,6 +91,59 @@ def test_synthesis_matches_dense_complex_fft(hurst, level):
     assert np.max(np.abs(inc - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
 
+def test_synthesis_leaves_callers_normals_unchanged():
+    sq = fbm._circulant_sqrt_eigs(0.7, 10)
+    z = np.stack([stream(4, i).standard_normal(2**11) for i in range(3)])
+    before = z.copy()
+    inc = fbm._increments_from_normals(sq, z)
+    assert np.array_equal(z.view(np.uint64), before.view(np.uint64))
+    # written into the normals themselves, the increments keep their bits
+    in_place = fbm._increments_from_normals(sq, z, out=z)
+    assert np.array_equal(in_place.view(np.uint64), inc.view(np.uint64))
+
+
+def test_eigenvalue_cache_bounded_by_bytes():
+    calls = []
+
+    @fbm._lru_by_bytes(3 * 80)
+    def block(key, size):
+        calls.append(key)
+        return np.zeros(size)  # 8 * size bytes
+
+    for key in "abc":
+        block(key, 10)
+    block("a", 10)  # hit: "a" becomes the most recent entry
+    block("d", 10)  # 320 bytes: evicts "b", the least recently used
+    assert block.cache_info()[:2] == (1, 4)
+    assert block.cache_info().currbytes == 240
+    block("a", 10)
+    block("b", 10)
+    assert calls == ["a", "b", "c", "d", "b"]
+    block("big", 100)  # larger than the bound: kept alone until the next miss
+    assert block.cache_info().currbytes == 800
+    block("big", 100)
+    assert calls[-1] == "big" and len(calls) == 6
+    block.cache_clear()
+    assert tuple(block.cache_info()) == (0, 0, 240, 0)
+    info = fbm._circulant_sqrt_eigs.cache_info()
+    assert info.maxbytes == fbm.EIG_CACHE_BYTES
+    assert info.currbytes <= fbm.EIG_CACHE_BYTES
+
+
+def test_circulant_sampler_peak_allocation():
+    import tracemalloc
+
+    fbm.sample_fbm_circulant(0.7, 4, 0)  # first-use set-up of the Philox streams
+    fbm._circulant_sqrt_eigs.cache_clear()
+    tracemalloc.start()
+    try:
+        path = fbm.sample_fbm_circulant(0.7, 18, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * path.values.nbytes
+
+
 def test_circulant_eigenvalues_read_only():
     sq = fbm._circulant_sqrt_eigs(0.6, 8)
     with pytest.raises(ValueError):
@@ -224,16 +277,28 @@ def test_csv_export():
     assert lines[1].startswith("0,0.0,0.0")
 
 
+def test_csv_export_matches_per_row_format():
+    path = fbm.sample_fbm_circulant(0.3, 12, seed=8)
+    buf = io.StringIO()
+    fbm.write_csv(path, buf)
+    rows = [f"{k},{float(t)!r},{float(v)!r}\n"
+            for k, (t, v) in enumerate(zip(path.times, path.values))]
+    assert buf.getvalue() == "k,t,B\n" + "".join(rows)
+
+
 def test_binary_round_trip():
     path = fbm.sample_fbm_circulant(0.62, 6, seed=91)
     buf = io.BytesIO()
     fbm.write_binary(path, buf)
+    data = buf.getvalue()
+    assert data[24:] == path.values.astype("<f8").tobytes()
     buf.seek(0)
     back = fbm.read_binary(buf)
     assert back.hurst == path.hurst
     assert back.level == path.level
     assert back.seed == path.seed
-    assert np.array_equal(back.values, path.values)
+    assert np.array_equal(back.values.view(np.uint64), path.values.view(np.uint64))
+    assert back.values.flags.writeable and back.values.flags.owndata
 
 
 def test_binary_bad_magic():
@@ -262,6 +327,8 @@ def test_binary_truncated_values_rejected():
     fbm.write_binary(path, buf)
     with pytest.raises(DomainError):
         fbm.read_binary(io.BytesIO(buf.getvalue()[:-8]))
+    with pytest.raises(DomainError, match=r"^truncated FBM1 values: 135 of 136 bytes$"):
+        fbm.read_binary(io.BytesIO(buf.getvalue()[:-1]))
 
 
 def test_binary_every_truncation_rejected():
