@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 
 import numpy as np
@@ -28,8 +29,13 @@ from .constants import (
 )
 from .errors import ConfigError, DomainError, FbmvarError, SeriesDivergenceError
 from .experiments import EXPERIMENT_IDS, ExperimentConfig, run_experiment
-from .hermite_process import simulate_hermite
-from .variations import renormalize, weighted_hermite_variation, weighted_power_variation
+from .hermite_process import _check_request, simulate_hermite
+from .variations import (
+    _check_order,
+    renormalize,
+    weighted_hermite_variation,
+    weighted_power_variation,
+)
 from .weights import parse_weight
 
 
@@ -69,12 +75,19 @@ def _emit(payload: dict, out: str | None, precision: int | None) -> None:
     _write_text(text, out)
 
 
-def _write_text(text: str, out: str | None) -> None:
+@contextmanager
+def _text_out(out: str | None):
+    """The text stream for --out: the named file, or stdout."""
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(out, "w") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _write_text(text: str, out: str | None) -> None:
+    with _text_out(out) as fh:
+        fh.write(text)
 
 
 def build_parser() -> _Parser:
@@ -160,23 +173,20 @@ def build_parser() -> _Parser:
 
 
 def _cmd_sample(args) -> int:
+    if args.format == "bin" and args.out is None:
+        raise FbmvarError("binary output requires --out")
     sampler = (
         fbm.sample_fbm_cholesky if args.sampler == "cholesky" else fbm.sample_fbm_circulant
     )
     path = sampler(args.H, args.n, args.seed, args.stream)
     if args.format == "bin":
-        if args.out is None:
-            raise FbmvarError("binary output requires --out")
         with open(args.out, "wb") as fh:
             fbm.write_binary(path, fh)
         sys.stdout.write(f"wrote {args.out} (seed {args.seed})\n")
         return 0
     if args.format == "csv":
-        import io
-
-        buf = io.StringIO()
-        fbm.write_csv(path, buf)
-        _write_text(buf.getvalue(), args.out)
+        with _text_out(args.out) as fh:
+            fbm.write_csv(path, fh)
         # the CSV schema is fixed (k,t,B), so the seed echo goes to stderr
         sys.stderr.write(f"seed {args.seed} stream {args.stream}\n")
         return 0
@@ -196,8 +206,12 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_variation(args) -> int:
-    path = fbm.sample_fbm_circulant(args.H, args.n, args.seed, args.stream)
+    # every check that needs no path runs before the path is drawn
     f = parse_weight(args.weight)
+    _check_order(args.q)
+    if args.renormalize:
+        classify_regime(args.H, args.q)
+    path = fbm.sample_fbm_circulant(args.H, args.n, args.seed, args.stream)
     if args.power:
         raw = weighted_power_variation(path, f, args.q, centered=args.centered)
     else:
@@ -257,10 +271,14 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_hermite_process(args) -> int:
+    fbm._check_level(args.m)
+    _check_request(args.H, args.q, args.m, args.n_out)
     path = fbm.sample_fbm_circulant(args.H, args.m, args.seed, args.stream)
     z = simulate_hermite(path, args.q, args.n_out)
     if args.export == "csv":
-        _write_text("".join(["j,t,Z\n", *fbm.csv_rows(z.times, z.values)]), args.out)
+        with _text_out(args.out) as fh:
+            fh.write("j,t,Z\n")
+            fh.writelines(fbm.csv_rows(z.times, z.values))
         return 0
     _emit(
         {

@@ -18,9 +18,9 @@ Two exact samplers are provided:
   embedding row is real and symmetric, so its spectrum is real and even
   and the Gaussian spectrum of a path is Hermitian: only the half
   spectrum, frequencies 0 .. 2**n, is built, and the square roots of the
-  2**n + 1 eigenvalues it needs are cached per (H, n) as a read-only
-  array, in a cache bounded by ``EIG_CACHE_BYTES``.  The inverse FFT
-  writes into the block's own normals.  Cost O(n 2**n).
+  2**n + 1 eigenvalues it needs are cached as a read-only array for the
+  last (H, n) only: a run samples one (H, n) at a time.  The inverse FFT
+  always writes into the block's own normals.  Cost O(n 2**n).
 * ``sample_fbm_cholesky`` factorises the dense increment covariance;
   it is O(2**(3n)) and capped at n <= 12, and serves as the independent
   oracle for the circulant sampler in tests.
@@ -44,10 +44,8 @@ from __future__ import annotations
 
 import logging
 import struct
-import threading
-from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 from typing import IO, Iterator
 
 import numpy as np
@@ -61,13 +59,8 @@ EIG_REL_TOL = 1e-9
 CHOLESKY_MAX_LEVEL = 12
 CIRCULANT_MAX_LEVEL = 24
 _EXACT_RHO_MAX_LAG = 64
-# bound on the bytes of cached square-root eigenvalues: 2**n + 1 doubles per
-# (H, n), 32 MiB at n = 22
-EIG_CACHE_BYTES = 64 << 20
 # rows of CSV text built per string
 _CSV_CHUNK_ROWS = 1 << 16
-
-_CacheInfo = namedtuple("_CacheInfo", "hits misses maxbytes currbytes")
 
 _BIN_MAGIC = b"FBM1"
 
@@ -107,6 +100,12 @@ class FbmPath:
 def _check_h(hurst: float) -> None:
     if not 0.0 < hurst < 1.0:
         raise DomainError(f"hurst must be in (0,1), got {hurst}")
+
+
+def _check_level(level: int) -> None:
+    """The circulant sampler's level range."""
+    if not 1 <= level <= CIRCULANT_MAX_LEVEL:
+        raise SizeLimitError(f"level must be in [1, {CIRCULANT_MAX_LEVEL}], got {level}")
 
 
 def fbm_covariance(t: float, s: float, hurst: float) -> float:
@@ -165,63 +164,16 @@ def increment_autocovariance(hurst: float, level: int, lags) -> np.ndarray:
     return cov
 
 
-def _lru_by_bytes(max_bytes: int):
-    """``lru_cache`` for functions of hashable arguments that return arrays,
-    bounded by the arrays' total size instead of their number.
-
-    The least recently used arrays are dropped once the total exceeds
-    `max_bytes`, but the newest one always stays: an array larger than the
-    bound is computed once and kept until the next miss replaces it.
-    ``cache_info()`` and ``cache_clear()`` work as for ``lru_cache``.
-    """
-
-    def decorate(fn):
-        entries: OrderedDict = OrderedDict()
-        lock = threading.Lock()
-        hits = misses = size = 0
-
-        @wraps(fn)
-        def cached(*args):
-            nonlocal hits, misses, size
-            with lock:
-                if args in entries:
-                    hits += 1
-                    entries.move_to_end(args)
-                    return entries[args]
-                misses += 1
-            value = fn(*args)
-            with lock:
-                if args not in entries:
-                    entries[args] = value
-                    size += value.nbytes
-                while size > max_bytes and len(entries) > 1:
-                    size -= entries.popitem(last=False)[1].nbytes
-            return value
-
-        def cache_info() -> _CacheInfo:
-            with lock:
-                return _CacheInfo(hits, misses, max_bytes, size)
-
-        def cache_clear() -> None:
-            nonlocal hits, misses, size
-            with lock:
-                entries.clear()
-                hits = misses = size = 0
-
-        cached.cache_info = cache_info
-        cached.cache_clear = cache_clear
-        return cached
-
-    return decorate
-
-
-@_lru_by_bytes(EIG_CACHE_BYTES)
+@lru_cache(maxsize=1)
 def _circulant_sqrt_eigs(hurst: float, level: int) -> np.ndarray:
     """sqrt of eigenvalues 0 .. 2**n of the length-2**(n+1) embedded circulant.
 
     The embedding row is real and symmetric, so its spectrum is real and
     even: eigenvalue m - k equals eigenvalue k, and the half spectrum from
     one real FFT holds all of them.  The cached array is read-only.
+
+    One entry, at most 32 MiB (n = 22), is kept: a run samples one
+    (H, level) at a time, the replicate engine every block at its top level.
     """
     n_inc = 2**level
     cov = increment_autocovariance(hurst, level, np.arange(n_inc + 1))
@@ -253,10 +205,8 @@ def _circulant_sqrt_eigs(hurst: float, level: int) -> np.ndarray:
     return sq
 
 
-def _increments_from_normals(
-    sq: np.ndarray, z: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Synthesise stationary increments from one row (or matrix) of normals.
+def _increments_from_normals(sq: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Synthesise stationary increments from a (rows, m) matrix of normals.
 
     Draw order for a path at level n (m = 2**(n+1) normals): z[0] feeds
     frequency 0, z[1] feeds frequency m/2, and the pair (z[2k], z[2k+1])
@@ -265,11 +215,9 @@ def _increments_from_normals(
     the sign of the imaginary part keeps them equal to the forward
     transform of the full spectrum, Re FFT(S) / sqrt(m) = sqrt(m) irfft(conj S).
 
-    The inverse FFT is written into `out`, a float64 array of z's 2-d
-    shape, when one is given; it may be z itself, which is read in full
-    before it is written.  The rows returned are views into that array.
+    The inverse FFT is written into z itself, which is read in full before
+    it is written; the rows returned are views into z.
     """
-    z = np.atleast_2d(z)
     b, m = z.shape
     half = m // 2
     weight = sq * np.sqrt(m)
@@ -282,7 +230,7 @@ def _increments_from_normals(
     np.negative(z[:, 3::2], out=spec.imag[:, 1:half])
     spec *= weight
     del weight
-    return np.fft.irfft(spec, n=m, axis=1, out=out)[:, :half]
+    return np.fft.irfft(spec, n=m, axis=1, out=z)[:, :half]
 
 
 def sample_fbm_circulant(
@@ -290,10 +238,7 @@ def sample_fbm_circulant(
 ) -> FbmPath:
     """Exact fBm sample at `level` via circulant embedding of the increments."""
     _check_h(hurst)
-    if not 1 <= level <= CIRCULANT_MAX_LEVEL:
-        raise SizeLimitError(
-            f"level must be in [1, {CIRCULANT_MAX_LEVEL}], got {level}"
-        )
+    _check_level(level)
     inc = sample_increments_circulant(hurst, level, seed, stream_index, 1)[0]
     values = np.empty(inc.size + 1)
     values[0] = 0.0
@@ -314,7 +259,7 @@ def sample_increments_circulant(
     z = np.empty((count, m))
     for i in range(count):
         stream(seed, first_stream + i).standard_normal(out=z[i])
-    return _increments_from_normals(sq, z, out=z)
+    return _increments_from_normals(sq, z)
 
 
 def sample_fbm_cholesky(
@@ -338,17 +283,21 @@ def sample_fbm_cholesky(
     return FbmPath(hurst, level, values, seed, stream_index)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _cholesky_factor(hurst: float, level: int) -> np.ndarray:
+    """Read-only lower Cholesky factor of the level-n increment covariance;
+    one entry is kept, as for the circulant eigenvalues (128 MiB at n = 12)."""
     n_inc = 2**level
     lag = np.abs(np.subtract.outer(np.arange(n_inc), np.arange(n_inc)))
     cov = increment_autocovariance(hurst, level, lag)
     try:
-        return np.linalg.cholesky(cov)
+        chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - should not occur
         raise CirculantEmbeddingError(
             f"increment covariance not positive definite for H={hurst}, n={level}"
         ) from exc
+    chol.flags.writeable = False
+    return chol
 
 
 def coarsen(path: FbmPath, level: int) -> FbmPath:

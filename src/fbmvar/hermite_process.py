@@ -44,18 +44,23 @@ class HermiteApprox:
 def hermite_partial_sums(
     increments: np.ndarray, hurst: float, fine_level: int, q: int, out_level: int
 ) -> np.ndarray:
-    """Z values on the coarse grid from (rows of) fine increments."""
-    inc = np.atleast_2d(increments)
-    scaled = 2.0 ** (fine_level * hurst) * inc
+    """Z values on the coarse grid, one row per row of fine increments."""
+    scaled = 2.0 ** (fine_level * hurst) * increments
     prefactor = 2.0 ** (fine_level * (q * (1.0 - hurst) - 1.0))
     csum = np.cumsum(hermite_eval(q, scaled), axis=1)
     stride = 2 ** (fine_level - out_level)
-    picks = np.arange(stride - 1, inc.shape[1], stride)
-    out = np.zeros((inc.shape[0], 2**out_level + 1))
+    picks = np.arange(stride - 1, increments.shape[1], stride)
+    out = np.zeros((increments.shape[0], 2**out_level + 1))
     out[:, 1:] = prefactor * csum[:, picks]
-    if increments.ndim == 1:
-        return out[0]
     return out
+
+
+def _check_request(hurst: float, q: int, level: int, out_level: int) -> None:
+    """Raise unless Z^(q) can be built from a level-`level` path of Hurst
+    index `hurst` on the grid of `out_level`; needs no path."""
+    require_regime(hurst, q, RegimeCase.NONCENTRAL, "the Hermite process")
+    if not 1 <= out_level <= level:
+        raise DomainError(f"out_level must be in [1, {level}], got {out_level}")
 
 
 def simulate_hermite(path: FbmPath, q: int, out_level: int) -> HermiteApprox:
@@ -64,15 +69,16 @@ def simulate_hermite(path: FbmPath, q: int, out_level: int) -> HermiteApprox:
     Requires the non-central regime H > 1 - 1/(2q) and out_level <= the
     path's level.  Deterministic given the path: same seed, same Z.
     """
-    require_regime(path.hurst, q, RegimeCase.NONCENTRAL, "the Hermite process")
-    if not 1 <= out_level <= path.level:
-        raise DomainError(
-            f"out_level must be in [1, {path.level}], got {out_level}"
-        )
+    _check_request(path.hurst, q, path.level, out_level)
     values = hermite_partial_sums(
-        path.increments, path.hurst, path.level, q, out_level
+        path.increments[None, :], path.hurst, path.level, q, out_level
     )
-    return HermiteApprox(out_level, values)
+    return HermiteApprox(out_level, values[0])
+
+
+def _young_terms(weight: np.ndarray, z_values: np.ndarray) -> np.ndarray:
+    """f(B_(j-1)h) (Z_jh - Z_(j-1)h) along the last axis, f at every point."""
+    return weight[..., :-1] * np.diff(z_values, axis=-1)
 
 
 def young_integral(
@@ -85,7 +91,7 @@ def young_integral(
             f"grid mismatch: {len(coarse_values)} path points vs "
             f"{len(z.values)} Z points"
         )
-    return math.fsum(f(coarse_values[:-1]) * np.diff(z.values))
+    return math.fsum(_young_terms(f(coarse_values), z.values))
 
 
 def young_integral_rows(
@@ -98,4 +104,4 @@ def young_integral_rows(
             f"grid mismatch: weight {weight.shape}, path {coarse_values.shape}, "
             f"Z {z_values.shape}"
         )
-    return np.sum(weight[:, :-1] * np.diff(z_values, axis=1), axis=1)
+    return np.sum(_young_terms(weight, z_values), axis=-1)

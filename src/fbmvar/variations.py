@@ -9,12 +9,12 @@ weighted power variation decomposes exactly through the monomial
 expansion x**q - mu_q = sum_{p>=1} p! C(q,p) mu_{q-p} H_p(x), which the
 tests exercise against ``hermite.monomial_in_hermite``.
 
-Single-path entry points accumulate with ``math.fsum`` (exactly rounded
-compensated summation; the sums mix 2**n terms of both signs).  The
-batched kernels used by the Monte Carlo experiments accumulate with
-numpy's pairwise summation instead, whose error O(eps log(2**n)) is ten
-orders of magnitude below Monte Carlo noise; see the ledger note on this
-trade-off.
+The row functions of the Monte Carlo experiments take a (replicates,
+2^n + 1) path-value matrix and the weight's values at every point of it,
+and sum each statistic's per-increment terms with numpy's pairwise summation
+(error O(eps log(2**n)), ten orders of magnitude below Monte Carlo noise).
+The single-path entry points ``math.fsum`` the same terms (exactly rounded;
+the sums mix 2**n terms of both signs).
 """
 
 from __future__ import annotations
@@ -53,12 +53,29 @@ class DiagnosticSums:
     gamma: float
 
 
-def weighted_hermite_variation(path: FbmPath, f: WeightFunction, q: int) -> float:
-    """V_n^(q)(f) for one path, exactly accumulated."""
+def _check_order(q: int) -> None:
     if q < 1:
         raise DomainError(f"order must be >= 1, got {q}")
-    scaled = 2.0 ** (path.level * path.hurst) * path.increments
-    terms = f(path.values[:-1]) * hermite_eval(q, scaled)
+
+
+def _hermite_terms(values, hurst, level, weight, q) -> np.ndarray:
+    """f(B_(k-1)2^-n) H_q(2^{nH} dB_k2^-n) along the last axis of `values`."""
+    scaled = 2.0 ** (level * hurst) * np.diff(values, axis=-1)
+    return _left_endpoints(weight, values) * hermite_eval(q, scaled)
+
+
+def _power_terms(values, hurst, level, weight, q, centered) -> np.ndarray:
+    """f(B_(k-1)2^-n) [(2^{nH} dB_k2^-n)^q - (centered ? mu_q : 0)], likewise."""
+    powers = (2.0 ** (level * hurst) * np.diff(values, axis=-1)) ** q
+    if centered:
+        powers = powers - gaussian_moment(q)
+    return _left_endpoints(weight, values) * powers
+
+
+def weighted_hermite_variation(path: FbmPath, f: WeightFunction, q: int) -> float:
+    """V_n^(q)(f) for one path, exactly accumulated."""
+    _check_order(q)
+    terms = _hermite_terms(path.values, path.hurst, path.level, f(path.values), q)
     return math.fsum(terms)
 
 
@@ -66,13 +83,9 @@ def weighted_power_variation(
     path: FbmPath, f: WeightFunction, q: int, centered: bool = False
 ) -> float:
     """sum_k f(B_(k-1)2^-n) [ (2^{nH} dB)^q - (centered ? mu_q : 0) ]."""
-    if q < 1:
-        raise DomainError(f"order must be >= 1, got {q}")
-    scaled = 2.0 ** (path.level * path.hurst) * path.increments
-    powers = scaled**q
-    if centered:
-        powers = powers - gaussian_moment(q)
-    return math.fsum(f(path.values[:-1]) * powers)
+    _check_order(q)
+    terms = _power_terms(path.values, path.hurst, path.level, f(path.values), q, centered)
+    return math.fsum(terms)
 
 
 def renormalize(raw_value: float, hurst: float, q: int, level: int) -> VariationStatistic:
@@ -94,8 +107,7 @@ def beta_sums(hurst: float, level: int, q: int) -> dict[int, float]:
     Uses the stationary reduction 2^(-2nrH - r) sum_{k,l} |rho_H(k-l)|^r,
     an O(2^n) computation allowed up to level 24.
     """
-    if q < 1:
-        raise DomainError(f"order must be >= 1, got {q}")
+    _check_order(q)
     if level > BETA_MAX_LEVEL:
         raise SizeLimitError(f"level {level} exceeds beta ceiling {BETA_MAX_LEVEL}")
     n_pts = 2**level
@@ -151,24 +163,17 @@ def _left_endpoints(weight: np.ndarray, values: np.ndarray) -> np.ndarray:
         raise GridAlignmentError(
             f"grid mismatch: weight {weight.shape} vs path {values.shape}"
         )
-    return weight[:, :-1]
+    return weight[..., :-1]
 
 
 def hermite_variation_rows(
-    values: np.ndarray, hurst: float, level: int, f, q: int
+    values: np.ndarray, hurst: float, level: int, weight: np.ndarray, q: int
 ) -> np.ndarray:
-    """V_n^(q)(f) per row of a (replicates, 2^n + 1) path-value matrix.
-
-    f is a WeightFunction, or an array of its values at every point of
-    `values`, as the other row functions take it (the replicate engine
-    evaluates f once per block).
-    """
-    scaled = 2.0 ** (level * hurst) * np.diff(values, axis=1)
-    if isinstance(f, WeightFunction):
-        weight = f(values[:, :-1])
-    else:
-        weight = _left_endpoints(f, values)
-    return np.sum(weight * hermite_eval(q, scaled), axis=1)
+    """V_n^(q)(f) per row of a (replicates, 2^n + 1) path-value matrix;
+    `weight` holds f at every point of `values`."""
+    if isinstance(weight, WeightFunction):  # perfbench/reference.py passes f itself
+        weight = weight(values)
+    return np.sum(_hermite_terms(values, hurst, level, weight, q), axis=-1)
 
 
 def power_variation_rows(
@@ -181,11 +186,7 @@ def power_variation_rows(
 ) -> np.ndarray:
     """Weighted power variation per row; `weight` holds f at every point of
     `values`."""
-    scaled = 2.0 ** (level * hurst) * np.diff(values, axis=1)
-    powers = scaled**q
-    if centered:
-        powers = powers - gaussian_moment(q)
-    return np.sum(_left_endpoints(weight, values) * powers, axis=1)
+    return np.sum(_power_terms(values, hurst, level, weight, q, centered), axis=-1)
 
 
 def riemann_sum_rows(values: np.ndarray, weight: np.ndarray) -> np.ndarray:

@@ -282,8 +282,8 @@ def test_criterion_12_cross_order_independence():
         inc = fbm.sample_increments_circulant(hurst, n, 12, start, count)
         vals = np.zeros((count, 2**n + 1))
         np.cumsum(inc, axis=1, out=vals[:, 1:])
-        v2[start:start + count] = hermite_variation_rows(vals, hurst, n, f, 2)
-        v3[start:start + count] = hermite_variation_rows(vals, hurst, n, f, 3)
+        v2[start:start + count] = hermite_variation_rows(vals, hurst, n, f(vals), 2)
+        v3[start:start + count] = hermite_variation_rows(vals, hurst, n, f(vals), 3)
     corr = float(np.corrcoef(2.0 ** (-n / 2) * v2, 2.0 ** (-n / 2) * v3)[0, 1])
     ok = abs(corr) <= 3.0 / math.sqrt(total)
     assert report(12, ok, f"cross-order independence H=0.5: corr(V2, V3) = "

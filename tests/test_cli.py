@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,6 +284,60 @@ def test_variation_order_below_one_exits_one(capsys):
     assert code == 1
     assert out == ""
     assert "error: order must be >= 1" in err
+
+
+_N22 = ("--H", "0.6", "--n", "22")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("variation", *_N22, "--q", "2", "--weight", "bogus"),
+     "cannot parse weight spec 'bogus'"),
+    (("variation", *_N22, "--q", "2", "--weight", "cos:nan"),
+     "cannot parse weight spec 'cos:nan': parameter 'nan' is not finite"),
+    (("variation", *_N22, "--q", "0"), "order must be >= 1, got 0"),
+    (("variation", *_N22, "--q", "0", "--power"), "order must be >= 1, got 0"),
+    (("variation", *_N22, "--q", "1", "--renormalize"),
+     "order q must be an integer >= 2, got 1"),
+    (("hermite-process", "--q", "2", "--H", "0.6", "--m", "22", "--n-out", "4"),
+     "the Hermite process needs H > 1 - 1/(2q) = 0.75, got H=0.6, q=2"),
+    (("hermite-process", "--q", "2", "--H", "0.9", "--m", "22", "--n-out", "23"),
+     "out_level must be in [1, 22], got 23"),
+    (("hermite-process", "--q", "2", "--H", "0.9", "--m", "22", "--n-out", "0"),
+     "out_level must be in [1, 22], got 0"),
+    (("hermite-process", "--q", "2", "--H", "0.9", "--m", "0", "--n-out", "1"),
+     "level must be in [1, 24], got 0"),
+    (("sample", *_N22, "--format", "bin"), "binary output requires --out"),
+    (("sample", *_N22, "--format", "bin", "--sampler", "cholesky"),
+     "binary output requires --out"),
+])
+def test_bad_request_exits_before_sampling(capsys, monkeypatch, argv, message):
+    def no_path(*args):
+        raise AssertionError("a path was sampled for a request that needs none")
+
+    monkeypatch.setattr(fbm, "sample_fbm_circulant", no_path)
+    monkeypatch.setattr(fbm, "sample_fbm_cholesky", no_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_runtime_imports_numpy_only(tmp_path):
+    # numpy is the only runtime dependency: importing the package and running
+    # an experiment on two workers loads no other top-level module outside
+    # the standard library, beyond what a bare interpreter here loads itself
+    # (__mp_main__ is multiprocessing's alias of __main__, not a module)
+    top = ("import sys; print(' '.join(sorted({m.split('.')[0] for m in sys.modules"
+           " if not m.startswith('__')} - set(sys.stdlib_module_names))))")
+    run = ("import fbmvar; from fbmvar.cli import main; main(['experiment', '--id', "
+           "'clt', '--H', '0.6', '--q', '2', '--levels', '12', '--replicates', '128', "
+           f"'--threads', '2', '--out', {str(tmp_path / 'r.json')!r}]); ")
+    env = {**os.environ, "PYTHONPATH": str(Path(fbm.__file__).parents[1])}
+
+    def modules(code):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120, check=True)
+        return set(proc.stdout.split())
+
+    assert modules(run + top) - modules(top) == {"fbmvar", "numpy"}
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "x"])

@@ -336,7 +336,7 @@ class TestSmallH:
         # on its limit, replicate by replicate, can (slope 1 when they match)
         def pair(cfg, w, v, m, n):
             q, hurst = cfg.order, cfg.hurst
-            variation = hermite_variation_rows(v, hurst, n, w.f, q)
+            variation = hermite_variation_rows(v, hurst, n, w(), q)
             stat = renorm_factor(hurst, q, n) * variation
             return {"stat": stat, "limit": experiments._hermite_drift(w, v, q)}
 

@@ -85,49 +85,36 @@ def test_synthesis_matches_dense_complex_fft(hurst, level):
     assert sq.shape == (2**level + 1,)
     m = 2 ** (level + 1)
     z = np.stack([stream(3, i).standard_normal(m) for i in range(4)])
-    inc = fbm._increments_from_normals(sq, z)
+    inc = fbm._increments_from_normals(sq, z.copy())
     oracle = _dense_complex_synthesis(sq, z)
     assert inc.shape == oracle.shape == (4, m // 2)
     assert np.max(np.abs(inc - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
 
-def test_synthesis_leaves_callers_normals_unchanged():
+def test_synthesis_writes_into_the_normals():
     sq = fbm._circulant_sqrt_eigs(0.7, 10)
     z = np.stack([stream(4, i).standard_normal(2**11) for i in range(3)])
-    before = z.copy()
     inc = fbm._increments_from_normals(sq, z)
-    assert np.array_equal(z.view(np.uint64), before.view(np.uint64))
-    # written into the normals themselves, the increments keep their bits
-    in_place = fbm._increments_from_normals(sq, z, out=z)
-    assert np.array_equal(in_place.view(np.uint64), inc.view(np.uint64))
+    assert inc.shape == (3, 2**10)
+    assert np.shares_memory(inc, z)
 
 
-def test_eigenvalue_cache_bounded_by_bytes():
-    calls = []
-
-    @fbm._lru_by_bytes(3 * 80)
-    def block(key, size):
-        calls.append(key)
-        return np.zeros(size)  # 8 * size bytes
-
-    for key in "abc":
-        block(key, 10)
-    block("a", 10)  # hit: "a" becomes the most recent entry
-    block("d", 10)  # 320 bytes: evicts "b", the least recently used
-    assert block.cache_info()[:2] == (1, 4)
-    assert block.cache_info().currbytes == 240
-    block("a", 10)
-    block("b", 10)
-    assert calls == ["a", "b", "c", "d", "b"]
-    block("big", 100)  # larger than the bound: kept alone until the next miss
-    assert block.cache_info().currbytes == 800
-    block("big", 100)
-    assert calls[-1] == "big" and len(calls) == 6
-    block.cache_clear()
-    assert tuple(block.cache_info()) == (0, 0, 240, 0)
+def test_eigenvalue_cache_holds_the_one_key_a_run_samples():
+    # every block of a report samples its top level, so one entry serves
+    # the whole run: one miss, then a hit per further block
+    cfg = experiments.ExperimentConfig("clt", hurst=0.6, order=2, levels=(8, 10),
+                                       replicates=300, master_seed=4)
+    blocks = -(-cfg.replicates // experiments._block_rows(max(cfg.levels)))
+    assert blocks == 3
+    fbm._circulant_sqrt_eigs.cache_clear()
+    experiments.run_experiment(cfg)
     info = fbm._circulant_sqrt_eigs.cache_info()
-    assert info.maxbytes == fbm.EIG_CACHE_BYTES
-    assert info.currbytes <= fbm.EIG_CACHE_BYTES
+    assert (info.misses, info.hits, info.currsize) == (1, blocks - 1, 1)
+    # a second key evicts the first
+    fbm._circulant_sqrt_eigs(0.7, 8)
+    fbm._circulant_sqrt_eigs(0.6, 10)
+    info = fbm._circulant_sqrt_eigs.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, blocks - 1, 1)
 
 
 def test_circulant_sampler_peak_allocation():
@@ -149,6 +136,10 @@ def test_circulant_eigenvalues_read_only():
     with pytest.raises(ValueError):
         sq[0] = 1.0
     assert fbm._circulant_sqrt_eigs(0.6, 8) is sq
+    chol = fbm._cholesky_factor(0.6, 5)
+    with pytest.raises(ValueError):
+        chol[0, 0] = 1.0
+    assert fbm._cholesky_factor(0.6, 5) is chol
 
 
 @pytest.mark.parametrize("count", [1, 37, 128])

@@ -142,7 +142,8 @@ class TestHermiteVariation:
 
     def test_batch_rows_match_single(self):
         path = fbm.sample_fbm_circulant(0.6, 8, seed=19)
-        rows = V.hermite_variation_rows(path.values[None, :], 0.6, 8, Cosine(1.0), 3)
+        vals = path.values[None, :]
+        rows = V.hermite_variation_rows(vals, 0.6, 8, Cosine(1.0)(vals), 3)
         single = V.weighted_hermite_variation(path, Cosine(1.0), 3)
         assert rows[0] == pytest.approx(single, rel=1e-12)
 
@@ -186,7 +187,7 @@ class TestSecondMoments:
         inc = fbm.sample_increments_circulant(hurst, n, 3, 0, reps)
         vals = np.zeros((reps, 2**n + 1))
         np.cumsum(inc, axis=1, out=vals[:, 1:])
-        v = V.hermite_variation_rows(vals, hurst, n, ONE, q)
+        v = V.hermite_variation_rows(vals, hurst, n, ONE(vals), q)
         exact = V.unweighted_second_moment(hurst, q, n)
         se = np.std(v**2) / math.sqrt(reps)
         assert abs(np.mean(v**2) - exact) < 3 * se
