@@ -158,7 +158,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int)
     p.add_argument("--fine-offset", type=int)
     p.add_argument("--threads", type=int,
-                   help="worker processes (default FBMVAR_THREADS or 1)")
+                   help="worker threads (default FBMVAR_THREADS or 1)")
     p.add_argument("--out", help="report JSON file (default stdout)")
     p.add_argument("--csv", help="also write per-level statistics CSV")
     p.add_argument("--plot-data", help="also write plot-ready TSV (n, stat, yerr)")

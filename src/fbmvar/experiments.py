@@ -9,10 +9,10 @@ used where the underlying convergence is in L2; distributional checks
 (variance, KS, conditional-variance regression) where it is in law.
 
 One engine (``_collect``) owns sampling, coarsening, blocking and the
-worker pool; runners only reduce.  Each replicate draws one path, at the
-finest level the run needs: max(levels), plus fine_offset for a ``fine``
-kernel.  A runner passes a kernel, a module-level (picklable) function
-mapping (cfg, w, v, m, n) to named per-replicate arrays for level n,
+worker threads; runners only reduce.  Each replicate draws one path, at
+the finest level the run needs: max(levels), plus fine_offset for a
+``fine`` kernel.  A runner passes a kernel, any callable mapping
+(cfg, w, v, m, n) to named per-replicate arrays for level n,
 where v is one block of that path restricted to level m = n (m = n +
 fine_offset for a fine kernel) and w(order) is f^(order) at every point
 of v, evaluated once per block on the finest grid.  The restriction of
@@ -45,6 +45,7 @@ import json
 import math
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from types import MappingProxyType
@@ -315,15 +316,16 @@ def _collect(
         (start, min(size, cfg.replicates - start))
         for start in range(0, cfg.replicates, size)
     ]
-    if cfg.threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        args = zip(*((cfg, kernel, fine, s, c) for s, c in blocks))
-        workers = min(cfg.threads, len(blocks), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(_replicate_block, *args))
+    workers = min(cfg.threads, len(blocks), os.cpu_count() or 1)
+    block = partial(_replicate_block, cfg, kernel, fine)
+    if workers == 1:
+        # not a pool thread, which allocates from its own glibc arena (+7-8% peak RSS)
+        parts = [block(s, c) for s, c in blocks]
     else:
-        parts = [_replicate_block(cfg, kernel, fine, s, c) for s, c in blocks]
+        # lru_cache does not lock a miss, so build the spectrum once up front
+        fbm._circulant_sqrt_eigs(cfg.hurst, fine_level)
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            parts = list(ex.map(lambda sc: block(*sc), blocks))
     return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
 
 

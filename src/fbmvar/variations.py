@@ -30,7 +30,6 @@ from .fbm import FbmPath, rho
 from .hermite import gaussian_moment, hermite_eval
 from .weights import WeightFunction
 
-ALPHA_GAMMA_MAX_LEVEL = 14
 BETA_MAX_LEVEL = 24
 
 
@@ -122,36 +121,31 @@ def beta_sums(hurst: float, level: int, q: int) -> dict[int, float]:
 
 
 def diagnostic_sums(hurst: float, level: int, q: int) -> DiagnosticSums:
-    """Deterministic proof diagnostics at (H, n).
+    """Deterministic proof diagnostics at (H, n), in O(2^n) up to level 24.
 
-    alpha_n and gamma_n run over the full O(4^n) grid of inner products
-    <eps_(k-1)2^-n, delta_l2^-n> = E[B_(k-1)2^-n dB_l2^-n], which caps the
-    level at 14; the beta_{r,n} come from ``beta_sums`` (stationary O(2^n)
-    reduction, available on its own up to level 24).
+    With N = 2^n and g(d) = |d|^2H - |d-1|^2H, the grid of inner products
+    <eps_(k-1)2^-n, delta_l2^-n> = E[B_(k-1)2^-n dB_l2^-n] is 2^(-2Hn-1)
+    (g(l) - g(l-k+1)).  As g(1) = 1, g(d) - g(d-1) = rho_H(d-1), g(d) =
+    -g(1-d), and g is positive and monotone on d >= 1, each row l sums and
+    maximises in closed form:
+
+        gamma_n ~ sum_l |sum_(j<l) j rho_H(j)| + 2 sum_l (N-l) g(l)
+        alpha_n ~ max_l max(|g(l) - 1|, g(l) + max(1, g(N-l)) if l < N)
+
+    with g(d) = -d^2H expm1(2H log1p(-1/d)), free of cancellation.  The low
+    bits of alpha_n and gamma_n differ from a sum over the full grid (about
+    1e-13 relative at n <= 12); the beta_{r,n} come from ``beta_sums``.
     """
-    if level > ALPHA_GAMMA_MAX_LEVEL:
-        raise SizeLimitError(
-            f"level {level} exceeds alpha/gamma ceiling {ALPHA_GAMMA_MAX_LEVEL}; "
-            "use beta_sums for the stationary diagnostics up to level "
-            f"{BETA_MAX_LEVEL}"
-        )
     beta = beta_sums(hurst, level, q)
     n_pts = 2**level
-    # <eps_u, delta_l> = 2^(-2Hn-1) (l^2H - (l-1)^2H - |l-u|^2H + |l-u-1|^2H), u = k-1
-    h2 = 2.0 * hurst
-    pows = np.arange(n_pts + 1, dtype=float) ** h2  # |j|^2H for j = 0..N
-    l_col = np.arange(1, n_pts + 1)
-    base = pows[l_col] - pows[l_col - 1]
-    alpha = 0.0
-    gamma = 0.0
-    chunk = max(1, (1 << 22) // n_pts)
-    for lo in range(0, n_pts, chunk):
-        u = np.arange(lo, min(lo + chunk, n_pts))
-        d = l_col[None, :] - u[:, None]  # l - u in [1-N+1, N]
-        inner = base[None, :] - pows[np.abs(d)] + pows[np.abs(d - 1)]
-        np.abs(inner, out=inner)
-        alpha = max(alpha, float(inner.max()))
-        gamma += float(inner.sum())
+    a = 2.0 * hurst
+    d = np.arange(1, n_pts + 1, dtype=float)  # l = 1..N, and j = 1..N-1
+    g = np.ones(n_pts)
+    g[1:] = -np.expm1(a * np.log1p(-1.0 / d[1:])) * d[1:] ** a
+    moment = np.cumsum(rho(d[:-1], hurst) * d[:-1])  # one sign: no cancellation
+    gamma = float(np.sum(np.abs(moment))) + 2.0 * float(np.dot(n_pts - d, g))
+    pairs = g[:-1] + np.maximum(g[-2::-1], 1.0)
+    alpha = max(float(np.max(np.abs(g - 1.0))), float(np.max(pairs, initial=0.0)))
     scale = 2.0 ** (-2.0 * hurst * level - 1.0)
     return DiagnosticSums(
         level=level, alpha=scale * alpha, beta=beta, gamma=scale * gamma

@@ -322,22 +322,26 @@ def test_bad_request_exits_before_sampling(capsys, monkeypatch, argv, message):
 
 def test_runtime_imports_numpy_only(tmp_path):
     # numpy is the only runtime dependency: importing the package and running
-    # an experiment on two workers loads no other top-level module outside
-    # the standard library, beyond what a bare interpreter here loads itself
-    # (__mp_main__ is multiprocessing's alias of __main__, not a module)
+    # an experiment on two worker threads loads no other top-level module
+    # outside the standard library, beyond what an interpreter that imports
+    # numpy and draws one Philox normal loads itself; and it starts no
+    # child process
     top = ("import sys; print(' '.join(sorted({m.split('.')[0] for m in sys.modules"
            " if not m.startswith('__')} - set(sys.stdlib_module_names))))")
+    draw = "import numpy as np; np.random.Generator(np.random.Philox(0)).standard_normal(); "
     run = ("import fbmvar; from fbmvar.cli import main; main(['experiment', '--id', "
            "'clt', '--H', '0.6', '--q', '2', '--levels', '12', '--replicates', '128', "
-           f"'--threads', '2', '--out', {str(tmp_path / 'r.json')!r}]); ")
+           f"'--threads', '2', '--out', {str(tmp_path / 'r.json')!r}]); "
+           "assert 'multiprocessing' not in sys.modules; ")
     env = {**os.environ, "PYTHONPATH": str(Path(fbm.__file__).parents[1])}
 
     def modules(code):
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env, timeout=120, check=True)
+        proc = subprocess.run([sys.executable, "-c", "import sys; " + code],
+                              capture_output=True, text=True, env=env, timeout=120,
+                              check=True)
         return set(proc.stdout.split())
 
-    assert modules(run + top) - modules(top) == {"fbmvar", "numpy"}
+    assert modules(run + top) - modules(draw + top) == {"fbmvar"}
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "x"])

@@ -1,8 +1,8 @@
-import concurrent.futures
 import dataclasses
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -253,7 +253,8 @@ class TestEngine:
         assert rows == [128, 64, 32, 16, 8, 4, 2, 16, 8, 4, 2, 1, 1]
 
     def test_workers_capped_at_cpu_count(self, monkeypatch):
-        # a serial stand-in records the pool size, so no large pool starts
+        # a serial stand-in records the pool size, so no large pool starts;
+        # a run left with one worker builds no pool at all
         sizes = []
 
         class SerialPool:
@@ -269,13 +270,45 @@ class TestEngine:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", SerialPool)
         serial = run_noncentral(self.nc_cfg()).to_json()
+        assert sizes == []
         blocks = -(-300 // experiments._block_rows(13))
-        for cpus, workers in ((2, 2), (None, 1), (1000, blocks)):
+        for cpus, workers in ((2, [2]), (None, []), (1000, [blocks])):
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             assert run_noncentral(self.nc_cfg(threads=64)).to_json() == serial
-            assert sizes.pop() == workers
+            assert sizes == workers
+            sizes.clear()
+
+    def test_threads_run_any_callable_kernel(self):
+        # a local lambda is no module-level function; worker threads take it
+        cfg = self.nc_cfg(threads=2)
+        assert -(-cfg.replicates // experiments._block_rows(13)) > 1
+
+        def collect(threads):
+            c = dataclasses.replace(cfg, threads=threads)
+            return experiments._collect(c, lambda cfg, w, v, m, n: {f"x_{n}": v[:, -1]},
+                                        fine=True)
+
+        serial, threaded = collect(1), collect(2)
+        assert serial.keys() == threaded.keys() == {"x_5", "x_6", "x_7"}
+        for key in serial:
+            assert np.array_equal(serial[key], threaded[key])
+
+    def test_threads_build_the_spectrum_once(self, monkeypatch):
+        # more threads than cores, switching often: a cold spectrum cache is
+        # filled once, before the fan-out, and every block reads that entry
+        serial = run_noncentral(self.nc_cfg()).to_json()
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        fbm._circulant_sqrt_eigs.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert run_noncentral(self.nc_cfg(threads=8)).to_json() == serial
+        finally:
+            sys.setswitchinterval(interval)
+        info = fbm._circulant_sqrt_eigs.cache_info()
+        assert (info.misses, info.hits) == (1, -(-300 // experiments._block_rows(13)))
 
     def test_fine_levels_are_restrictions_of_the_finest_path(self):
         cfg = self.nc_cfg(replicates=100, fine_offset=3)

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -226,6 +227,27 @@ class TestDiagnostics:
         assert d.alpha == pytest.approx(alpha, rel=1e-10)
         assert d.gamma == pytest.approx(gamma, rel=1e-10)
 
+    @pytest.mark.parametrize("hurst", [0.4999999, 0.5000001, 0.999, 0.9999999])
+    def test_alpha_gamma_against_40_digit_grid(self, hurst):
+        # the full grid of inner products in 40-digit decimal, where the
+        # closed forms meet the cancellations of H near 1/2 and near 1
+        n = 5
+        grid = 2**n
+        with localcontext() as ctx:
+            ctx.prec = 40
+            a = Decimal(2.0 * hurst)
+            pows = [Decimal(j) ** a for j in range(grid + 1)]
+            cells = [
+                abs(pows[el] - pows[el - 1] - pows[abs(el - u)] + pows[abs(el - u - 1)])
+                for u in range(grid)
+                for el in range(1, grid + 1)
+            ]
+            scale = Decimal(2) ** (-a * n - 1)
+            alpha, gamma = float(scale * max(cells)), float(scale * sum(cells))
+        d = V.diagnostic_sums(hurst, n, 2)
+        assert d.alpha == pytest.approx(alpha, rel=1e-13)
+        assert d.gamma == pytest.approx(gamma, rel=1e-13)
+
     def test_beta_scaling_subcritical(self):
         # beta_{2,n+1} / beta_{2,n} -> 2^(1-4H) for H = 0.3
         hurst = 0.3
@@ -249,7 +271,7 @@ class TestDiagnostics:
 
     def test_level_caps(self):
         with pytest.raises(SizeLimitError):
-            V.diagnostic_sums(0.5, 15, 2)
+            V.diagnostic_sums(0.5, 25, 2)
         with pytest.raises(SizeLimitError):
             V.beta_sums(0.5, 25, 2)
         assert V.beta_sums(0.75, 16, 2)[2] > 0  # stationary path goes higher
