@@ -82,6 +82,7 @@ from .variations import (
     hermite_variation_rows,
     power_variation_rows,
     riemann_sum_rows,
+    scaled_hermite,
     unweighted_second_moment,
     centered_power_second_moment,
 )
@@ -388,14 +389,17 @@ def _young_kernel(cfg, w, v, m, n, power=False):
     V_n^(q) (noncentral), of order 2 and scaled by 2 mu_{q-2} C(q,2) for
     the centred power variation (corollary item 6)."""
     q, hurst = cfg.order, cfg.hurst
+    order = 2 if power else q
+    terms = scaled_hermite(np.diff(v, axis=1), hurst, m, order)
     if power:
         pv = power_variation_rows(v, hurst, m, w(), q, centered=True)
         stat = 2.0 ** (m - 2.0 * hurst * m) * pv
-        const, order = 2.0 * gaussian_moment(q - 2) * math.comb(q, 2), 2
+        const = 2.0 * gaussian_moment(q - 2) * math.comb(q, 2)
     else:
-        stat = renorm_factor(hurst, q, m) * hermite_variation_rows(v, hurst, m, w(), q)
-        const, order = 1.0, q
-    z_vals = hermite_partial_sums(np.diff(v, axis=1), hurst, m, order, n)
+        # the one H_q pass of the level feeds both V_m^(q)(f) and Z
+        stat = renorm_factor(hurst, q, m) * np.sum(w()[:, :-1] * terms, axis=1)
+        const = 1.0
+    z_vals = hermite_partial_sums(terms, hurst, m, order, n)
     coarse = 2 ** (m - n)
     limit = const * young_integral_rows(w()[:, ::coarse], v[:, ::coarse], z_vals)
     return {f"diff_sq_{n}": (stat - limit) ** 2, f"v_sq_{n}": stat**2}

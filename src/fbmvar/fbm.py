@@ -223,11 +223,10 @@ def _increments_from_normals(sq: np.ndarray, z: np.ndarray) -> np.ndarray:
     weight = sq * np.sqrt(m)
     weight[1:half] /= np.sqrt(2.0)
     spec = np.empty((b, half + 1), dtype=complex)
-    spec.real[:, 0] = z[:, 0]
-    spec.real[:, half] = z[:, 1]
-    spec.real[:, 1:half] = z[:, 2::2]
-    spec.imag[:, 0] = spec.imag[:, half] = 0.0
-    np.negative(z[:, 3::2], out=spec.imag[:, 1:half])
+    # the pairs (z[2k], z[2k+1]) read as complex numbers, conjugated in one pass
+    np.conjugate(z[:, 2:].view(complex), out=spec[:, 1:half])
+    spec[:, 0] = z[:, 0]
+    spec[:, half] = z[:, 1]
     spec *= weight
     del weight
     return np.fft.irfft(spec, n=m, axis=1, out=z)[:, :half]

@@ -25,7 +25,7 @@ import numpy as np
 from .constants import RegimeCase, require_regime
 from .errors import DomainError, GridAlignmentError
 from .fbm import FbmPath
-from .hermite import hermite_eval
+from .variations import scaled_hermite
 from .weights import WeightFunction
 
 
@@ -41,17 +41,28 @@ class HermiteApprox:
         return np.arange(2**self.out_level + 1) * 2.0**-self.out_level
 
 
+def _check_out_level(level: int, out_level: int) -> None:
+    if not 1 <= out_level <= level:
+        raise DomainError(f"out_level must be in [1, {level}], got {out_level}")
+
+
 def hermite_partial_sums(
-    increments: np.ndarray, hurst: float, fine_level: int, q: int, out_level: int
+    terms: np.ndarray, hurst: float, fine_level: int, q: int, out_level: int
 ) -> np.ndarray:
-    """Z values on the coarse grid, one row per row of fine increments."""
-    scaled = 2.0 ** (fine_level * hurst) * increments
+    """Z values on the coarse grid along the last axis of `terms`: the
+    H_q(2^{mH} dB) of a path at level m = fine_level, as
+    ``variations.scaled_hermite`` forms them, not its increments."""
+    if terms.shape[-1] != 2**fine_level:
+        raise GridAlignmentError(
+            f"grid mismatch: {terms.shape[-1]} H_q terms per path vs "
+            f"2^{fine_level} increments at fine level {fine_level}"
+        )
+    _check_out_level(fine_level, out_level)
     prefactor = 2.0 ** (fine_level * (q * (1.0 - hurst) - 1.0))
-    csum = np.cumsum(hermite_eval(q, scaled), axis=1)
+    csum = np.cumsum(terms, axis=-1)
     stride = 2 ** (fine_level - out_level)
-    picks = np.arange(stride - 1, increments.shape[1], stride)
-    out = np.zeros((increments.shape[0], 2**out_level + 1))
-    out[:, 1:] = prefactor * csum[:, picks]
+    out = np.zeros(terms.shape[:-1] + (2**out_level + 1,))
+    out[..., 1:] = prefactor * csum[..., stride - 1 :: stride]
     return out
 
 
@@ -59,8 +70,7 @@ def _check_request(hurst: float, q: int, level: int, out_level: int) -> None:
     """Raise unless Z^(q) can be built from a level-`level` path of Hurst
     index `hurst` on the grid of `out_level`; needs no path."""
     require_regime(hurst, q, RegimeCase.NONCENTRAL, "the Hermite process")
-    if not 1 <= out_level <= level:
-        raise DomainError(f"out_level must be in [1, {level}], got {out_level}")
+    _check_out_level(level, out_level)
 
 
 def simulate_hermite(path: FbmPath, q: int, out_level: int) -> HermiteApprox:
@@ -70,10 +80,10 @@ def simulate_hermite(path: FbmPath, q: int, out_level: int) -> HermiteApprox:
     path's level.  Deterministic given the path: same seed, same Z.
     """
     _check_request(path.hurst, q, path.level, out_level)
-    values = hermite_partial_sums(
-        path.increments[None, :], path.hurst, path.level, q, out_level
+    terms = scaled_hermite(path.increments, path.hurst, path.level, q)
+    return HermiteApprox(
+        out_level, hermite_partial_sums(terms, path.hurst, path.level, q, out_level)
     )
-    return HermiteApprox(out_level, values[0])
 
 
 def _young_terms(weight: np.ndarray, z_values: np.ndarray) -> np.ndarray:

@@ -57,10 +57,18 @@ def _check_order(q: int) -> None:
         raise DomainError(f"order must be >= 1, got {q}")
 
 
+def scaled_hermite(increments, hurst, level, q) -> np.ndarray:
+    """H_q(2^{nH} dB_k2^-n) for every level-n increment dB_k2^-n in
+    `increments`: the terms of V_n^(q)(1), and the steps of the Hermite
+    process approximation Z_n before its prefactor."""
+    return hermite_eval(q, 2.0 ** (level * hurst) * increments)
+
+
 def _hermite_terms(values, hurst, level, weight, q) -> np.ndarray:
     """f(B_(k-1)2^-n) H_q(2^{nH} dB_k2^-n) along the last axis of `values`."""
-    scaled = 2.0 ** (level * hurst) * np.diff(values, axis=-1)
-    return _left_endpoints(weight, values) * hermite_eval(q, scaled)
+    return _left_endpoints(weight, values) * scaled_hermite(
+        np.diff(values, axis=-1), hurst, level, q
+    )
 
 
 def _power_terms(values, hurst, level, weight, q, centered) -> np.ndarray:
@@ -110,14 +118,17 @@ def beta_sums(hurst: float, level: int, q: int) -> dict[int, float]:
     if level > BETA_MAX_LEVEL:
         raise SizeLimitError(f"level {level} exceeds beta ceiling {BETA_MAX_LEVEL}")
     n_pts = 2**level
-    lags = np.arange(n_pts)
-    abs_rho = np.abs(rho(lags, hurst))
+    abs_rho = rho(np.arange(n_pts, dtype=float), hurst)
+    np.abs(abs_rho, out=abs_rho)
     # sum over k,l of |rho(k-l)|^r = sum over lags j of (N - |j|) |rho(j)|^r
-    weights = np.concatenate(([float(n_pts)], 2.0 * (n_pts - lags[1:])))
-    return {
-        r: 2.0 ** (-2.0 * level * r * hurst - r) * float(np.dot(weights, abs_rho**r))
-        for r in range(1, q + 1)
-    }
+    weights = np.arange(n_pts, 0, -1, dtype=float)
+    weights[1:] *= 2.0
+    power = np.empty_like(abs_rho)
+    out = {}
+    for r in range(1, q + 1):
+        np.power(abs_rho, r, out=power)
+        out[r] = 2.0 ** (-2.0 * level * r * hurst - r) * float(np.dot(weights, power))
+    return out
 
 
 def diagnostic_sums(hurst: float, level: int, q: int) -> DiagnosticSums:

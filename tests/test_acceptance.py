@@ -28,7 +28,7 @@ from fbmvar.experiments import (
 from fbmvar.hermite_process import hermite_partial_sums
 from fbmvar.constants import hermite_process_variance_const
 from fbmvar.stats import ks_2samp, least_squares_slope
-from fbmvar.variations import hermite_variation_rows
+from fbmvar.variations import hermite_variation_rows, scaled_hermite
 from fbmvar.weights import parse_weight
 
 pytestmark = pytest.mark.acceptance
@@ -205,7 +205,7 @@ def test_criterion_08_hermite_process_law():
     for start in range(0, total, 64):
         count = min(64, total - start)
         inc = fbm.sample_increments_circulant(hurst, m, 8, start, count)
-        z = hermite_partial_sums(inc, hurst, m, q, 1)
+        z = hermite_partial_sums(scaled_hermite(inc, hurst, m, q), hurst, m, q, 1)
         zh[start:start + count] = z[:, 1]
         z1[start:start + count] = z[:, 2]
     target = math.factorial(q) * hermite_process_variance_const(q, hurst)

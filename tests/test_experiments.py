@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from fbmvar import experiments, fbm
+from fbmvar import experiments, fbm, hermite_process, variations
 from fbmvar.constants import (
     RegimeCase,
     classify_regime,
@@ -27,9 +27,11 @@ from fbmvar.experiments import (
     run_trapezoid,
     variance_order_audit,
 )
-from fbmvar.hermite_process import simulate_hermite
+from fbmvar.hermite import hermite_eval
+from fbmvar.hermite_process import simulate_hermite, young_integral_rows
 from fbmvar.stats import through_origin_slope
 from fbmvar.variations import hermite_variation_rows
+from fbmvar.weights import parse_weight
 
 
 def small_cfg(**kw):
@@ -438,6 +440,43 @@ class TestNoncentral:
         assert rep.verdict == "PASS"
         rels = [e["stat"] for e in rep.levels]
         assert rels[-1] < 0.15
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("weight", ["one", "cos:1.0", "exp:0.5", "poly:0.5,-1,0.25"])
+    def test_young_kernel_equals_two_hq_passes(self, q, weight):
+        # the kernel evaluates H_q once per level; its bits are those of the
+        # variation rows and of partial sums that evaluate H_q a second time
+        hurst = 0.9
+        cfg = ExperimentConfig("noncentral", hurst=hurst, order=q, weight=weight)
+        for m, n in ((7, 4), (9, 9), (10, 1)):
+            v = experiments._values_block(hurst, m, 12, 0, 3)
+            w = experiments._GridWeight(parse_weight(weight), v, {}, 1)
+            got = experiments._young_kernel(cfg, w, v, m, n)
+            stat = renorm_factor(hurst, q, m) * hermite_variation_rows(v, hurst, m, w(), q)
+            hq = hermite_eval(q, 2.0 ** (m * hurst) * np.diff(v, axis=1))
+            stride = 2 ** (m - n)
+            z = np.zeros((3, 2**n + 1))
+            z[:, 1:] = (2.0 ** (m * (q * (1.0 - hurst) - 1.0))
+                        * np.cumsum(hq, axis=1)[:, stride - 1 :: stride])
+            limit = young_integral_rows(w()[:, ::stride], v[:, ::stride], z)
+            assert got[f"diff_sq_{n}"].tobytes() == ((stat - limit) ** 2).tobytes()
+            assert got[f"v_sq_{n}"].tobytes() == (stat**2).tobytes()
+
+    def test_one_hq_pass_per_level_per_block(self, monkeypatch):
+        calls = []
+
+        def counting(q, x):
+            calls.append(q)
+            return hermite_eval(q, x)
+
+        for module in (variations, hermite_process):
+            monkeypatch.setattr(module, "hermite_eval", counting, raising=False)
+        cfg = ExperimentConfig("noncentral", hurst=0.9, order=2, weight="cos:1.0",
+                               levels=(5, 6, 7), replicates=300, master_seed=4,
+                               fine_offset=6)
+        run_noncentral(cfg)
+        blocks = -(-300 // experiments._block_rows(13))
+        assert len(calls) == 3 * blocks
 
 
 class TestCorollary:

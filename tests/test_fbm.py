@@ -91,6 +91,32 @@ def test_synthesis_matches_dense_complex_fft(hurst, level):
     assert np.max(np.abs(inc - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
 
+def _strided_half_spectrum_synthesis(sq, z):
+    """Oracle: the half spectrum filled by strided copies of the real and
+    imaginary parts and a strided negate, then the same real inverse FFT."""
+    b, m = z.shape
+    half = m // 2
+    weight = sq * np.sqrt(m)
+    weight[1:half] /= np.sqrt(2.0)
+    spec = np.empty((b, half + 1), dtype=complex)
+    spec.real[:, 0] = z[:, 0]
+    spec.real[:, half] = z[:, 1]
+    spec.real[:, 1:half] = z[:, 2::2]
+    spec.imag[:, 0] = spec.imag[:, half] = 0.0
+    np.negative(z[:, 3::2], out=spec.imag[:, 1:half])
+    spec *= weight
+    return np.fft.irfft(spec, n=m, axis=1)[:, :half]
+
+
+@pytest.mark.parametrize("hurst,level,rows", [(0.6, 1, 5), (0.3, 10, 3), (0.75, 14, 8),
+                                              (0.9, 16, 2)])
+def test_synthesis_equals_the_strided_half_spectrum(hurst, level, rows):
+    sq = fbm._circulant_sqrt_eigs(hurst, level)
+    z = np.stack([stream(5, i).standard_normal(2 ** (level + 1)) for i in range(rows)])
+    oracle = _strided_half_spectrum_synthesis(sq, z)
+    assert fbm._increments_from_normals(sq, z).tobytes() == oracle.tobytes()
+
+
 def test_synthesis_writes_into_the_normals():
     sq = fbm._circulant_sqrt_eigs(0.7, 10)
     z = np.stack([stream(4, i).standard_normal(2**11) for i in range(3)])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fbmvar import fbm
+from fbmvar import fbm, hermite
 from fbmvar.constants import hermite_process_variance_const
 from fbmvar.errors import DomainError, GridAlignmentError, RegimeError
 from fbmvar.hermite_process import (
@@ -12,7 +12,7 @@ from fbmvar.hermite_process import (
     young_integral,
     young_integral_rows,
 )
-from fbmvar.variations import renormalize, weighted_hermite_variation
+from fbmvar.variations import renormalize, scaled_hermite, weighted_hermite_variation
 from fbmvar.weights import ConstantOne, Cosine, Polynomial
 
 ONE = ConstantOne()
@@ -30,6 +30,39 @@ def test_out_level_contract():
     path = fbm.sample_fbm_circulant(0.9, 6, seed=0)
     with pytest.raises(DomainError):
         simulate_hermite(path, 2, 7)
+
+
+def test_partial_sums_reject_terms_off_the_fine_grid():
+    terms = scaled_hermite(fbm.sample_increments_circulant(0.9, 6, 0, 0, 2), 0.9, 6, 2)
+    with pytest.raises(GridAlignmentError):
+        hermite_partial_sums(terms[:, :-1], 0.9, 6, 2, 3)
+    with pytest.raises(GridAlignmentError):
+        hermite_partial_sums(terms, 0.9, 7, 2, 3)
+
+
+def test_partial_sums_reject_out_level_outside_the_fine_levels():
+    terms = scaled_hermite(fbm.sample_increments_circulant(0.9, 6, 0, 0, 2), 0.9, 6, 2)
+    for out_level in (0, 7):
+        with pytest.raises(DomainError, match=r"out_level must be in \[1, 6\]"):
+            hermite_partial_sums(terms, 0.9, 6, 2, out_level)
+
+
+def partial_sums_oracle(values, hurst, m, q, n):
+    """Z from a path's values by the definition: H_q of 2^{mH} dB, summed,
+    every 2^(m-n)-th partial sum times 2^{m(q(1-H)-1)}."""
+    hq = hermite.hermite_eval(q, 2.0 ** (m * hurst) * np.diff(values, axis=-1))
+    csum = np.cumsum(hq, axis=-1)
+    stride = 2 ** (m - n)
+    out = np.zeros(values.shape[:-1] + (2**n + 1,))
+    out[..., 1:] = 2.0 ** (m * (q * (1.0 - hurst) - 1.0)) * csum[..., stride - 1 :: stride]
+    return out
+
+
+@pytest.mark.parametrize("hurst,q,m,n", [(0.9, 2, 10, 4), (0.9, 3, 9, 9), (0.95, 4, 8, 1)])
+def test_simulate_hermite_equals_the_definition(hurst, q, m, n):
+    path = fbm.sample_fbm_circulant(hurst, m, seed=6)
+    z = simulate_hermite(path, q, n)
+    assert z.values.tobytes() == partial_sums_oracle(path.values, hurst, m, q, n).tobytes()
 
 
 def test_identity_with_renormalized_variation():
@@ -53,7 +86,7 @@ def test_variance_matches_constant():
     # Var Z(1) ~ q! c_{q,H} at moderate fine level
     hurst, q, m, reps = 0.9, 2, 12, 4000
     inc = fbm.sample_increments_circulant(hurst, m, 8, 0, reps)
-    z = hermite_partial_sums(inc, hurst, m, q, 1)
+    z = hermite_partial_sums(scaled_hermite(inc, hurst, m, q), hurst, m, q, 1)
     var = z[:, -1].var()
     target = math.factorial(q) * hermite_process_variance_const(q, hurst)
     assert abs(var / target - 1.0) < 0.10
@@ -62,7 +95,7 @@ def test_variance_matches_constant():
 def test_self_similarity_ratio():
     hurst, q, m, reps = 0.9, 2, 12, 4000
     inc = fbm.sample_increments_circulant(hurst, m, 9, 0, reps)
-    z = hermite_partial_sums(inc, hurst, m, q, 1)
+    z = hermite_partial_sums(scaled_hermite(inc, hurst, m, q), hurst, m, q, 1)
     ratio = z[:, 1].var() / z[:, -1].var()
     target = 0.5 ** (2 * (q * (hurst - 1) + 1))
     assert abs(ratio / target - 1.0) < 0.10
@@ -75,8 +108,8 @@ def test_stationary_increments_ks():
     hurst, q, m, reps = 0.9, 2, 11, 10_000
     inc_a = fbm.sample_increments_circulant(hurst, m, 21, 0, reps)
     inc_b = fbm.sample_increments_circulant(hurst, m, 22, 0, reps)
-    za = hermite_partial_sums(inc_a, hurst, m, q, 1)
-    zb = hermite_partial_sums(inc_b, hurst, m, q, 1)
+    za = hermite_partial_sums(scaled_hermite(inc_a, hurst, m, q), hurst, m, q, 1)
+    zb = hermite_partial_sums(scaled_hermite(inc_b, hurst, m, q), hurst, m, q, 1)
     _, p = ks_2samp(za[:, -1] - za[:, 1], zb[:, 1])
     assert p > 0.01
 
