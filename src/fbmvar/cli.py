@@ -52,21 +52,16 @@ def _precision(text: str) -> int:
     return int(text)
 
 
-def _fmt(value, precision: int | None):
-    p = 17 if precision is None else precision
-    if isinstance(value, float):
-        return float(f"{value:.{p}g}")
-    return value
-
-
 def _emit(payload: dict, out: str | None, precision: int | None) -> None:
+    p = 17 if precision is None else precision
+
     def walk(obj):
         if isinstance(obj, dict):
             return {k: walk(v) for k, v in obj.items()}
         if isinstance(obj, (list, tuple)):
             return [walk(v) for v in obj]
         if isinstance(obj, (np.floating, float)):
-            return _fmt(float(obj), precision)
+            return float(f"{float(obj):.{p}g}")
         if isinstance(obj, (np.integer,)):
             return int(obj)
         return obj
@@ -96,6 +91,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sample",
                        help="sample one exact fBm path")
+    p.set_defaults(func=_cmd_sample)
     p.add_argument("--H", type=float, required=True, help="Hurst parameter in (0,1)")
     p.add_argument("--n", type=int, required=True, help="dyadic level (2^n increments)")
     p.add_argument("--seed", type=int, default=0, help="master seed")
@@ -109,6 +105,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("variation",
                        help="weighted Hermite/power variation of a sampled path")
+    p.set_defaults(func=_cmd_variation)
     p.add_argument("--H", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True, help="variation order q >= 1")
@@ -127,6 +124,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("constants",
                        help="limit constants and regime for (H, q)")
+    p.set_defaults(func=_cmd_constants)
     p.add_argument("--H", type=float, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--rel-tol", type=float, default=1e-8)
@@ -136,6 +134,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("hermite-process",
                        help="simulate the Hermite process from a fine fBm path")
+    p.set_defaults(func=_cmd_hermite_process)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--H", type=float, required=True)
     p.add_argument("--m", type=int, required=True, help="fine level")
@@ -148,6 +147,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("experiment",
                        help="run a seeded Monte Carlo experiment")
+    p.set_defaults(func=_cmd_experiment)
     p.add_argument("--id", required=True, choices=EXPERIMENT_IDS, dest="experiment_id")
     p.add_argument("--config", help="key = value config file (flags override)")
     p.add_argument("--H", type=float)
@@ -165,6 +165,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("report",
                        help="merge experiment reports into a summary table")
+    p.set_defaults(func=_cmd_report)
     p.add_argument("--merge", nargs="+", required=True, help="report JSON files")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("--seed", type=int, default=0, help="echoed (no randomness)")
@@ -296,14 +297,13 @@ def _cmd_hermite_process(args) -> int:
     return 0
 
 
+# config keys (lowercased) and experiment flag names that name an
+# ExperimentConfig field by another name
+_CONFIG_ALIASES = {"id": "experiment_id", "h": "hurst", "q": "order", "seed": "master_seed"}
+
+
 def _parse_config_file(path: str) -> dict:
     values: dict = {}
-    keymap = {
-        "id": "experiment_id",
-        "h": "hurst",
-        "q": "order",
-        "seed": "master_seed",
-    }
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -317,7 +317,7 @@ def _parse_config_file(path: str) -> dict:
             raise FbmvarError(f"bad config line {raw.rstrip()!r} (want key = value)")
         key, _, val = line.partition("=")
         key = key.strip().lower().replace("-", "_")
-        key = keymap.get(key, key)
+        key = _CONFIG_ALIASES.get(key, key)
         values[key] = val.strip()
     return values
 
@@ -326,21 +326,14 @@ def _build_experiment_config(args) -> ExperimentConfig:
     raw: dict = {}
     if args.config:
         raw.update(_parse_config_file(args.config))
-    cli_values = {
-        "experiment_id": args.experiment_id,
-        "hurst": args.H,
-        "order": args.q,
-        "weight": args.weight,
-        "levels": args.levels,
-        "replicates": args.replicates,
-        "master_seed": args.seed,
-        "fine_offset": args.fine_offset,
-        "threads": args.threads,
-    }
-    raw.update({k: v for k, v in cli_values.items() if v is not None})
+    field_types = {f.name: f.type for f in fields(ExperimentConfig)}
+    # the flags' values in argparse's order, which fixes the first bad value reported
+    for dest, val in vars(args).items():
+        key = _CONFIG_ALIASES.get(dest.lower(), dest)
+        if key in field_types and val is not None:
+            raw[key] = val
     if "threads" not in raw:
         raw["threads"] = os.environ.get("FBMVAR_THREADS", "1")
-    field_types = {f.name: f.type for f in fields(ExperimentConfig)}
     converted: dict = {}
     for key, val in raw.items():
         if key not in field_types:
@@ -384,7 +377,7 @@ def _cmd_report(args) -> int:
         with open(name) as fh:
             try:
                 rep = json.load(fh)
-            except ValueError as exc:  # not JSON, or not text at all
+            except (ValueError, RecursionError) as exc:  # not JSON text, or nested too deep
                 raise FbmvarError(f"{name}: not a JSON report ({exc})") from None
         if not isinstance(rep, dict) or not isinstance(rep.get("config", {}), dict):
             raise FbmvarError(f"{name}: not an experiment report (want a JSON object)")
@@ -425,16 +418,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "sample": _cmd_sample,
-    "variation": _cmd_variation,
-    "constants": _cmd_constants,
-    "hermite-process": _cmd_hermite_process,
-    "experiment": _cmd_experiment,
-    "report": _cmd_report,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -443,7 +426,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             sys.stderr.write("error: a subcommand is required\n")
             return 1
-        return _COMMANDS[args.command](args)
+        return args.func(args)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 0
         return code

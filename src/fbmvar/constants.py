@@ -49,7 +49,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, RegimeError, SeriesDivergenceError
-from .fbm import rho
+from .fbm import _check_h, rho
 from .hermite import gaussian_moment
 
 DEFAULT_REL_TOL = 1e-8
@@ -65,14 +65,19 @@ class RegimeCase(Enum):
     NONCENTRAL = "NONCENTRAL"
 
 
-# renormalisation exponent and window of each case: the one statement of
-# where (H, q) sits against lo = 1/(2q) and hi = 1 - 1/(2q)
+# renormalisation exponent, window and prefactor at level n of each case: the
+# one statement of where (H, q) sits against lo = 1/(2q) and hi = 1 - 1/(2q)
 _CASES = {
-    RegimeCase.SMALL_H: ("2^(n(qH-1))", "H < 1/(2q) = {lo}"),
-    RegimeCase.CRITICAL_LOW: ("2^(-n/2)", "H = 1/(2q) = {lo}"),
-    RegimeCase.CLT: ("2^(-n/2)", "1/(2q) = {lo} < H < 1 - 1/(2q) = {hi}"),
-    RegimeCase.CRITICAL_HIGH: ("n^(-1/2) 2^(-n/2)", "H = 1 - 1/(2q) = {hi}"),
-    RegimeCase.NONCENTRAL: ("2^(n(q(1-H)-1))", "H > 1 - 1/(2q) = {hi}"),
+    RegimeCase.SMALL_H: ("2^(n(qH-1))", "H < 1/(2q) = {lo}",
+                         lambda h, q, n: 2.0 ** (n * (q * h - 1.0))),
+    RegimeCase.CRITICAL_LOW: ("2^(-n/2)", "H = 1/(2q) = {lo}",
+                              lambda h, q, n: 2.0 ** (-n / 2.0)),
+    RegimeCase.CLT: ("2^(-n/2)", "1/(2q) = {lo} < H < 1 - 1/(2q) = {hi}",
+                     lambda h, q, n: 2.0 ** (-n / 2.0)),
+    RegimeCase.CRITICAL_HIGH: ("n^(-1/2) 2^(-n/2)", "H = 1 - 1/(2q) = {hi}",
+                               lambda h, q, n: 2.0 ** (-n / 2.0) / math.sqrt(n)),
+    RegimeCase.NONCENTRAL: ("2^(n(q(1-H)-1))", "H > 1 - 1/(2q) = {hi}",
+                            lambda h, q, n: 2.0 ** (n * (q * (1.0 - h) - 1.0))),
 }
 
 
@@ -111,8 +116,7 @@ def _check_constant_order(q: int) -> None:
 def classify_regime(hurst: float, q: int) -> ScalingRegime:
     """Assign (H, q) to the convergence case with exact boundary handling."""
     _check_order(q)
-    if not 0.0 < hurst < 1.0:
-        raise DomainError(f"hurst must be in (0,1), got {hurst}")
+    _check_h(hurst)
     lo = 1.0 / (2 * q)
     hi = 1.0 - lo
     if hurst < lo:
@@ -140,14 +144,7 @@ def require_regime(hurst: float, q: int, case: RegimeCase, who: str) -> None:
 
 def renorm_factor(hurst: float, q: int, level: int) -> float:
     """Numeric renormalisation prefactor for the regime of (H, q)."""
-    case = classify_regime(hurst, q).case_id
-    if case is RegimeCase.SMALL_H:
-        return 2.0 ** (level * (q * hurst - 1.0))
-    if case in (RegimeCase.CRITICAL_LOW, RegimeCase.CLT):
-        return 2.0 ** (-level / 2.0)
-    if case is RegimeCase.CRITICAL_HIGH:
-        return 2.0 ** (-level / 2.0) / math.sqrt(level)
-    return 2.0 ** (level * (q * (1.0 - hurst) - 1.0))
+    return _CASES[classify_regime(hurst, q).case_id][2](hurst, q, level)
 
 
 def _zeta_tail_em(sigma: float, radius: int) -> tuple[float, float]:
@@ -204,8 +201,7 @@ def rho_power_sum(
     """
     if not 0.0 < rel_tol <= 1e-3:
         raise DomainError(f"rel_tol must be in (0, 1e-3], got {rel_tol}")
-    if not 0.0 < hurst < 1.0:
-        raise DomainError(f"hurst must be in (0,1), got {hurst}")
+    _check_h(hurst)
     if p < 1:
         raise DomainError(f"power must be >= 1, got {p}")
     if hurst == 0.5:

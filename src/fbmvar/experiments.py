@@ -90,16 +90,6 @@ from .weights import WeightFunction, parse_weight
 
 REPORT_SCHEMA = "fbmvar-report/1"
 
-EXPERIMENT_IDS = (
-    "small_h",
-    "clt",
-    "critical_high",
-    "noncentral",
-    "corollary",
-    "trapezoid",
-    "conjecture_quarter",
-)
-
 # read-only, so no caller can loosen a verdict in place
 THRESHOLDS = MappingProxyType({
     "final_ratio": 0.25,
@@ -108,17 +98,6 @@ THRESHOLDS = MappingProxyType({
     "slope_rtol": 0.10,
     "ks_alpha": 0.01,
 })
-
-_DEFAULT_LEVELS = {
-    "small_h": (6, 7, 8, 9, 10, 11, 12),
-    "clt": (10, 12, 14),
-    "critical_high": (12, 14, 16),
-    "noncentral": (6, 7, 8, 9, 10),
-    "corollary": (8, 10, 12),
-    "trapezoid": (6, 8, 10, 12, 14),
-    "conjecture_quarter": (10, 12, 14),
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -140,7 +119,7 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment_id!r}; "
                 f"choose from {EXPERIMENT_IDS}"
             )
-        levels = tuple(self.levels) or _DEFAULT_LEVELS[self.experiment_id]
+        levels = tuple(self.levels) or _EXPERIMENTS[self.experiment_id][1]
         object.__setattr__(self, "levels", levels)
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ConfigError(f"levels must be strictly increasing, got {levels}")
@@ -215,15 +194,7 @@ def _plain(obj):
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Dispatch to the experiment named in the config."""
-    runner: Callable[[ExperimentConfig], ExperimentReport] = {
-        "small_h": run_small_h,
-        "clt": run_clt,
-        "critical_high": run_critical_high,
-        "noncentral": run_noncentral,
-        "corollary": run_corollary,
-        "trapezoid": run_trapezoid,
-        "conjecture_quarter": run_conjecture_quarter,
-    }[config.experiment_id]
+    runner = _EXPERIMENTS[config.experiment_id][0]
     t0 = time.perf_counter()
     report = runner(config)
     report.wall_clock_seconds = time.perf_counter() - t0
@@ -377,7 +348,7 @@ def _normalised_kernel(cfg, w, v, m, n, power=False, drift=False):
     else:
         raw = hermite_variation_rows(v, hurst, n, w(), q)
     # fsq: Riemann sum of f(B)^2, the conditional-variance weight
-    out = {f"y_{n}": norm * raw, f"fsq_{n}": np.sum(w()[:, :-1] ** 2, axis=1) / 2**n}
+    out = {f"y_{n}": norm * raw, f"fsq_{n}": riemann_sum_rows(v, w() ** 2)}
     if drift:
         out[f"drift_{n}"] = _power_drift(w, v, q) if power else _hermite_drift(w, v, q)
     return out
@@ -829,6 +800,19 @@ def run_conjecture_quarter(cfg: ExperimentConfig) -> ExperimentReport:
     levels, ok, summary = _drift_excess(cfg, data, sigma.value)
     summary["sigma2"] = sigma.value**2
     return _report(cfg, levels, summary, flags, ok)
+
+
+# each experiment id with its runner and its default levels
+_EXPERIMENTS = {
+    "small_h": (run_small_h, (6, 7, 8, 9, 10, 11, 12)),
+    "clt": (run_clt, (10, 12, 14)),
+    "critical_high": (run_critical_high, (12, 14, 16)),
+    "noncentral": (run_noncentral, (6, 7, 8, 9, 10)),
+    "corollary": (run_corollary, (8, 10, 12)),
+    "trapezoid": (run_trapezoid, (6, 8, 10, 12, 14)),
+    "conjecture_quarter": (run_conjecture_quarter, (10, 12, 14)),
+}
+EXPERIMENT_IDS = tuple(_EXPERIMENTS)
 
 
 # ---------------------------------------------------------------------------

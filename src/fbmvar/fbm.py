@@ -63,6 +63,7 @@ _EXACT_RHO_MAX_LAG = 64
 _CSV_CHUNK_ROWS = 1 << 16
 
 _BIN_MAGIC = b"FBM1"
+_BIN_HEADER = struct.Struct("<diQ")
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,7 @@ class FbmPath:
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.hurst < 1.0:
-            raise DomainError(f"hurst must be in (0,1), got {self.hurst}")
+        _check_h(self.hurst)
         if self.level < 1:
             raise DomainError(f"level must be >= 1, got {self.level}")
         if len(self.values) != 2**self.level + 1:
@@ -332,9 +332,7 @@ def write_csv(path: FbmPath, fh: IO[str]) -> None:
 def write_binary(path: FbmPath, fh: IO[bytes]) -> None:
     """Binary layout: magic 'FBM1', H float64, n int32, seed uint64, values."""
     fh.write(_BIN_MAGIC)
-    fh.write(struct.pack("<d", path.hurst))
-    fh.write(struct.pack("<i", path.level))
-    fh.write(struct.pack("<Q", path.seed & ((1 << 64) - 1)))
+    fh.write(_BIN_HEADER.pack(path.hurst, path.level, path.seed & ((1 << 64) - 1)))
     fh.write(memoryview(np.ascontiguousarray(path.values, dtype="<f8").view(np.uint8)))
 
 
@@ -353,9 +351,9 @@ def read_binary(fh: IO[bytes]) -> FbmPath:
     magic = fh.read(4)
     if magic != _BIN_MAGIC:
         raise DomainError(f"bad magic {magic!r}, expected {_BIN_MAGIC!r}")
-    header = bytearray(20)
+    header = bytearray(_BIN_HEADER.size)
     _read_exact(fh, header, "header")
-    hurst, level, seed = struct.unpack("<diQ", header)
+    hurst, level, seed = _BIN_HEADER.unpack(header)
     # checked before the level sizes the read below
     if not 1 <= level <= CIRCULANT_MAX_LEVEL:
         raise DomainError(f"header level {level} outside [1, {CIRCULANT_MAX_LEVEL}]")

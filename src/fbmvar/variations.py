@@ -202,18 +202,20 @@ def riemann_sum_rows(values: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return np.sum(_left_endpoints(weight, values), axis=1) / n_inc
 
 
-def unweighted_second_moment(hurst: float, q: int, level: int) -> float:
-    """Exact E[(V_n^(q)(1))^2] = (1/q!) sum_{k,l} (rho_H(k-l)/2)^q.
-
-    Uses stationarity: sum over lags j of (2^n - |j|) (rho(j)/2)^q, an
-    O(2^n) computation; the normalised increments have correlation
-    rho_H(k-l)/2 and E[H_q(X)H_q(Y)] = corr^q / q!.
-    """
+def _corr_power_sum(hurst: float, level: int, p: int) -> float:
+    """sum_{k,l} (rho_H(k-l)/2)^p over 2^n increments, by stationarity: 2^n
+    (rho_H(0) = 2) plus twice sum over lags j >= 1 of (2^n - j) (rho(j)/2)^p."""
     n_pts = 2**level
     lags = np.arange(1, n_pts)
     corr = 0.5 * rho(lags, hurst)
-    total = n_pts * 1.0 + 2.0 * math.fsum((n_pts - lags) * corr**q)
-    return total / math.factorial(q)
+    return n_pts * 1.0 + 2.0 * math.fsum((n_pts - lags) * corr**p)
+
+
+def unweighted_second_moment(hurst: float, q: int, level: int) -> float:
+    """Exact E[(V_n^(q)(1))^2] = (1/q!) sum_{k,l} (rho_H(k-l)/2)^q, an O(2^n)
+    computation; the normalised increments have correlation rho_H(k-l)/2 and
+    E[H_q(X)H_q(Y)] = corr^q / q!."""
+    return _corr_power_sum(hurst, level, q) / math.factorial(q)
 
 
 def centered_power_second_moment(hurst: float, q: int, level: int) -> float:
@@ -222,15 +224,11 @@ def centered_power_second_moment(hurst: float, q: int, level: int) -> float:
     Expanding (2^{nH} dB)^q - mu_q over Hermite components p = 1..q gives
     E[S_n^2] = sum_{k,l} sum_p (p! C(q,p) mu_{q-p})^2 (rho(k-l)/2)^p / p!.
     """
-    n_pts = 2**level
-    lags = np.arange(1, n_pts)
-    corr = 0.5 * rho(lags, hurst)
     total = 0.0
     for p in range(1, q + 1):
         mu = gaussian_moment(q - p)
         if mu == 0.0:
             continue
         coef = (math.factorial(p) * math.comb(q, p) * mu) ** 2 / math.factorial(p)
-        diag = n_pts * (0.5 * rho(0, hurst)) ** p
-        total += coef * (diag + 2.0 * math.fsum((n_pts - lags) * corr**p))
+        total += coef * _corr_power_sum(hurst, level, p)
     return total

@@ -11,6 +11,8 @@ from fbmvar import fbm
 from fbmvar.cli import build_parser, main
 from fbmvar.constants import sigma_clt
 from fbmvar.hermite_process import simulate_hermite
+from fbmvar.variations import weighted_power_variation
+from fbmvar.weights import parse_weight
 
 # every flag each subcommand documents; the enumeration harness below
 # fails if a flag is added without updating this table (or vice versa)
@@ -75,6 +77,70 @@ def test_sample_binary_round_trip(tmp_path, capsys):
         back = fbm.read_binary(fh)
     direct = fbm.sample_fbm_circulant(0.7, 5, seed=9)
     assert np.array_equal(back.values, direct.values)
+
+
+@pytest.mark.parametrize("precision", [None, "4"])
+def test_sample_json(capsys, precision):
+    argv = ["sample", "--H", "0.7", "--n", "5", "--seed", "9", "--stream", "2",
+            "--format", "json"]
+    if precision is not None:
+        argv += ["--precision", precision]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert set(payload) == {"H", "n", "seed", "stream", "sampler", "values"}
+    assert (payload["H"], payload["n"], payload["seed"], payload["stream"],
+            payload["sampler"]) == (0.7, 5, 9, 2, "circulant")
+    direct = fbm.sample_fbm_circulant(0.7, 5, seed=9, stream_index=2).values.tolist()
+    if precision is None:  # 17 significant digits give back every double
+        assert payload["values"] == direct
+    else:
+        assert payload["values"] == [float(f"{v:.4g}") for v in direct]
+
+
+def test_hermite_process_json(capsys):
+    code, out, err = run_cli(
+        capsys, "hermite-process", "--q", "2", "--H", "0.9", "--m", "8",
+        "--n-out", "4", "--seed", "2", "--stream", "1",
+    )
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert set(payload) == {"q", "H", "m", "n_out", "seed", "stream", "values"}
+    assert (payload["q"], payload["H"], payload["m"], payload["n_out"], payload["seed"],
+            payload["stream"]) == (2, 0.9, 8, 4, 2, 1)
+    z = simulate_hermite(fbm.sample_fbm_circulant(0.9, 8, 2, 1), 2, 4)
+    assert payload["values"] == z.values.tolist()
+
+
+def test_variation_power_centered(capsys):
+    code, out, err = run_cli(
+        capsys, "variation", "--H", "0.6", "--n", "8", "--q", "4", "--weight", "sin:0.5",
+        "--seed", "3", "--power", "--centered",
+    )
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert set(payload) == {"H", "n", "q", "weight", "seed", "stream", "kind", "centered",
+                            "raw_value"}
+    assert (payload["kind"], payload["centered"]) == ("power", True)
+    path = fbm.sample_fbm_circulant(0.6, 8, seed=3)
+    assert payload["raw_value"] == weighted_power_variation(
+        path, parse_weight("sin:0.5"), 4, centered=True
+    )
+
+
+def test_experiment_config_line_without_equals_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("id = clt\nH 0.6  # no equals sign\nq = 2\n")
+    code, out, err = run_cli(capsys, "experiment", "--id", "clt", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err == "error: bad config line 'H 0.6  # no equals sign' (want key = value)\n"
+
+
+@pytest.mark.parametrize("given", [(), ("--H", "0.6"), ("--q", "2")])
+def test_experiment_without_hurst_or_order_exits_one(capsys, given):
+    code, out, err = run_cli(capsys, "experiment", "--id", "clt", *given)
+    assert (code, out) == (1, "")
+    assert err == "error: experiment needs --H and --q (or a config file)\n"
 
 
 def test_variation_renormalized(capsys):
@@ -233,6 +299,8 @@ def test_report_merge(tmp_path, capsys):
     (b'{"config": [1]}', "not an experiment report"),
     (b'{"config": {"levels": 5}}', "config.levels is not a list"),
     (b'{"config": {"levels": "abc"}}', "config.levels is not a list"),
+    # json.load gives up on this nesting with RecursionError, not ValueError
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, "not a JSON report", id="nested-too-deep"),
 ])
 def test_report_merge_bad_input_exits_one(tmp_path, capsys, content, names):
     bad = tmp_path / "bad.json"

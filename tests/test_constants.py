@@ -82,6 +82,7 @@ def test_renorm_factor_values():
     assert C.renorm_factor(0.5, 2, 10) == 2.0**-5
     assert C.renorm_factor(0.9, 2, 10) == 2.0**-8
     assert C.renorm_factor(0.75, 2, 16) == 2.0**-8 / 4.0
+    assert C.renorm_factor(0.25, 2, 10) == 2.0**-5  # H = 1/(2q)
 
 
 def test_sigma_clt_analytic_collapse():
@@ -154,6 +155,16 @@ def test_rho_power_sum_converged_contract():
     assert series.converged
     assert series.tail_bound <= 1e-8 * abs(series.value)
     assert C.rho_power_sum(0.5, 5).value == 2.0**5
+
+
+def test_rho_power_sum_doubles_the_radius_for_a_tight_tolerance():
+    # at rel_tol = 1e-13 radius 1024 is not enough, and 2048 is
+    default = C.rho_power_sum(0.6, 2)
+    tight = C.rho_power_sum(0.6, 2, rel_tol=1e-13)
+    assert default.radius == 1024 and default.converged
+    assert tight.radius == 2048 and tight.converged
+    assert tight.tail_bound <= 1e-13 * abs(tight.value)
+    assert abs(tight.value - default.value) <= default.tail_bound + tight.tail_bound
 
 
 @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.45])

@@ -595,6 +595,19 @@ class TestCorollary:
         assert rep.summary["matched_variant"] == "corrected"
         assert not rep.summary["matches"]["printed"]
 
+    def test_item5_q2_variants_coincide(self):
+        # at q = 2 the printed and corrected constants are equal, so both
+        # readings predict the same variance; the run passes exactly when the
+        # shared prediction matches (this seed and size do not)
+        rep = run_corollary(
+            ExperimentConfig("corollary", hurst=0.75, order=2, replicates=400,
+                             master_seed=1)
+        )
+        assert rep.summary["item"] == 5
+        assert rep.summary["variants_coincide"] is True
+        assert rep.summary["matches"]["printed"] == rep.summary["matches"]["corrected"]
+        assert (rep.verdict == "PASS") == (rep.summary["matched_variant"] == "coincide")
+
     def test_item1_odd_q(self):
         rep = run_corollary(
             ExperimentConfig(

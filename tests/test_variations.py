@@ -100,6 +100,12 @@ class TestWeights:
         for w in (ONE, Polynomial((2.0, 1.0)), Cosine(1.3), Sine(0.7), Exponential(1.0)):
             assert w.antiderivative(np.zeros(1))[0] == pytest.approx(0.0, abs=1e-15)
 
+    def test_zero_frequency_antiderivatives(self):
+        # cos:0 and exp:0 are f = 1, whose antiderivative is x; sin:0 is f = 0
+        x = np.array([-1.5, -0.0, 0.0, 0.3, 2.0])
+        for spec, expected in (("cos:0", x), ("sin:0", np.zeros_like(x)), ("exp:0", x)):
+            assert np.array_equal(parse_weight(spec).antiderivative(x), expected), spec
+
     def test_antiderivative_matches_quadrature(self):
         xs = np.linspace(0.1, 2.0, 5)
         grid = np.linspace(0, 1, 20_001)
