@@ -66,7 +66,7 @@ from .constants import (
     sigma_tilde_critical,
     sigma_tilde_critical_corrected,
 )
-from .errors import ConfigError, RegimeError, SizeLimitError
+from .errors import ConfigError, DomainError, RegimeError, SizeLimitError
 from .hermite import gaussian_moment
 from .hermite_process import hermite_partial_sums, young_integral_rows
 from .stats import (
@@ -209,7 +209,8 @@ def _values_block(
     hurst: float, level: int, seed: int, start: int, count: int
 ) -> np.ndarray:
     inc = fbm.sample_increments_circulant(hurst, level, seed, start, count)
-    vals = np.zeros((count, inc.shape[1] + 1))
+    vals = np.empty((count, inc.shape[1] + 1))
+    vals[:, 0] = 0.0
     np.cumsum(inc, axis=1, out=vals[:, 1:])
     return vals
 
@@ -246,11 +247,13 @@ def _replicate_block(
     vals = _values_block(cfg.hurst, top, cfg.master_seed, start, count)
     cache: dict[int, np.ndarray] = {}
     out: dict[str, np.ndarray] = {}
-    for n in cfg.levels:
-        m = n + offset
-        stride = 2 ** (top - m)
-        w = _GridWeight(f, vals, cache, stride)
-        out.update(kernel(cfg, w, vals[:, ::stride], m, n))
+    # an overflow shows as an output that is not finite, which _collect reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in cfg.levels:
+            m = n + offset
+            stride = 2 ** (top - m)
+            w = _GridWeight(f, vals, cache, stride)
+            out.update(kernel(cfg, w, vals[:, ::stride], m, n))
     return out
 
 
@@ -276,7 +279,8 @@ def _block_rows(fine_level: int) -> int:
 def _collect(
     cfg: ExperimentConfig, kernel: Callable, fine: bool = False
 ) -> dict[str, np.ndarray]:
-    """Run the kernel over all replicates, in order, and concatenate."""
+    """Run the kernel over all replicates, in order, and concatenate;
+    DomainError names the first output that is not finite."""
     fine_level = max(cfg.levels) + (cfg.fine_offset if fine else 0)
     if fine_level > fbm.CIRCULANT_MAX_LEVEL:
         raise SizeLimitError(
@@ -298,7 +302,15 @@ def _collect(
         fbm._circulant_sqrt_eigs(cfg.hurst, fine_level)
         with ThreadPoolExecutor(max_workers=workers) as ex:
             parts = list(ex.map(lambda sc: block(*sc), blocks))
-    return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+    data = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+    for key, values in data.items():
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise DomainError(
+                f"per-replicate output {key} is {float(values[bad[0]])!r} at replicate "
+                f"{bad[0]}: the weight or the variation overflows a double"
+            )
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -362,15 +374,17 @@ def _young_kernel(cfg, w, v, m, n, power=False):
     q, hurst = cfg.order, cfg.hurst
     order = 2 if power else q
     terms = scaled_hermite(np.diff(v, axis=1), hurst, m, order)
+    z_vals = hermite_partial_sums(terms, hurst, m, order, n)
     if power:
         pv = power_variation_rows(v, hurst, m, w(), q, centered=True)
         stat = 2.0 ** (m - 2.0 * hurst * m) * pv
         const = 2.0 * gaussian_moment(q - 2) * math.comb(q, 2)
     else:
-        # the one H_q pass of the level feeds both V_m^(q)(f) and Z
-        stat = renorm_factor(hurst, q, m) * np.sum(w()[:, :-1] * terms, axis=1)
+        # the one H_q pass of the level feeds both Z and, weighted in place
+        # once Z is built, V_m^(q)(f)
+        terms *= w()[:, :-1]
+        stat = renorm_factor(hurst, q, m) * np.sum(terms, axis=1)
         const = 1.0
-    z_vals = hermite_partial_sums(terms, hurst, m, order, n)
     coarse = 2 ** (m - n)
     limit = const * young_integral_rows(w()[:, ::coarse], v[:, ::coarse], z_vals)
     return {f"diff_sq_{n}": (stat - limit) ** 2, f"v_sq_{n}": stat**2}

@@ -13,6 +13,8 @@ Under this convention, for jointly standard Gaussian (X, Y) with
 correlation c, E[H_p(X) H_q(Y)] = 0 for p != q and c**q / q! for p == q.
 Evaluation goes through the recurrence (stable upward for the degrees and
 arguments used here); no coefficient expansion is performed at runtime.
+Each step of the recurrence allocates one array, the next H_k, and never
+writes into its argument.
 """
 
 from __future__ import annotations
@@ -31,12 +33,18 @@ def hermite_eval(q: int, x):
         raise DomainError(f"degree must be >= 0, got {q}")
     scalar = np.isscalar(x)
     x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
     if q == 0:
-        return float(prev) if scalar else prev
-    cur = x.copy()
+        return 1.0 if scalar else np.ones_like(x)
+    if q == 1:
+        return float(x) if scalar else x.copy()
+    # (x * cur - prev) / (k + 1), one operation at a time into the one new
+    # array of the step: the same bits, and x, prev and cur are only read
+    prev, cur = 1.0, x
     for k in range(1, q):
-        prev, cur = cur, (x * cur - prev) / (k + 1)
+        nxt = x * cur
+        nxt -= prev
+        nxt /= k + 1
+        prev, cur = cur, nxt
     return float(cur) if scalar else cur
 
 

@@ -14,7 +14,8 @@ The row functions of the Monte Carlo experiments take a (replicates,
 and sum each statistic's per-increment terms with numpy's pairwise summation
 (error O(eps log(2**n)), ten orders of magnitude below Monte Carlo noise).
 The single-path entry points ``math.fsum`` the same terms (exactly rounded;
-the sums mix 2**n terms of both signs).
+the sums mix 2**n terms of both signs), and raise ``DomainError`` when a
+term is not finite or the sum overflows a double.
 """
 
 from __future__ import annotations
@@ -79,11 +80,23 @@ def _power_terms(values, hurst, level, weight, q, centered) -> np.ndarray:
     return _left_endpoints(weight, values) * powers
 
 
+def finite_fsum(terms: np.ndarray, what: str) -> float:
+    """math.fsum of `terms`; DomainError, naming `what`, when a term is not
+    finite or the exact sum overflows a double."""
+    if not np.isfinite(terms).all():
+        raise DomainError(f"{what}: a term is not finite (it overflows a double)")
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        raise DomainError(f"{what}: the sum overflows a double") from None
+
+
 def weighted_hermite_variation(path: FbmPath, f: WeightFunction, q: int) -> float:
     """V_n^(q)(f) for one path, exactly accumulated."""
     _check_order(q)
-    terms = _hermite_terms(path.values, path.hurst, path.level, f(path.values), q)
-    return math.fsum(terms)
+    with np.errstate(over="ignore", invalid="ignore"):  # finite_fsum reports it
+        terms = _hermite_terms(path.values, path.hurst, path.level, f(path.values), q)
+    return finite_fsum(terms, "weighted Hermite variation")
 
 
 def weighted_power_variation(
@@ -91,8 +104,11 @@ def weighted_power_variation(
 ) -> float:
     """sum_k f(B_(k-1)2^-n) [ (2^{nH} dB)^q - (centered ? mu_q : 0) ]."""
     _check_order(q)
-    terms = _power_terms(path.values, path.hurst, path.level, f(path.values), q, centered)
-    return math.fsum(terms)
+    with np.errstate(over="ignore", invalid="ignore"):  # finite_fsum reports it
+        terms = _power_terms(
+            path.values, path.hurst, path.level, f(path.values), q, centered
+        )
+    return finite_fsum(terms, "weighted power variation")
 
 
 def renormalize(raw_value: float, hurst: float, q: int, level: int) -> VariationStatistic:
@@ -131,6 +147,18 @@ def beta_sums(hurst: float, level: int, q: int) -> dict[int, float]:
     return out
 
 
+# Lags per chunk of diagnostic_sums: a chunk's arrays (128 KiB each) stay in
+# L2, and its memory is small beside that of beta_sums, which is freed first.
+_DIAGNOSTIC_CHUNK = 1 << 14
+
+
+def _g_increment(d: np.ndarray, a: float) -> np.ndarray:
+    """g(d) = d^a - (d-1)^a = -d^a expm1(a log1p(-1/d)) at lags d >= 1, free
+    of cancellation; log1p(-1) = -inf makes g(1) = 1 exactly."""
+    with np.errstate(divide="ignore"):
+        return -np.expm1(a * np.log1p(-1.0 / d)) * d**a
+
+
 def diagnostic_sums(hurst: float, level: int, q: int) -> DiagnosticSums:
     """Deterministic proof diagnostics at (H, n), in O(2^n) up to level 24.
 
@@ -146,17 +174,34 @@ def diagnostic_sums(hurst: float, level: int, q: int) -> DiagnosticSums:
     with g(d) = -d^2H expm1(2H log1p(-1/d)), free of cancellation.  The low
     bits of alpha_n and gamma_n differ from a sum over the full grid (about
     1e-13 relative at n <= 12); the beta_{r,n} come from ``beta_sums``.
+
+    The lags run in chunks of 2^14, so memory beyond that of ``beta_sums``
+    stays a few MiB.  The running moment sum_(j<l) j rho_H(j) carries into
+    each chunk's first term and keeps its sequential bits; the two sums of
+    gamma_n add up one pairwise sum per chunk.
     """
     beta = beta_sums(hurst, level, q)
     n_pts = 2**level
     a = 2.0 * hurst
-    d = np.arange(1, n_pts + 1, dtype=float)  # l = 1..N, and j = 1..N-1
-    g = np.ones(n_pts)
-    g[1:] = -np.expm1(a * np.log1p(-1.0 / d[1:])) * d[1:] ** a
-    moment = np.cumsum(rho(d[:-1], hurst) * d[:-1])  # one sign: no cancellation
-    gamma = float(np.sum(np.abs(moment))) + 2.0 * float(np.dot(n_pts - d, g))
-    pairs = g[:-1] + np.maximum(g[-2::-1], 1.0)
-    alpha = max(float(np.max(np.abs(g - 1.0))), float(np.max(pairs, initial=0.0)))
+    moment_end = abs_moment = weighted_g = 0.0
+    max_dev = max_pair = 0.0
+    for lo in range(1, n_pts + 1, _DIAGNOSTIC_CHUNK):
+        # the chunk's lags l, and below N its lags j of the moment
+        d = np.arange(lo, min(lo + _DIAGNOSTIC_CHUNK, n_pts + 1), dtype=float)
+        g = _g_increment(d, a)
+        weighted_g += float(np.dot(n_pts - d, g))
+        max_dev = max(max_dev, float(np.max(np.abs(g - 1.0))))
+        j = d[: n_pts - lo]
+        if j.size:
+            steps = rho(j, hurst) * j  # one sign: no cancellation
+            steps[0] += moment_end
+            moment = np.cumsum(steps)
+            moment_end = float(moment[-1])
+            abs_moment += float(np.sum(np.abs(moment)))
+            pairs = g[: j.size] + np.maximum(_g_increment(n_pts - j, a), 1.0)
+            max_pair = max(max_pair, float(np.max(pairs)))
+    gamma = abs_moment + 2.0 * weighted_g
+    alpha = max(max_dev, max_pair)
     scale = 2.0 ** (-2.0 * hurst * level - 1.0)
     return DiagnosticSums(
         level=level, alpha=scale * alpha, beta=beta, gamma=scale * gamma

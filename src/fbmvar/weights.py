@@ -78,8 +78,9 @@ class Cosine(WeightFunction):
         ax = a * np.asarray(x, dtype=float)
         if order == 0:
             # cos is even, so the phase + 0.0 (which only turns -0.0 into
-            # +0.0) and the factor 1.0 leave every bit as it is
-            return np.cos(ax)
+            # +0.0) and the factor 1.0 leave every bit as it is; an array
+            # a * x is a new temporary, which cos overwrites
+            return np.cos(ax, out=ax) if ax.ndim else np.cos(ax)
         return a**order * np.cos(ax + order * math.pi / 2)
 
     def antiderivative(self, x):

@@ -466,3 +466,20 @@ def test_flag_enumeration_matches_help():
         helptext = sub.format_help()
         for flag in flags:
             assert flag in helptext
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("variation", "--H", "0.6", "--n", "4", "--q", "2", "--weight", "poly:1e308"),
+     "error: weighted Hermite variation: "),
+    (("variation", "--H", "0.6", "--n", "4", "--q", "2", "--power",
+      "--weight", "poly:1e308,1e308"),
+     "error: weighted power variation: "),
+    (("experiment", "--id", "clt", "--H", "0.6", "--q", "2", "--levels", "4",
+      "--replicates", "100", "--weight", "poly:1e308,1e308"),
+     "error: per-replicate output y_4 is "),
+])
+def test_overflowing_weight_exits_one_with_an_error_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(message) and err.count("\n") == 1
+    assert "overflows a double" in err

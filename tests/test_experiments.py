@@ -455,9 +455,10 @@ class TestNoncentral:
             stat = renorm_factor(hurst, q, m) * hermite_variation_rows(v, hurst, m, w(), q)
             hq = hermite_eval(q, 2.0 ** (m * hurst) * np.diff(v, axis=1))
             stride = 2 ** (m - n)
+            # Z by output interval: one sum per interval, then a running sum
+            sums = np.sum(hq.reshape(3, 2**n, stride), axis=2)
             z = np.zeros((3, 2**n + 1))
-            z[:, 1:] = (2.0 ** (m * (q * (1.0 - hurst) - 1.0))
-                        * np.cumsum(hq, axis=1)[:, stride - 1 :: stride])
+            z[:, 1:] = np.cumsum(sums, axis=1) * 2.0 ** (m * (q * (1.0 - hurst) - 1.0))
             limit = young_integral_rows(w()[:, ::stride], v[:, ::stride], z)
             assert got[f"diff_sq_{n}"].tobytes() == ((stat - limit) ** 2).tobytes()
             assert got[f"v_sq_{n}"].tobytes() == (stat**2).tobytes()
@@ -520,6 +521,19 @@ class TestCorollary:
         # at q = 2, f = 1 the centred power variation equals twice the
         # Young sum exactly; relative L2 values near 1e-15 come in random
         # order, and two inversions among them must not fail the identity
+        cfg = ExperimentConfig("corollary", hurst=0.8, order=2, weight="one",
+                               levels=(5, 6, 7, 8))
+        rels = {5: 1.0e-15, 6: 2.0e-15, 7: 0.5e-15, 8: 1.5e-15}
+        data = {}
+        for n, rel in rels.items():
+            data[f"diff_sq_{n}"] = np.full(4, rel**2)
+            data[f"v_sq_{n}"] = np.ones(4)
+        levels, ok, summary = experiments._relative_l2(cfg, data, False, identity=True)
+        assert [e["stat"] for e in levels] == pytest.approx(list(rels.values()), rel=1e-12)
+        assert summary["inversions"] == 2
+        assert ok
+        # the relative L2 rule alone would fail the same sequence
+        assert not experiments._relative_l2(cfg, data, False)[1]
         rep = run_corollary(
             ExperimentConfig(
                 "corollary", hurst=0.8, order=2, weight="one",
@@ -527,7 +541,6 @@ class TestCorollary:
             )
         )
         assert rep.summary["item"] == 6
-        assert rep.summary["inversions"] == 2
         assert rep.summary["final"] < 1e-13
         assert rep.summary["identity_max_sq"] <= 1e-24
         assert rep.verdict == "PASS"

@@ -109,3 +109,39 @@ def test_orthogonality_monte_carlo(p, q, c):
     target = c**q / math.factorial(q) if p == q else 0.0
     se = prod.std() / math.sqrt(len(prod))
     assert abs(prod.mean() - target) < 3 * se
+
+
+def textbook_recurrence(q, x):
+    """H_q by (k+1) H_{k+1} = x H_k - H_{k-1}, one expression per step."""
+    x = np.asarray(x, dtype=float)
+    prev = np.ones_like(x)
+    if q == 0:
+        return prev
+    cur = x.copy()
+    for k in range(1, q):
+        prev, cur = cur, (x * cur - prev) / (k + 1)
+    return cur
+
+
+EVAL_INPUTS = {
+    "python float": lambda: -1.3716,
+    "0-d array": lambda: np.array(2.0625),
+    "1-d array": lambda: 2.0 * stream(17, 0).standard_normal(41),
+    "strided 2-d view": lambda: (2.0 * stream(18, 0).standard_normal((6, 20)))[::2, 1::3],
+}
+
+
+@pytest.mark.parametrize("kind", EVAL_INPUTS)
+@pytest.mark.parametrize("q", range(9))
+def test_eval_matches_the_textbook_recurrence_and_leaves_x_alone(q, kind):
+    x = EVAL_INPUTS[kind]()
+    before = np.array(x, copy=True)
+    got = hermite.hermite_eval(q, x)
+    want = textbook_recurrence(q, x)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got, dtype=float).tobytes() == np.asarray(want).tobytes()
+    assert np.array(x).tobytes() == before.tobytes()
+    if isinstance(x, np.ndarray):
+        assert not np.shares_memory(got, x)
+    else:
+        assert type(got) is float

@@ -58,11 +58,31 @@ def partial_sums_oracle(values, hurst, m, q, n):
     return out
 
 
+def interval_order_oracle(values, hurst, m, q, n):
+    """The definition summed by output interval: the 2^(m-n) terms of each
+    interval in one pairwise sum, then the running sum of the 2^n sums."""
+    hq = hermite.hermite_eval(q, 2.0 ** (m * hurst) * np.diff(values, axis=-1))
+    sums = np.sum(hq.reshape(values.shape[:-1] + (2**n, 2 ** (m - n))), axis=-1)
+    out = np.zeros(values.shape[:-1] + (2**n + 1,))
+    out[..., 1:] = np.cumsum(sums, axis=-1) * 2.0 ** (m * (q * (1.0 - hurst) - 1.0))
+    return out
+
+
 @pytest.mark.parametrize("hurst,q,m,n", [(0.9, 2, 10, 4), (0.9, 3, 9, 9), (0.95, 4, 8, 1)])
 def test_simulate_hermite_equals_the_definition(hurst, q, m, n):
     path = fbm.sample_fbm_circulant(hurst, m, seed=6)
     z = simulate_hermite(path, q, n)
-    assert z.values.tobytes() == partial_sums_oracle(path.values, hurst, m, q, n).tobytes()
+    assert z.values.tobytes() == interval_order_oracle(path.values, hurst, m, q, n).tobytes()
+    # each order of summation is within (2^m - 1) u sum |H_q| of the exact
+    # partial sum, so the two are within twice that, times the prefactor
+    definition = partial_sums_oracle(path.values, hurst, m, q, n)
+    hq = hermite.hermite_eval(q, 2.0**(m * hurst) * np.diff(path.values))
+    prefactor = 2.0 ** (m * (q * (1.0 - hurst) - 1.0))
+    u = np.finfo(float).eps / 2  # unit roundoff
+    bound = 2 * 2**m * u * np.sum(np.abs(hq)) * prefactor
+    assert np.all(np.abs(z.values - definition) <= bound)
+    if n == m:  # one term per interval: the two orders coincide
+        assert z.values.tobytes() == definition.tobytes()
 
 
 def test_identity_with_renormalized_variation():
@@ -160,3 +180,13 @@ def test_young_cauchy_refinement():
     diffs /= n_paths
     assert diffs[1] < diffs[0]
     assert diffs[2] < diffs[1]
+
+
+def test_young_integral_rejects_an_overflowing_sum():
+    path = fbm.sample_fbm_circulant(0.9, 10, seed=5)
+    z = simulate_hermite(path, 2, 6)
+    coarse = fbm.coarsen(path, 6).values
+    with pytest.raises(DomainError, match="Young integral"):
+        young_integral(Polynomial((1e308,)), coarse, z)
+    with pytest.raises(DomainError, match="Young integral"):
+        young_integral(Polynomial((1e308, 1e308)), coarse, z)

@@ -275,9 +275,49 @@ class TestDiagnostics:
         ]
         assert abs(vals[-1] / vals[-2] - 1.0) < 0.10
 
+    @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.9])
+    def test_chunks_of_lags_match_one_pass(self, hurst, monkeypatch):
+        # n = 16 runs in four chunks of 2^14 lags; with one chunk of 2^16 it
+        # is the single pass over all lags: alpha (a max) and beta are
+        # exact, and gamma differs only in the order of its two sums
+        chunked = V.diagnostic_sums(hurst, 16, 2)
+        monkeypatch.setattr(V, "_DIAGNOSTIC_CHUNK", 1 << 16)
+        whole = V.diagnostic_sums(hurst, 16, 2)
+        assert (chunked.alpha, chunked.beta) == (whole.alpha, whole.beta)
+        assert chunked.gamma == pytest.approx(whole.gamma, rel=1e-14)
+
+    def test_memory_stays_within_that_of_beta_sums(self):
+        # at n = 20 the lag chunks add nothing to the peak of beta_sums,
+        # which holds three arrays of 2^20 doubles
+        import tracemalloc
+
+        peaks = []
+        for sums in (V.beta_sums, V.diagnostic_sums):
+            tracemalloc.start()
+            try:
+                sums(0.75, 20, 2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**20
+
     def test_level_caps(self):
         with pytest.raises(SizeLimitError):
             V.diagnostic_sums(0.5, 25, 2)
         with pytest.raises(SizeLimitError):
             V.beta_sums(0.5, 25, 2)
         assert V.beta_sums(0.75, 16, 2)[2] > 0  # stationary path goes higher
+
+
+def test_single_path_sums_reject_non_finite_terms_and_overflow():
+    with pytest.raises(DomainError, match="demo: the sum overflows a double"):
+        V.finite_fsum(np.array([1e308, 1e308]), "demo")
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(DomainError, match="demo: a term is not finite"):
+            V.finite_fsum(np.array([1.0, bad]), "demo")
+    assert V.finite_fsum(np.array([1e308, -1e308, 0.5]), "demo") == 0.5
+    path = fbm.sample_fbm_circulant(0.6, 4, seed=0)
+    with pytest.raises(DomainError, match="weighted Hermite variation"):
+        V.weighted_hermite_variation(path, Polynomial((1e308,)), 2)
+    with pytest.raises(DomainError, match="weighted power variation"):
+        V.weighted_power_variation(path, Polynomial((1e308, 1e308)), 2)
