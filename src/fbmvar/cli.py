@@ -3,10 +3,10 @@
 Subcommands: sample, variation, constants, hermite-process, experiment,
 report.  JSON is the primary machine format (CSV/TSV secondary); every
 subcommand accepts --seed and echoes it in its output.  Exit status: 0 on
-success, 1 on domain/regime/usage errors, 2 on I/O errors.  Numeric
-output is written with 17 significant digits unless --precision is given
-(experiment reports always use full precision: they must be
-byte-reproducible).
+success, 1 on domain/regime/usage errors, 2 on I/O errors.  JSON numbers
+are written with 17 significant digits unless --precision is given; CSV
+and binary output always carry full precision, and so do experiment
+reports (they must be byte-reproducible).
 """
 
 from __future__ import annotations
@@ -70,6 +70,11 @@ def _emit(payload: dict, out: str | None, precision: int | None) -> None:
     _write_text(text, out)
 
 
+def _check_json_precision(precision: int | None, fmt: str) -> None:
+    if precision is not None and fmt != "json":
+        raise FbmvarError(f"--precision applies to json output only, not {fmt}")
+
+
 @contextmanager
 def _text_out(out: str | None):
     """The text stream for --out: the named file, or stdout."""
@@ -118,7 +123,7 @@ def build_parser() -> _Parser:
     p.add_argument("--centered", action="store_true",
                    help="subtract mu_q (power variation only)")
     p.add_argument("--renormalize", action="store_true",
-                   help="also apply the regime prefactor")
+                   help="also apply the regime prefactor (Hermite variation only)")
     p.add_argument("--out")
     p.add_argument("--precision", type=_precision)
 
@@ -176,6 +181,7 @@ def build_parser() -> _Parser:
 def _cmd_sample(args) -> int:
     if args.format == "bin" and args.out is None:
         raise FbmvarError("binary output requires --out")
+    _check_json_precision(args.precision, args.format)
     sampler = (
         fbm.sample_fbm_cholesky if args.sampler == "cholesky" else fbm.sample_fbm_circulant
     )
@@ -208,6 +214,12 @@ def _cmd_sample(args) -> int:
 
 def _cmd_variation(args) -> int:
     # every check that needs no path runs before the path is drawn
+    if args.centered and not args.power:
+        raise FbmvarError("--centered subtracts mu_q from the power variation: add --power")
+    if args.renormalize and args.power:
+        # the regime of (H, q) is the Hermite variation's; a centred power
+        # variation follows its leading chaos, an uncentred one has no prefactor
+        raise FbmvarError("--renormalize applies to the Hermite variation, not to --power")
     f = parse_weight(args.weight)
     _check_order(args.q)
     if args.renormalize:
@@ -272,6 +284,7 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_hermite_process(args) -> int:
+    _check_json_precision(args.precision, args.export)
     fbm._check_level(args.m)
     _check_request(args.H, args.q, args.m, args.n_out)
     path = fbm.sample_fbm_circulant(args.H, args.m, args.seed, args.stream)
@@ -334,21 +347,16 @@ def _build_experiment_config(args) -> ExperimentConfig:
             raw[key] = val
     if "threads" not in raw:
         raw["threads"] = os.environ.get("FBMVAR_THREADS", "1")
+    convert = {"str": str, "float": float, "int": int}
     converted: dict = {}
     for key, val in raw.items():
         if key not in field_types:
             raise FbmvarError(f"unknown config key {key!r}")
         try:
             if key == "levels":
-                if isinstance(val, str):
-                    val = tuple(int(x) for x in val.split(","))
-                converted[key] = tuple(val)
-            elif key in ("experiment_id", "weight"):
-                converted[key] = str(val)
-            elif key == "hurst":
-                converted[key] = float(val)
+                converted[key] = tuple(int(x) for x in val.split(","))
             else:
-                converted[key] = int(val)
+                converted[key] = convert[field_types[key]](val)
         except ValueError:
             raise ConfigError(f"bad value {val!r} for config key {key!r}") from None
     if "hurst" not in converted or "order" not in converted:

@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import DomainError, RegimeError, SeriesDivergenceError
 from .fbm import _check_h, rho
-from .hermite import gaussian_moment
+from .hermite import gaussian_moment, monomial_in_hermite
 
 DEFAULT_REL_TOL = 1e-8
 _START_RADIUS = 1 << 10
@@ -293,37 +293,24 @@ def sigma_tilde(
 ) -> TruncatedSeries:
     """Power-variation constant sigma~_{H,q}.
 
-    sigma~**2 = sum_p p! C(q,p)**2 mu_{q-p}**2 2**-p S_p(H), over the
-    chaos orders p <= q of the centered monomial expansion: p >= 2 for
-    even q (valid for 0 < H < 3/4), and p >= 1 for odd q (valid for
-    H <= 1/2, where the chaos-1 series converges; it is S_1 = 0 for
-    H < 1/2 and S_1 = 2 at H = 1/2, so the chaos-1 term adds only at
-    H = 1/2).  The identity
-    sigma~**2 = sum_p (p! C(q,p) mu_{q-p})**2 sigma_{H,p}**2 holds term
-    by term against ``sigma_clt``.
+    sigma~**2 = sum_{p>=1} c_p**2 / p! 2**-p S_p(H), with c_p the chaos
+    coefficients of x**q - mu_q (``monomial_in_hermite``).  c_1 = 0 for
+    even q, where the sum is valid for 0 < H < 3/4; odd q needs the chaos-1
+    series, H <= 1/2 (S_1 = 0 for H < 1/2 and S_1 = 2 at H = 1/2).
+    ``rho_power_sum`` raises SeriesDivergenceError outside these windows,
+    at the first nonzero c_p.  The identity
+    sigma~**2 = sum_p c_p**2 sigma_{H,p}**2 holds term by term against
+    ``sigma_clt``.
     """
     _check_constant_order(q)
-    if q % 2 == 0:
-        if not 0.0 < hurst < 0.75:
-            raise SeriesDivergenceError(
-                f"sigma_tilde needs H < 3/4 for even q, got H={hurst}"
-            )
-        p_min = 2
-    else:
-        if not 0.0 < hurst <= 0.5:
-            raise SeriesDivergenceError(
-                f"sigma_tilde needs H <= 1/2 for odd q (chaos-1 series), got H={hurst}"
-            )
-        p_min = 1
     var = 0.0
     tail = 0.0
     max_radius = 1
     converged = True
-    for p in range(p_min, q + 1):
-        mu = gaussian_moment(q - p)
-        if mu == 0.0:
+    for p, c in enumerate(monomial_in_hermite(q).coeffs):
+        if p == 0 or c == 0:
             continue
-        coef = math.factorial(p) * math.comb(q, p) ** 2 * mu**2 * 2.0**-p
+        coef = c * c // math.factorial(p) * 2.0**-p
         series = rho_power_sum(hurst, p, rel_tol=rel_tol, radius=radius)
         var += coef * series.value
         tail += coef * series.tail_bound
@@ -361,14 +348,12 @@ def sigma_tilde_critical_corrected(q: int) -> float:
     chaoses are killed by the extra 1/sqrt(n)) and reads the printed
     critical expression as a variance:
 
-    sigma~**2 = (2 C(q,2) mu_{q-2})**2 * sigma_critical_high(2).
+    sigma~**2 = c_2**2 * sigma_critical_high(2), with c_2 = 2 C(q,2) mu_{q-2}.
     """
     _check_constant_order(q)
     if q % 2 == 1:
         raise DomainError(f"sigma_tilde_critical addresses even q, got {q}")
-    return 2.0 * math.comb(q, 2) * gaussian_moment(q - 2) * math.sqrt(
-        sigma_critical_high(2)
-    )
+    return monomial_in_hermite(q).coeffs[2] * math.sqrt(sigma_critical_high(2))
 
 
 def hermite_process_variance_const(q: int, hurst: float) -> float:

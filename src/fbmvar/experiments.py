@@ -67,7 +67,7 @@ from .constants import (
     sigma_tilde_critical_corrected,
 )
 from .errors import ConfigError, DomainError, RegimeError, SizeLimitError
-from .hermite import gaussian_moment
+from .hermite import monomial_in_hermite
 from .hermite_process import hermite_partial_sums, young_integral_rows
 from .stats import (
     count_inversions,
@@ -86,7 +86,7 @@ from .variations import (
     unweighted_second_moment,
     centered_power_second_moment,
 )
-from .weights import WeightFunction, parse_weight
+from .weights import ConstantOne, WeightFunction, parse_weight
 
 REPORT_SCHEMA = "fbmvar-report/1"
 
@@ -287,6 +287,14 @@ def _collect(
             f"finest sampled level {fine_level} exceeds the circulant "
             f"sampler's ceiling {fbm.CIRCULANT_MAX_LEVEL}"
         )
+    # the outputs alone hold a double per replicate and level; a count whose
+    # outputs cannot fit in memory is refused before its blocks are listed
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 8 * cfg.replicates * len(cfg.levels) > memory:
+        raise SizeLimitError(
+            f"{cfg.replicates} replicates at {len(cfg.levels)} levels need more than "
+            f"the {memory} bytes of physical memory"
+        )
     size = _block_rows(fine_level)
     blocks = [
         (start, min(size, cfg.replicates - start))
@@ -325,8 +333,8 @@ def _hermite_drift(w: _GridWeight, v: np.ndarray, q: int) -> np.ndarray:
 
 
 def _power_drift(w: _GridWeight, v: np.ndarray, q: int) -> np.ndarray:
-    """(1/4) C(q,2) mu_{q-2} * Riemann sum of f''(B): the even-q power drift."""
-    return 0.25 * math.comb(q, 2) * gaussian_moment(q - 2) * riemann_sum_rows(v, w(2))
+    """c_2/8 * Riemann sum of f''(B), c_2 = 2 C(q,2) mu_{q-2}: the even-q drift."""
+    return 0.125 * monomial_in_hermite(q).coeffs[2] * riemann_sum_rows(v, w(2))
 
 
 def _pathwise_kernel(cfg, w, v, m, n, item=None):
@@ -336,8 +344,8 @@ def _pathwise_kernel(cfg, w, v, m, n, item=None):
     if item == 1:
         pv = power_variation_rows(v, hurst, n, w(), q, centered=False)
         stat = 2.0 ** (-n * hurst) * pv
-        mu = gaussian_moment(q - 1)
-        limit = q * mu * (w.f.antiderivative(v[:, -1]) - w.f.antiderivative(0.0))
+        c_1 = monomial_in_hermite(q).coeffs[1]  # q mu_{q-1}
+        limit = c_1 * (w.f.antiderivative(v[:, -1]) - w.f.antiderivative(0.0))
     elif item == 2:
         pv = power_variation_rows(v, hurst, n, w(), q, centered=True)
         stat = 2.0 ** (2 * n * hurst - n) * pv
@@ -378,7 +386,7 @@ def _young_kernel(cfg, w, v, m, n, power=False):
     if power:
         pv = power_variation_rows(v, hurst, m, w(), q, centered=True)
         stat = 2.0 ** (m - 2.0 * hurst * m) * pv
-        const = 2.0 * gaussian_moment(q - 2) * math.comb(q, 2)
+        const = monomial_in_hermite(q).coeffs[2]
     else:
         # the one H_q pass of the level feeds both Z and, weighted in place
         # once Z is built, V_m^(q)(f)
@@ -417,9 +425,14 @@ def _level_entries(
     return entries
 
 
+def _unweighted(cfg: ExperimentConfig) -> bool:
+    """f = 1, in any spelling of the weight grammar."""
+    return isinstance(parse_weight(cfg.weight), ConstantOne)
+
+
 def _variance(cfg: ExperimentConfig) -> Callable:
     # an unweighted variation is exactly centred, so its mean is known
-    return partial(variance_and_se, known_mean=0.0 if cfg.weight == "one" else None)
+    return partial(variance_and_se, known_mean=0.0 if _unweighted(cfg) else None)
 
 
 def _decreasing(values: list[float]) -> tuple[bool, dict]:
@@ -517,7 +530,7 @@ def _arbitrate(
         n = e["level"]
         e["exact_f1_variance"] = second_moment(cfg.hurst, cfg.order, n) / (2.0**n * n)
     n_top = max(cfg.levels)
-    f2 = float(np.mean(data[f"fsq_{n_top}"])) if cfg.weight != "one" else 1.0
+    f2 = float(np.mean(data[f"fsq_{n_top}"]))  # exactly 1.0 at f = 1
     shape_top = levels[-1]["exact_f1_variance"] * f2
     predictions = {k: shape_top * ratio for k, ratio in readings.items()}
     matches = {
@@ -579,7 +592,7 @@ def run_clt(cfg: ExperimentConfig) -> ExperimentReport:
     require_regime(cfg.hurst, cfg.order, RegimeCase.CLT, "clt")
     sigma = sigma_clt(cfg.hurst, cfg.order)
     sigma2 = sigma.value**2
-    unweighted = cfg.weight == "one"
+    unweighted = _unweighted(cfg)
     data = _collect(cfg, _normalised_kernel)
     levels = []
     for n in cfg.levels:
@@ -655,7 +668,7 @@ def run_critical_high(cfg: ExperimentConfig) -> ExperimentReport:
         **arbitration,
     }
     flags = ["arbitrates the printed/corrected critical-constant ambiguity"]
-    if cfg.weight == "one":
+    if _unweighted(cfg):
         # informational: convergence to normality is only logarithmic at the
         # critical point, so a large-sample KS still rejects at desk scale
         y_top = data[f"y_{max(cfg.levels)}"]
@@ -674,7 +687,7 @@ def run_noncentral(cfg: ExperimentConfig) -> ExperimentReport:
     require_regime(cfg.hurst, cfg.order, RegimeCase.NONCENTRAL, "noncentral")
     data = _collect(cfg, _young_kernel, fine=True)
     levels, ok, summary = _relative_l2(
-        cfg, data, detailed=True, identity=cfg.weight == "one"
+        cfg, data, detailed=True, identity=_unweighted(cfg)
     )
     return _report(cfg, levels, summary, [], ok)
 
@@ -727,14 +740,14 @@ def run_corollary(cfg: ExperimentConfig) -> ExperimentReport:
     elif item == 6:
         # at q = 2, f = 1 the power variation equals 2 mu_0 C(2,2) Z(1) exactly
         levels, ok, summary = _relative_l2(
-            cfg, data, detailed=False, identity=q == 2 and cfg.weight == "one"
+            cfg, data, detailed=False, identity=q == 2 and _unweighted(cfg)
         )
     elif item == 4:
         st = sigma_tilde(cfg.hurst, q)
         target_base = st.value**2
         levels = _level_entries(cfg, data, "y", _variance(cfg), "variance")
         f2 = float(np.mean(data[f"fsq_{max(cfg.levels)}"]))
-        target = target_base * (1.0 if cfg.weight == "one" else f2)
+        target = target_base * f2  # f2 is exactly 1.0 at f = 1
         rel_err = abs(levels[-1]["stat"] / target - 1.0)
         ok = rel_err <= THRESHOLDS["variance_rtol"]
         summary = {

@@ -6,8 +6,8 @@ The central statistic is
 
 with the weight always evaluated at the left endpoint.  The centered
 weighted power variation decomposes exactly through the monomial
-expansion x**q - mu_q = sum_{p>=1} p! C(q,p) mu_{q-p} H_p(x), which the
-tests exercise against ``hermite.monomial_in_hermite``.
+expansion x**q - mu_q = sum_{p>=1} c_p H_p(x), whose coefficients
+c_p = p! C(q,p) mu_{q-p} ``hermite.monomial_in_hermite`` owns.
 
 The row functions of the Monte Carlo experiments take a (replicates,
 2^n + 1) path-value matrix and the weight's values at every point of it,
@@ -28,7 +28,7 @@ import numpy as np
 from .constants import ScalingRegime, classify_regime, renorm_factor
 from .errors import DomainError, GridAlignmentError, SizeLimitError
 from .fbm import FbmPath, rho
-from .hermite import gaussian_moment, hermite_eval
+from .hermite import gaussian_moment, hermite_eval, monomial_in_hermite
 from .weights import WeightFunction
 
 BETA_MAX_LEVEL = 24
@@ -266,14 +266,12 @@ def unweighted_second_moment(hurst: float, q: int, level: int) -> float:
 def centered_power_second_moment(hurst: float, q: int, level: int) -> float:
     """Exact second moment of the centered unweighted power variation.
 
-    Expanding (2^{nH} dB)^q - mu_q over Hermite components p = 1..q gives
-    E[S_n^2] = sum_{k,l} sum_p (p! C(q,p) mu_{q-p})^2 (rho(k-l)/2)^p / p!.
+    Expanding (2^{nH} dB)^q - mu_q = sum_{p>=1} c_p H_p over Hermite
+    components (c_p from ``monomial_in_hermite``) gives
+    E[S_n^2] = sum_{k,l} sum_p c_p^2 (rho(k-l)/2)^p / p!.
     """
     total = 0.0
-    for p in range(1, q + 1):
-        mu = gaussian_moment(q - p)
-        if mu == 0.0:
-            continue
-        coef = (math.factorial(p) * math.comb(q, p) * mu) ** 2 / math.factorial(p)
-        total += coef * _corr_power_sum(hurst, level, p)
+    for p, c in enumerate(monomial_in_hermite(q).coeffs):
+        if p >= 1 and c != 0:
+            total += c * c // math.factorial(p) * _corr_power_sum(hurst, level, p)
     return total

@@ -5,7 +5,7 @@ closed form (numerical differentiation would contaminate the limit
 targets, which involve f'', f^(q), ...).  Five families are provided,
 selected by the grammar used on the command line:
 
-    one            constant 1
+    one            constant 1 (also spelt poly:1, cos:0 or exp:0)
     poly:c0,c1,... polynomial c0 + c1 x + ...
     cos:a          cos(a x)
     sin:a          sin(a x)
@@ -133,7 +133,10 @@ def _parameter(text: str) -> float:
 
 
 def parse_weight(spec: str) -> WeightFunction:
-    """Parse the CLI weight grammar: one | poly:c0,c1,... | cos:a | sin:a | exp:a."""
+    """Parse the CLI weight grammar: one | poly:c0,c1,... | cos:a | sin:a | exp:a.
+
+    Every spelling of f = 1 (one, poly:1,0,..., cos:0, exp:0) gives
+    ``ConstantOne``, so a caller decides f = 1 by type alone."""
     spec = spec.strip()
     if spec == "one":
         return ConstantOne()
@@ -142,7 +145,12 @@ def parse_weight(spec: str) -> WeightFunction:
     kind, _, args = spec.partition(":")
     try:
         if kind == "poly":
-            return Polynomial(tuple(_parameter(c) for c in args.split(",")))
+            coefficients = tuple(_parameter(c) for c in args.split(","))
+            if coefficients[0] == 1.0 and not any(coefficients[1:]):
+                return ConstantOne()
+            return Polynomial(coefficients)
+        if kind in ("cos", "exp") and _parameter(args) == 0.0:
+            return ConstantOne()
         if kind == "cos":
             return Cosine(_parameter(args))
         if kind == "sin":

@@ -191,6 +191,7 @@ def test_experiment_config_rejects_policy_keys(tmp_path, capsys, key):
     (("--levels", "6,19", "--fine-offset", "6"), "level 25"),
     (("--weight", "poly:nan"), "not finite"),
     (("--weight", "exp:nan"), "not finite"),
+    (("--replicates", "100000000000000000000"), "physical memory"),
 ])
 def test_experiment_bad_values_exit_one(capsys, extra, names):
     # every case is rejected before a worker starts or a block is drawn
@@ -377,6 +378,17 @@ _N22 = ("--H", "0.6", "--n", "22")
     (("sample", *_N22, "--format", "bin"), "binary output requires --out"),
     (("sample", *_N22, "--format", "bin", "--sampler", "cholesky"),
      "binary output requires --out"),
+    (("variation", *_N22, "--q", "2", "--centered"),
+     "--centered subtracts mu_q from the power variation: add --power"),
+    (("variation", "--H", "0.8", "--n", "22", "--q", "4", "--power", "--renormalize"),
+     "--renormalize applies to the Hermite variation, not to --power"),
+    (("sample", *_N22, "--format", "csv", "--precision", "4"),
+     "--precision applies to json output only, not csv"),
+    (("sample", *_N22, "--format", "bin", "--out", "unused.bin", "--precision", "4"),
+     "--precision applies to json output only, not bin"),
+    (("hermite-process", "--q", "2", "--H", "0.9", "--m", "22", "--n-out", "4",
+      "--export", "csv", "--precision", "4"),
+     "--precision applies to json output only, not csv"),
 ])
 def test_bad_request_exits_before_sampling(capsys, monkeypatch, argv, message):
     def no_path(*args):

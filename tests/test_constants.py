@@ -1,13 +1,17 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbmvar import constants as C
+from fbmvar import experiments as E
+from fbmvar import variations as V
 from fbmvar.errors import DomainError, RegimeError, SeriesDivergenceError
-from fbmvar.hermite import gaussian_moment
+from fbmvar.hermite import gaussian_moment, monomial_in_hermite
+from fbmvar.weights import parse_weight
 
 
 def test_classifier_examples():
@@ -262,10 +266,10 @@ def test_sigma_tilde_equals_twice_sigma_for_q2():
 
 
 def test_sigma_tilde_domain():
-    with pytest.raises(SeriesDivergenceError):
-        C.sigma_tilde(0.75, 2)
-    with pytest.raises(SeriesDivergenceError):
-        C.sigma_tilde(0.6, 3)  # odd q needs H <= 1/2
+    # even q needs H < 3/4, odd q H <= 1/2: the first nonzero chaos series
+    for hurst, q in ((0.75, 2), (0.9, 4), (0.6, 3), (0.51, 5)):
+        with pytest.raises(SeriesDivergenceError):
+            C.sigma_tilde(hurst, q)
     assert C.sigma_tilde(0.25, 4).value > 0  # needed at H = 1/4 (item 3)
     assert C.sigma_tilde(0.45, 3).value > 0
 
@@ -325,3 +329,69 @@ def test_hermite_process_variance_const():
     for hurst in (1.0, 1.5, math.inf, math.nan):  # no Hermite process at H >= 1
         with pytest.raises(DomainError, match="< H < 1"):
             C.hermite_process_variance_const(2, hurst)
+
+
+# Reference formulas for the consumers of the chaos coefficients of x^q:
+# each writes c_p = p! C(q,p) mu_{q-p} out term by term, as a transcription
+# of the paper would; the library takes c_p from monomial_in_hermite and
+# must give the same bits.
+
+
+def _sigma_tilde_reference(hurst, q):
+    p_min = 2 if q % 2 == 0 else 1
+    var = tail = 0.0
+    max_radius, converged = 1, True
+    for p in range(p_min, q + 1):
+        mu = gaussian_moment(q - p)
+        if mu == 0.0:
+            continue
+        coef = math.factorial(p) * math.comb(q, p) ** 2 * mu**2 * 2.0**-p
+        series = C.rho_power_sum(hurst, p)
+        var += coef * series.value
+        tail += coef * series.tail_bound
+        max_radius = max(max_radius, series.radius)
+        converged = converged and series.converged
+    value = math.sqrt(var)
+    return C.TruncatedSeries(value, max_radius, tail / (2.0 * value), converged)
+
+
+def _centered_power_second_moment_reference(hurst, q, level):
+    total = 0.0
+    for p in range(1, q + 1):
+        mu = gaussian_moment(q - p)
+        if mu == 0.0:
+            continue
+        coef = (math.factorial(p) * math.comb(q, p) * mu) ** 2 / math.factorial(p)
+        total += coef * V._corr_power_sum(hurst, level, p)
+    return total
+
+
+@pytest.mark.parametrize("q", range(2, 13))
+def test_sigma_tilde_matches_reference_bits(q):
+    for hurst in (0.2, 0.4, 0.5) + ((0.6,) if q % 2 == 0 else ()):
+        assert C.sigma_tilde(hurst, q) == _sigma_tilde_reference(hurst, q)
+    for level in (4, 8):
+        for hurst in (0.3, 0.75):
+            assert V.centered_power_second_moment(
+                hurst, q, level
+            ) == _centered_power_second_moment_reference(hurst, q, level)
+
+
+def test_coefficient_constants_match_reference_bits():
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(64)
+    v = np.cumsum(rng.standard_normal((3, 17)), axis=1)
+    w = E._GridWeight(parse_weight("cos:1.0"), v, {}, 1)
+    for q in range(2, 35):
+        c = monomial_in_hermite(q).coeffs
+        mu1, mu2 = gaussian_moment(q - 1), gaussian_moment(q - 2)
+        # corollary item 1's limit, the even-q drift and item 6's constant
+        assert (c[1] * x).tobytes() == (q * mu1 * x).tobytes()
+        assert E._power_drift(w, v, q).tobytes() == (
+            0.25 * math.comb(q, 2) * mu2 * V.riemann_sum_rows(v, w(2))
+        ).tobytes()
+        assert (c[2] * x).tobytes() == (2.0 * mu2 * math.comb(q, 2) * x).tobytes()
+        if q % 2 == 0:
+            assert C.sigma_tilde_critical_corrected(q) == 2.0 * math.comb(
+                q, 2
+            ) * mu2 * math.sqrt(C.sigma_critical_high(2))

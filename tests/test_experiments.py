@@ -248,6 +248,16 @@ class TestEngine:
             monkeypatch.setattr(experiments, "_LARGE_BLOCK_NORMALS", budget)
             assert run_all() == (default, [per_run] * len(configs))
 
+    def test_huge_replicate_count_refused_before_any_block(self, monkeypatch):
+        # 10^20 replicates would take 8 * 10^20 bytes of outputs alone
+        def no_block(*args):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(experiments, "_replicate_block", no_block)
+        cfg = small_cfg(levels=(10,), replicates=10**20)
+        with pytest.raises(SizeLimitError, match="physical memory"):
+            experiments._collect(cfg, experiments._normalised_kernel)
+
     def test_block_rows_by_fine_level(self):
         # 2^18 normals while a block holds two rows or more; from fine level
         # 17 on up to 2^22 normals, so the inverse FFT still batches rows
@@ -416,12 +426,14 @@ class TestNoncentral:
         assert rep.verdict == "PASS"
         assert rep.summary["identity_max_sq"] <= 1e-24
 
-    def test_identity_weight_ignores_rounding_noise_order(self):
+    @pytest.mark.parametrize("weight", ["one", "poly:1", "poly:1,0", "cos:0", "exp:0"])
+    def test_identity_weight_ignores_rounding_noise_order(self, weight):
         # relative L2 values near 1e-15 come in random order; two
-        # inversions among them must not fail an exact identity
+        # inversions among them must not fail an exact identity, whichever
+        # way f = 1 is spelt
         rep = run_noncentral(
             ExperimentConfig(
-                "noncentral", hurst=0.8, order=2, weight="one",
+                "noncentral", hurst=0.8, order=2, weight=weight,
                 levels=(5, 6, 7), replicates=200, master_seed=49,
             )
         )

@@ -30,7 +30,8 @@ def synthetic_path():
 
 class TestWeights:
     def test_parse(self):
-        assert isinstance(parse_weight("one"), ConstantOne)
+        for spec in ("one", "poly:1", "poly:1.0,0,-0", "cos:0", "exp:-0.0"):
+            assert isinstance(parse_weight(spec), ConstantOne)  # every f = 1
         assert parse_weight("poly:0,1").coefficients == (0.0, 1.0)
         assert parse_weight("cos:2.5").frequency == 2.5
         assert parse_weight("sin:1").frequency == 1.0

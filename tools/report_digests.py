@@ -1,0 +1,157 @@
+"""Print the SHA-256 of the outputs a refactor must leave byte-identical.
+
+Run it on two checkouts of the repository, on the same machine, and diff
+the two listings:
+
+    PYTHONPATH=src python tools/report_digests.py > digests.txt
+
+Each line is ``<sha256>  <name>``.  The outputs covered are:
+
+* every experiment runner (corollary items 1-6 each), at threads 1 and 2,
+  as report JSON, per-level CSV and plot TSV;
+* ``sample`` as json, csv and bin (the FBM1 bytes);
+* ``variation`` for five weights, each as Hermite, power, centred power
+  and renormalised Hermite variation;
+* ``constants`` at the benchmark's five (H, q) pairs and at q = 4, 6, 12;
+* ``hermite-process`` as json and csv;
+* a few requests the CLI rejects, as exit code, stdout and stderr.
+
+A CLI digest covers the exit code, stdout, stderr and any file written
+with --out.  This is a script, not a test: FFT bits may differ between
+machines, so only digests made on one machine compare.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+from fbmvar.cli import main
+from fbmvar.experiments import ExperimentConfig, run_experiment
+
+# (experiment id, H, q, weight, levels, replicates, seed, fine_offset); the
+# weights cos:0, poly:1 and poly:1,0 spell f = 1 another way
+RUNNER_CONFIGS = (
+    ("small_h", 0.2, 2, "cos:1.0", (6, 7, 8, 9), 200, 1, 6),
+    ("small_h", 0.1, 3, "poly:0.5,-1,0.25", (6, 8), 100, 2, 6),
+    ("clt", 0.6, 2, "one", (8, 10), 300, 3, 6),
+    ("clt", 0.6, 2, "cos:0", (8, 10), 300, 3, 6),
+    ("clt", 0.35, 2, "cos:1.0", (8, 10), 300, 4, 6),
+    ("critical_high", 0.75, 2, "one", (8, 10), 200, 5, 6),
+    ("critical_high", 0.75, 2, "exp:0.5", (8, 10), 200, 6, 6),
+    ("noncentral", 0.9, 2, "one", (5, 6, 7), 150, 10, 6),
+    ("noncentral", 0.8, 2, "one", (5, 6, 7), 200, 49, 6),
+    ("noncentral", 0.8, 2, "poly:1", (5, 6, 7), 200, 49, 6),
+    ("noncentral", 0.9, 3, "cos:1.0", (5, 6), 100, 11, 4),
+    ("corollary", 0.7, 3, "cos:1.0", (6, 8, 10), 200, 12, 6),
+    ("corollary", 0.2, 2, "cos:1.0", (6, 8, 10), 200, 13, 6),
+    ("corollary", 0.25, 2, "cos:1.0", (8, 10), 200, 14, 6),
+    ("corollary", 0.5, 4, "sin:0.5", (8, 10), 200, 15, 6),
+    ("corollary", 0.6, 2, "one", (8, 10), 200, 16, 6),
+    ("corollary", 0.75, 4, "one", (8, 10), 200, 17, 6),
+    ("corollary", 0.9, 2, "one", (5, 6), 100, 18, 4),
+    ("corollary", 0.9, 2, "poly:1,0", (5, 6), 100, 18, 4),
+    ("corollary", 0.85, 4, "cos:1.0", (5, 6), 100, 19, 4),
+    ("trapezoid", 0.3, 2, "sin:1.0", (6, 8, 10), 200, 20, 6),
+    ("trapezoid", 1 / 6, 2, "poly:0,0,0,1", (6, 8, 10), 200, 21, 6),
+    ("conjecture_quarter", 0.25, 2, "cos:1.0", (8, 10), 200, 22, 6),
+    ("conjecture_quarter", 1 / 6, 3, "one", (8, 10), 200, 23, 6),
+)
+
+WEIGHTS = ("one", "poly:0.5,-1,0.25", "cos:1.0", "sin:0.5", "exp:0.5")
+VARIATION_MODES = {
+    "hermite": (),
+    "power": ("--power",),
+    "centred": ("--power", "--centered"),
+    "renormalised": ("--renormalize",),
+}
+CONSTANT_PAIRS = (
+    (0.2, 2), (0.6, 2), (0.75, 2), (0.9, 2), (0.3, 3),
+    (0.3, 4), (0.6, 4), (0.3, 6), (0.6, 6), (0.3, 12), (0.6, 12),
+)
+HERMITE_PROCESS = (("2", "0.9", "10", "5"), ("3", "0.9", "10", "4"))
+REJECTED = {
+    "variation-centred-hermite": ("variation", "--H", "0.6", "--n", "8", "--q", "2",
+                                  "--centered"),
+    "variation-power-renormalised": ("variation", "--H", "0.8", "--n", "8", "--q", "4",
+                                     "--power", "--renormalize"),
+    "sample-csv-precision": ("sample", "--H", "0.7", "--n", "6", "--format", "csv",
+                             "--precision", "4"),
+    "sample-bin-precision": ("sample", "--H", "0.7", "--n", "6", "--format", "bin",
+                             "--out", "{dir}/p.bin", "--precision", "4"),
+    "hermite-process-csv-precision": ("hermite-process", "--q", "2", "--H", "0.9",
+                                      "--m", "8", "--n-out", "4", "--export", "csv",
+                                      "--precision", "4"),
+}
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _cli(workdir: Path, argv) -> bytes:
+    """Exit code, stdout, stderr and the --out file of one CLI request."""
+    argv = [a.replace("{dir}", str(workdir)) for a in argv]
+    out_file = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+    if out_file is not None and out_file.exists():
+        out_file.unlink()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    written = out_file.read_bytes() if out_file is not None and out_file.exists() else b""
+    text = f"{code}\0{stdout.getvalue()}\0{stderr.getvalue()}\0".replace(str(workdir), "DIR")
+    return text.encode() + written
+
+
+def digests(workdir: Path):
+    """(name, sha256) of every covered output, in a fixed order."""
+    for exp_id, hurst, q, weight, levels, reps, seed, offset in RUNNER_CONFIGS:
+        for threads in (1, 2):
+            rep = run_experiment(ExperimentConfig(
+                exp_id, hurst=hurst, order=q, weight=weight, levels=levels,
+                replicates=reps, master_seed=seed, fine_offset=offset, threads=threads,
+            ))
+            name = f"experiment {exp_id} H={hurst} q={q} {weight} threads={threads}"
+            if exp_id == "corollary":
+                name += f" item={rep.summary['item']}"
+            yield f"{name} json", _digest(rep.to_json().encode())
+            yield f"{name} csv", _digest(rep.per_level_csv().encode())
+            yield f"{name} tsv", _digest(rep.plot_tsv().encode())
+
+    for sampler in ("circulant", "cholesky"):
+        base = ("sample", "--H", "0.7", "--n", "8", "--seed", "3", "--stream", "2",
+                "--sampler", sampler)
+        yield f"sample {sampler} json", _digest(_cli(workdir, (*base, "--format", "json")))
+        yield f"sample {sampler} csv", _digest(_cli(workdir, (*base, "--format", "csv")))
+        yield f"sample {sampler} bin", _digest(
+            _cli(workdir, (*base, "--format", "bin", "--out", "{dir}/s.bin")))
+
+    for weight in WEIGHTS:
+        for q in (2, 3):
+            for mode, flags in VARIATION_MODES.items():
+                argv = ("variation", "--H", "0.6", "--n", "10", "--q", str(q),
+                        "--weight", weight, "--seed", "4", *flags)
+                yield f"variation {weight} q={q} {mode}", _digest(_cli(workdir, argv))
+
+    for hurst, q in CONSTANT_PAIRS:
+        argv = ("constants", "--H", str(hurst), "--q", str(q), "--seed", "5")
+        yield f"constants H={hurst} q={q}", _digest(_cli(workdir, argv))
+
+    for q, hurst, m, n_out in HERMITE_PROCESS:
+        for export in ("json", "csv"):
+            argv = ("hermite-process", "--q", q, "--H", hurst, "--m", m, "--n-out", n_out,
+                    "--seed", "6", "--export", export)
+            yield f"hermite-process q={q} {export}", _digest(_cli(workdir, argv))
+
+    for name, argv in REJECTED.items():
+        yield f"rejected {name}", _digest(_cli(workdir, argv))
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, value in digests(Path(tmp)):
+            sys.stdout.write(f"{value}  {name}\n")
