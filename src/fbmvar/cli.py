@@ -3,10 +3,11 @@
 Subcommands: sample, variation, constants, hermite-process, experiment,
 report.  JSON is the primary machine format (CSV/TSV secondary); every
 subcommand accepts --seed and echoes it in its output.  Exit status: 0 on
-success, 1 on domain/regime/usage errors, 2 on I/O errors.  JSON numbers
-are written with 17 significant digits unless --precision is given; CSV
-and binary output always carry full precision, and so do experiment
-reports (they must be byte-reproducible).
+success, 1 on domain/regime/usage errors, 2 on I/O errors.  Each JSON
+number is the shortest text that reads back to the same double (0.1
+prints as 0.1) unless --precision rounds it; CSV and binary output always
+carry full precision, and so do experiment reports (they must be
+byte-reproducible).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .constants import (
     sigma_tilde,
 )
 from .errors import ConfigError, DomainError, FbmvarError, SeriesDivergenceError
-from .experiments import EXPERIMENT_IDS, ExperimentConfig, run_experiment
+from .experiments import EXPERIMENT_IDS, ExperimentConfig, json_text, run_experiment
 from .hermite_process import _check_request, simulate_hermite
 from .variations import (
     _check_order,
@@ -53,21 +54,16 @@ def _precision(text: str) -> int:
 
 
 def _emit(payload: dict, out: str | None, precision: int | None) -> None:
-    p = 17 if precision is None else precision
-
     def walk(obj):
         if isinstance(obj, dict):
             return {k: walk(v) for k, v in obj.items()}
         if isinstance(obj, (list, tuple)):
             return [walk(v) for v in obj]
         if isinstance(obj, (np.floating, float)):
-            return float(f"{float(obj):.{p}g}")
-        if isinstance(obj, (np.integer,)):
-            return int(obj)
+            return float(f"{float(obj):.{precision}g}")
         return obj
 
-    text = json.dumps(walk(payload), sort_keys=True, indent=2) + "\n"
-    _write_text(text, out)
+    _write_text(json_text(payload if precision is None else walk(payload)), out)
 
 
 def _check_json_precision(precision: int | None, fmt: str) -> None:
@@ -93,22 +89,27 @@ def _write_text(text: str, out: str | None) -> None:
 def build_parser() -> _Parser:
     parser = _Parser(prog="fbmvar", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="subcommand", parser_class=_Parser)
+    # the options the path and payload subcommands share
+    path_opts = argparse.ArgumentParser(add_help=False)
+    path_opts.add_argument("--seed", type=int, default=0, help="master seed")
+    path_opts.add_argument("--stream", type=int, default=0, help="replicate stream index")
+    out_opts = argparse.ArgumentParser(add_help=False)
+    out_opts.add_argument("--out", help="output file (default stdout)")
+    out_opts.add_argument("--precision", type=_precision,
+                          help="round JSON numbers to this many significant digits "
+                          "(default: the shortest text that reads back the same double)")
 
-    p = sub.add_parser("sample",
+    p = sub.add_parser("sample", parents=[path_opts, out_opts],
                        help="sample one exact fBm path")
     p.set_defaults(func=_cmd_sample)
     p.add_argument("--H", type=float, required=True, help="Hurst parameter in (0,1)")
     p.add_argument("--n", type=int, required=True, help="dyadic level (2^n increments)")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--stream", type=int, default=0, help="replicate stream index")
     p.add_argument("--sampler", choices=("circulant", "cholesky"), default="circulant",
                    help="exact sampler to use")
     p.add_argument("--format", choices=("csv", "bin", "json"), default="csv",
-                   help="output format")
-    p.add_argument("--out", help="output file (default stdout; required for bin)")
-    p.add_argument("--precision", type=_precision, help="significant digits (default 17)")
+                   help="output format (bin requires --out)")
 
-    p = sub.add_parser("variation",
+    p = sub.add_parser("variation", parents=[path_opts, out_opts],
                        help="weighted Hermite/power variation of a sampled path")
     p.set_defaults(func=_cmd_variation)
     p.add_argument("--H", type=float, required=True)
@@ -116,39 +117,29 @@ def build_parser() -> _Parser:
     p.add_argument("--q", type=int, required=True, help="variation order q >= 1")
     p.add_argument("--weight", default="one",
                    help="weight spec: one | poly:c0,c1,.. | cos:a | sin:a | exp:a")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stream", type=int, default=0)
     p.add_argument("--power", action="store_true",
                    help="power variation instead of Hermite variation")
     p.add_argument("--centered", action="store_true",
                    help="subtract mu_q (power variation only)")
     p.add_argument("--renormalize", action="store_true",
                    help="also apply the regime prefactor (Hermite variation only)")
-    p.add_argument("--out")
-    p.add_argument("--precision", type=_precision)
 
-    p = sub.add_parser("constants",
+    p = sub.add_parser("constants", parents=[out_opts],
                        help="limit constants and regime for (H, q)")
     p.set_defaults(func=_cmd_constants)
     p.add_argument("--H", type=float, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--rel-tol", type=float, default=1e-8)
     p.add_argument("--seed", type=int, default=0, help="echoed (no randomness)")
-    p.add_argument("--out")
-    p.add_argument("--precision", type=_precision)
 
-    p = sub.add_parser("hermite-process",
+    p = sub.add_parser("hermite-process", parents=[path_opts, out_opts],
                        help="simulate the Hermite process from a fine fBm path")
     p.set_defaults(func=_cmd_hermite_process)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--H", type=float, required=True)
     p.add_argument("--m", type=int, required=True, help="fine level")
     p.add_argument("--n-out", type=int, required=True, help="output grid level")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stream", type=int, default=0)
     p.add_argument("--export", choices=("csv", "json"), default="json")
-    p.add_argument("--out")
-    p.add_argument("--precision", type=_precision)
 
     p = sub.add_parser("experiment",
                        help="run a seeded Monte Carlo experiment")
@@ -318,7 +309,8 @@ _CONFIG_ALIASES = {"id": "experiment_id", "h": "hurst", "q": "order", "seed": "m
 def _parse_config_file(path: str) -> dict:
     values: dict = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig: a file saved with a byte order mark reads as without one
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8 text ({exc})") from None
@@ -385,6 +377,8 @@ def _cmd_report(args) -> int:
         with open(name) as fh:
             try:
                 rep = json.load(fh)
+                # a lone surrogate such as \ud800 is JSON, but no output file can encode it
+                json.dumps(rep, ensure_ascii=False).encode()
             except (ValueError, RecursionError) as exc:  # not JSON text, or nested too deep
                 raise FbmvarError(f"{name}: not a JSON report ({exc})") from None
         if not isinstance(rep, dict) or not isinstance(rep.get("config", {}), dict):
@@ -395,16 +389,8 @@ def _cmd_report(args) -> int:
             )
         reports.append(rep)
     if args.format == "json":
-        _write_text(
-            json.dumps(
-                {"schema": "fbmvar-report-merge/1", "seed": args.seed,
-                 "reports": reports},
-                sort_keys=True,
-                indent=2,
-            )
-            + "\n",
-            args.out,
-        )
+        merged = {"schema": "fbmvar-report-merge/1", "seed": args.seed, "reports": reports}
+        _write_text(json_text(merged), args.out)
         return 0
     rows = [("experiment", "H", "q", "weight", "levels", "verdict")]
     for rep in reports:

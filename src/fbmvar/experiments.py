@@ -86,7 +86,7 @@ from .variations import (
     unweighted_second_moment,
     centered_power_second_moment,
 )
-from .weights import ConstantOne, WeightFunction, parse_weight
+from .weights import ZERO, ConstantOne, WeightFunction, parse_weight
 
 REPORT_SCHEMA = "fbmvar-report/1"
 
@@ -128,7 +128,10 @@ class ExperimentConfig:
         for name, low in (("replicates", 100), ("fine_offset", 0), ("threads", 1)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        parse_weight(self.weight)
+        if parse_weight(self.weight) == ZERO:
+            raise ConfigError(
+                f"weight {self.weight!r} is identically zero: every statistic is 0"
+            )
 
     def canonical_dict(self) -> dict:
         # threads is an execution detail, not part of the result's identity
@@ -161,7 +164,7 @@ class ExperimentReport:
             "flags": self.flags,
             "verdict": self.verdict,
         }
-        return json.dumps(payload, sort_keys=True, indent=2, default=_plain) + "\n"
+        return json_text(payload)
 
     def per_level_csv(self) -> str:
         # every key in order of first appearance
@@ -192,6 +195,11 @@ def _plain(obj):
     return obj.tolist() if isinstance(obj, np.ndarray) else obj.item()
 
 
+def json_text(payload) -> str:
+    """Canonical JSON text: sorted keys, indent 2, each float its shortest repr."""
+    return json.dumps(payload, sort_keys=True, indent=2, default=_plain) + "\n"
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Dispatch to the experiment named in the config."""
     runner = _EXPERIMENTS[config.experiment_id][0]
@@ -209,10 +217,7 @@ def _values_block(
     hurst: float, level: int, seed: int, start: int, count: int
 ) -> np.ndarray:
     inc = fbm.sample_increments_circulant(hurst, level, seed, start, count)
-    vals = np.empty((count, inc.shape[1] + 1))
-    vals[:, 0] = 0.0
-    np.cumsum(inc, axis=1, out=vals[:, 1:])
-    return vals
+    return fbm.values_from_increments(inc)
 
 
 class _GridWeight:
@@ -238,20 +243,19 @@ class _GridWeight:
 
 
 def _replicate_block(
-    cfg: ExperimentConfig, kernel: Callable, fine: bool, start: int, count: int
+    cfg: ExperimentConfig, kernel: Callable, fine_level: int, start: int, count: int
 ) -> dict[str, np.ndarray]:
     """Kernel outputs for replicates start .. start+count-1, every level."""
     f = parse_weight(cfg.weight)
-    offset = cfg.fine_offset if fine else 0
-    top = max(cfg.levels) + offset
-    vals = _values_block(cfg.hurst, top, cfg.master_seed, start, count)
+    offset = fine_level - max(cfg.levels)
+    vals = _values_block(cfg.hurst, fine_level, cfg.master_seed, start, count)
     cache: dict[int, np.ndarray] = {}
     out: dict[str, np.ndarray] = {}
     # an overflow shows as an output that is not finite, which _collect reports
     with np.errstate(over="ignore", invalid="ignore"):
         for n in cfg.levels:
             m = n + offset
-            stride = 2 ** (top - m)
+            stride = 2 ** (fine_level - m)
             w = _GridWeight(f, vals, cache, stride)
             out.update(kernel(cfg, w, vals[:, ::stride], m, n))
     return out
@@ -301,7 +305,7 @@ def _collect(
         for start in range(0, cfg.replicates, size)
     ]
     workers = min(cfg.threads, len(blocks), os.cpu_count() or 1)
-    block = partial(_replicate_block, cfg, kernel, fine)
+    block = partial(_replicate_block, cfg, kernel, fine_level)
     if workers == 1:
         # not a pool thread, which allocates from its own glibc arena (+7-8% peak RSS)
         parts = [block(s, c) for s, c in blocks]
@@ -610,27 +614,23 @@ def run_clt(cfg: ExperimentConfig) -> ExperimentReport:
             )
         levels.append(entry)
     top = levels[-1]
+    f2 = float(np.mean(data[f"fsq_{max(cfg.levels)}"]))  # exactly 1.0 at f = 1
     summary: dict = {
         "sigma2": sigma2,
         "sigma": sigma.value,
         "truncation_radius": sigma.radius,
+        "variance_rel_err": abs(top["variance"] / (sigma2 * f2) - 1.0),
     }
     flags = ["pair-convergence tested via marginal law + conditional variance only"]
     if unweighted:
         y_top = data[f"y_{max(cfg.levels)}"]
         ks_d, ks_p = ks_1samp_normal(y_top / sigma.value)
-        summary.update(
-            variance_rel_err=abs(top["variance"] / sigma2 - 1.0),
-            ks_stat=ks_d,
-            ks_p=ks_p,
-        )
+        summary.update(ks_stat=ks_d, ks_p=ks_p)
         ok = summary["variance_rel_err"] <= THRESHOLDS["variance_rtol"]
         ok = ok and ks_p > THRESHOLDS["ks_alpha"]
     else:
-        f2 = float(np.mean(data[f"fsq_{max(cfg.levels)}"]))
         summary["slope_rel_err"] = abs(top["stat"] / sigma2 - 1.0)
         summary["mean_f_sq"] = f2
-        summary["variance_rel_err"] = abs(top["variance"] / (sigma2 * f2) - 1.0)
         ok = (
             summary["slope_rel_err"] <= THRESHOLDS["slope_rtol"]
             and summary["variance_rel_err"] <= THRESHOLDS["slope_rtol"]

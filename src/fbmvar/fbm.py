@@ -232,6 +232,14 @@ def _increments_from_normals(sq: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, n=m, axis=1, out=z)[:, :half]
 
 
+def values_from_increments(inc: np.ndarray) -> np.ndarray:
+    """Path values from increments along the last axis: 0, then their running sum."""
+    values = np.empty(inc.shape[:-1] + (inc.shape[-1] + 1,))
+    values[..., 0] = 0.0
+    np.cumsum(inc, axis=-1, out=values[..., 1:])
+    return values
+
+
 def sample_fbm_circulant(
     hurst: float, level: int, seed: int, stream_index: int = 0
 ) -> FbmPath:
@@ -239,10 +247,7 @@ def sample_fbm_circulant(
     _check_h(hurst)
     _check_level(level)
     inc = sample_increments_circulant(hurst, level, seed, stream_index, 1)[0]
-    values = np.empty(inc.size + 1)
-    values[0] = 0.0
-    np.cumsum(inc, out=values[1:])
-    return FbmPath(hurst, level, values, seed, stream_index)
+    return FbmPath(hurst, level, values_from_increments(inc), seed, stream_index)
 
 
 def sample_increments_circulant(
@@ -277,9 +282,7 @@ def sample_fbm_cholesky(
         )
     chol = _cholesky_factor(hurst, level)
     z = stream(seed, stream_index).standard_normal(2**level)
-    inc = chol @ z
-    values = np.concatenate(([0.0], np.cumsum(inc)))
-    return FbmPath(hurst, level, values, seed, stream_index)
+    return FbmPath(hurst, level, values_from_increments(chol @ z), seed, stream_index)
 
 
 @lru_cache(maxsize=1)

@@ -132,11 +132,16 @@ def _parameter(text: str) -> float:
     return value
 
 
+# the one weight that is identically zero
+ZERO = Polynomial((0.0,))
+
+
 def parse_weight(spec: str) -> WeightFunction:
     """Parse the CLI weight grammar: one | poly:c0,c1,... | cos:a | sin:a | exp:a.
 
     Every spelling of f = 1 (one, poly:1,0,..., cos:0, exp:0) gives
-    ``ConstantOne``, so a caller decides f = 1 by type alone."""
+    ``ConstantOne``, so a caller decides f = 1 by type alone; every
+    spelling of f = 0 (poly:0,0,..., sin:0) gives ``ZERO``."""
     spec = spec.strip()
     if spec == "one":
         return ConstantOne()
@@ -148,9 +153,11 @@ def parse_weight(spec: str) -> WeightFunction:
             coefficients = tuple(_parameter(c) for c in args.split(","))
             if coefficients[0] == 1.0 and not any(coefficients[1:]):
                 return ConstantOne()
-            return Polynomial(coefficients)
+            return Polynomial(coefficients) if any(coefficients) else ZERO
         if kind in ("cos", "exp") and _parameter(args) == 0.0:
             return ConstantOne()
+        if kind == "sin" and _parameter(args) == 0.0:
+            return ZERO
         if kind == "cos":
             return Cosine(_parameter(args))
         if kind == "sin":

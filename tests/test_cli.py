@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fbmvar import fbm
-from fbmvar.cli import build_parser, main
+from fbmvar import experiments, fbm
+from fbmvar.cli import _emit, build_parser, main
 from fbmvar.constants import sigma_clt
+from fbmvar.experiments import EXPERIMENT_IDS
 from fbmvar.hermite_process import simulate_hermite
 from fbmvar.variations import weighted_power_variation
 from fbmvar.weights import parse_weight
@@ -92,7 +93,7 @@ def test_sample_json(capsys, precision):
     assert (payload["H"], payload["n"], payload["seed"], payload["stream"],
             payload["sampler"]) == (0.7, 5, 9, 2, "circulant")
     direct = fbm.sample_fbm_circulant(0.7, 5, seed=9, stream_index=2).values.tolist()
-    if precision is None:  # 17 significant digits give back every double
+    if precision is None:  # each number's shortest repr gives back its double
         assert payload["values"] == direct
     else:
         assert payload["values"] == [float(f"{v:.4g}") for v in direct]
@@ -267,6 +268,42 @@ def test_experiment_config_file_with_flag_override(tmp_path, capsys):
     payload = json.loads(out_json.read_text())
     assert payload["config"]["replicates"] == 200  # flag wins
     assert payload["config"]["master_seed"] == 3
+    # a file saved with a UTF-8 byte order mark reads as the same file without one
+    cfg.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+    bom_json = tmp_path / "bom.json"
+    code, _, _ = run_cli(
+        capsys, "experiment", "--id", "clt", "--config", str(cfg),
+        "--replicates", "200", "--out", str(bom_json),
+    )
+    assert code == 0 and bom_json.read_bytes() == out_json.read_bytes()
+
+
+@pytest.mark.parametrize("weight", ["sin:0", "poly:0", "poly:0,0,0"])
+@pytest.mark.parametrize("exp_id", EXPERIMENT_IDS)
+def test_zero_weight_refused_before_any_block(capsys, monkeypatch, exp_id, weight):
+    def no_block(*args):
+        raise AssertionError("a block was drawn for an identically zero weight")
+
+    monkeypatch.setattr(experiments, "_values_block", no_block)
+    code, out, err = run_cli(capsys, "experiment", "--id", exp_id, "--H", "0.6",
+                             "--q", "2", "--weight", weight, "--replicates", "100")
+    assert (code, out) == (1, "")
+    assert err == f"error: weight {weight!r} is identically zero: every statistic is 0\n"
+
+
+def test_default_json_numbers_read_back_bit_identical(tmp_path):
+    # the shortest repr of a double reads back to that double, so the default
+    # output equals a 17-digit rounding of every number
+    edge = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -0.0,
+            0.1 + 0.2, 1 / 3]
+    payload = {"floats": edge, "numpy": [np.float64(v) for v in edge]}
+    default, seventeen = tmp_path / "default.json", tmp_path / "seventeen.json"
+    _emit(payload, str(default), None)
+    _emit(payload, str(seventeen), 17)
+    back = json.loads(default.read_text())
+    for key in payload:
+        assert [v.hex() for v in back[key]] == [v.hex() for v in edge]
+    assert default.read_bytes() == seventeen.read_bytes()
 
 
 def test_experiment_determinism_byte_identical(tmp_path, capsys):

@@ -16,6 +16,7 @@ from fbmvar.weights import (
     Exponential,
     Polynomial,
     Sine,
+    ZERO,
     parse_weight,
 )
 
@@ -32,6 +33,8 @@ class TestWeights:
     def test_parse(self):
         for spec in ("one", "poly:1", "poly:1.0,0,-0", "cos:0", "exp:-0.0"):
             assert isinstance(parse_weight(spec), ConstantOne)  # every f = 1
+        for spec in ("poly:0", "poly:0,0,0", "poly:-0.0,0", "sin:0", "sin:-0.0"):
+            assert parse_weight(spec) == ZERO  # every f = 0
         assert parse_weight("poly:0,1").coefficients == (0.0, 1.0)
         assert parse_weight("cos:2.5").frequency == 2.5
         assert parse_weight("sin:1").frequency == 1.0

@@ -14,6 +14,9 @@ Each line is ``<sha256>  <name>``.  The outputs covered are:
   and renormalised Hermite variation;
 * ``constants`` at the benchmark's five (H, q) pairs and at q = 4, 6, 12;
 * ``hermite-process`` as json and csv;
+* ``--precision`` 1, 4 and 17 JSON from ``sample``, ``variation``,
+  ``constants`` and ``hermite-process``;
+* ``report --merge`` of two runner reports, as table and as JSON;
 * a few requests the CLI rejects, as exit code, stdout and stderr.
 
 A CLI digest covers the exit code, stdout, stderr and any file written
@@ -74,6 +77,14 @@ CONSTANT_PAIRS = (
     (0.3, 4), (0.6, 4), (0.3, 6), (0.6, 6), (0.3, 12), (0.6, 12),
 )
 HERMITE_PROCESS = (("2", "0.9", "10", "5"), ("3", "0.9", "10", "4"))
+PRECISION_REQUESTS = {
+    "sample": ("sample", "--H", "0.7", "--n", "8", "--seed", "3", "--format", "json"),
+    "variation": ("variation", "--H", "0.6", "--n", "10", "--q", "3", "--weight",
+                  "sin:0.5", "--seed", "4", "--renormalize"),
+    "constants": ("constants", "--H", "0.3", "--q", "3", "--seed", "5"),
+    "hermite-process": ("hermite-process", "--q", "2", "--H", "0.9", "--m", "10",
+                        "--n-out", "5", "--seed", "6"),
+}
 REJECTED = {
     "variation-centred-hermite": ("variation", "--H", "0.6", "--n", "8", "--q", "2",
                                   "--centered"),
@@ -109,6 +120,7 @@ def _cli(workdir: Path, argv) -> bytes:
 
 def digests(workdir: Path):
     """(name, sha256) of every covered output, in a fixed order."""
+    merged = []  # the report files of the first two configs, for report --merge
     for exp_id, hurst, q, weight, levels, reps, seed, offset in RUNNER_CONFIGS:
         for threads in (1, 2):
             rep = run_experiment(ExperimentConfig(
@@ -118,6 +130,9 @@ def digests(workdir: Path):
             name = f"experiment {exp_id} H={hurst} q={q} {weight} threads={threads}"
             if exp_id == "corollary":
                 name += f" item={rep.summary['item']}"
+            if threads == 1 and len(merged) < 2:
+                merged.append(str(workdir / f"report{len(merged)}.json"))
+                Path(merged[-1]).write_text(rep.to_json())
             yield f"{name} json", _digest(rep.to_json().encode())
             yield f"{name} csv", _digest(rep.per_level_csv().encode())
             yield f"{name} tsv", _digest(rep.plot_tsv().encode())
@@ -146,6 +161,15 @@ def digests(workdir: Path):
             argv = ("hermite-process", "--q", q, "--H", hurst, "--m", m, "--n-out", n_out,
                     "--seed", "6", "--export", export)
             yield f"hermite-process q={q} {export}", _digest(_cli(workdir, argv))
+
+    for name, argv in PRECISION_REQUESTS.items():
+        for precision in ("1", "4", "17"):
+            yield f"{name} precision={precision}", _digest(
+                _cli(workdir, (*argv, "--precision", precision)))
+
+    for fmt in ("table", "json"):
+        argv = ("report", "--merge", *merged, "--format", fmt, "--seed", "7")
+        yield f"report merge {fmt}", _digest(_cli(workdir, argv))
 
     for name, argv in REJECTED.items():
         yield f"rejected {name}", _digest(_cli(workdir, argv))
