@@ -21,6 +21,15 @@ Two exact samplers are provided:
   2**n + 1 eigenvalues it needs are cached as a read-only array for the
   last (H, n) only: a run samples one (H, n) at a time.  The inverse FFT
   always writes into the block's own normals.  Cost O(n 2**n).
+
+  The eigenvalues are the DCT-I of the 2**n + 1 covariances (computed
+  2**15 lags at a time).  Up to n = 16 it is one real FFT of the padded
+  2**(n+1)-point row.  Above, even/odd rounds halve it down to 2**16
+  points, each odd half an inverse real FFT of half the round's points:
+  about one real FFT of length 2**n in all, half the padded row's work,
+  and at most 3.3 times the result's bytes at n >= 20 where the padded
+  row takes 5.  Eigenvalues up to n = 16 keep the padded row's bits;
+  above, they differ from it by rounding (about 1e-15 of the largest).
 * ``sample_fbm_cholesky`` factorises the dense increment covariance;
   it is O(2**(3n)) and capped at n <= 12, and serves as the independent
   oracle for the circulant sampler in tests.
@@ -59,6 +68,10 @@ EIG_REL_TOL = 1e-9
 CHOLESKY_MAX_LEVEL = 12
 CIRCULANT_MAX_LEVEL = 24
 _EXACT_RHO_MAX_LAG = 64
+# lags per covariance call and twiddles per table call
+_CHUNK = 1 << 15
+# the even-row spectrum of more points is split into halves first
+_SPLIT_MIN_POINTS = 1 << 16
 # rows of CSV text built per string
 _CSV_CHUNK_ROWS = 1 << 16
 
@@ -164,25 +177,91 @@ def increment_autocovariance(hurst: float, level: int, lags) -> np.ndarray:
     return cov
 
 
+def _covariances(hurst: float, level: int) -> np.ndarray:
+    """Increment autocovariances at lags 0 .. 2**n, _CHUNK lags per call:
+    every lag goes through the same element-wise operations as in one call,
+    so the bits are those of one call, with chunk-sized temporaries."""
+    n_pts = 2**level + 1
+    x = np.empty(n_pts)
+    for start in range(0, n_pts, _CHUNK):
+        stop = min(start + _CHUNK, n_pts)
+        x[start:stop] = increment_autocovariance(hurst, level, np.arange(start, stop))
+    return x
+
+
+def _even_row_spectrum(x: np.ndarray) -> np.ndarray:
+    """lam_k = x_0 + (-1)**k x_N + 2 sum_{j=1}^{N-1} x_j cos(pi j k / N), k = 0 .. N:
+    the real spectrum of the even row x_0 .. x_N, x_{N-1} .. x_1 (a DCT-I).
+
+    Up to N = _SPLIT_MIN_POINTS it is ``rfft(row).real``, bit for bit.  Above,
+    each round halves N (M = N/2) by an even/odd split, in place in x:
+
+    * u_j = x_j + x_{N-j}, u_M = 2 x_M, left in x[:M+1]: lam_{2p} is the DCT-I
+      of u, the next round's input;
+    * v_j = x_j - x_{N-j}, left in x[N-j] for j < M: lam_{2p+1} = v_0 + 2 sum_j
+      v_j cos(pi j (2p+1) / 2M) is M times the length-M inverse real FFT y of
+      Z_k = (v_k - i v_{M-k}) e^{i pi k / 2M}, k = 0 .. M/2 (v_M = 0), read back
+      as lam_{4r+1} = y_r, lam_{4r+3} = y_{M-1-r}.
+
+    The rounds cost one real FFT of length N in all; x is overwritten.  The
+    odd halves are transformed smallest first, so the FFT's scratch grows
+    from call to call and, in a fresh process, glibc maps each block afresh
+    and unmaps it when freed.  Largest first, the freed 16 MiB scratch of
+    N = 2**22 raises glibc's mmap threshold, the smaller blocks after it
+    stay on the heap, and a fresh ``sample --n 22`` peaked 16 MiB higher.
+    One work buffer holds the twiddles e^{i pi k / N} (round s takes every
+    2**(s-1)-th), then Z and the butterflies' scratch.
+    """
+    n = len(x) - 1
+    lam = np.empty(n + 1)
+    work = np.empty(n // 2 + 2 if n > _SPLIT_MIN_POINTS else 0, dtype=complex)
+    table, z_buf = work[: n // 4 + 1], work[n // 4 + 1 :]
+    for start in range(0, len(table), _CHUNK):
+        theta = np.arange(start, min(start + _CHUNK, len(table))) * (np.pi / n)
+        table.real[start : start + len(theta)] = np.cos(theta)
+        table.imag[start : start + len(theta)] = np.sin(theta)
+    nc = n
+    while nc > _SPLIT_MIN_POINTS:
+        m = nc // 2
+        head, tail = x[:m], x[nc:m:-1]
+        scratch = z_buf.view(float)[:m]
+        np.subtract(head, tail, out=scratch)
+        head += tail
+        tail[:] = scratch
+        x[m] *= 2.0
+        nc = m
+    row = np.empty(2 * nc)
+    row[: nc + 1] = x[: nc + 1]
+    row[nc + 1 :] = x[1:nc][::-1]
+    stride = n // nc
+    lam[::stride] = np.fft.rfft(row).real
+    del row
+    while nc < n:
+        m, nc, stride = nc, 2 * nc, stride // 2
+        z = z_buf[: m // 2 + 1]
+        z.real[:] = x[nc : nc - m // 2 - 1 : -1]
+        np.negative(x[m + 1 : m + m // 2 + 1], out=z.imag[1:])
+        z.imag[0] = 0.0
+        z *= table[:: n // nc]
+        y = np.fft.irfft(z, n=m, norm="forward", out=x[m + 1 : nc + 1])
+        lam[stride :: 4 * stride] = y[: m // 2]
+        lam[3 * stride :: 4 * stride] = y[: m // 2 - 1 : -1]
+    return lam
+
+
 @lru_cache(maxsize=1)
 def _circulant_sqrt_eigs(hurst: float, level: int) -> np.ndarray:
     """sqrt of eigenvalues 0 .. 2**n of the length-2**(n+1) embedded circulant.
 
     The embedding row is real and symmetric, so its spectrum is real and
-    even: eigenvalue m - k equals eigenvalue k, and the half spectrum from
-    one real FFT holds all of them.  The cached array is read-only.
+    even: eigenvalue m - k equals eigenvalue k, and the half spectrum, the
+    DCT-I of the 2**n + 1 covariances, holds all of them.  The cached array
+    is read-only.
 
     One entry, at most 32 MiB (n = 22), is kept: a run samples one
     (H, level) at a time, the replicate engine every block at its top level.
     """
-    n_inc = 2**level
-    cov = increment_autocovariance(hurst, level, np.arange(n_inc + 1))
-    row = np.empty(2 * n_inc)
-    row[: n_inc + 1] = cov
-    row[n_inc + 1 :] = cov[1:n_inc][::-1]
-    del cov
-    lam = np.fft.rfft(row).real
-    del row
+    lam = _even_row_spectrum(_covariances(hurst, level))
     lam_min = lam.min()
     floor = -EIG_REL_TOL * lam.max()
     if lam_min < floor:
@@ -199,8 +278,8 @@ def _circulant_sqrt_eigs(hurst: float, level: int) -> np.ndarray:
             hurst,
             level,
         )
-        lam = np.maximum(lam, 0.0)
-    sq = np.sqrt(lam)
+        np.maximum(lam, 0.0, out=lam)
+    sq = np.sqrt(lam, out=lam)
     sq.flags.writeable = False
     return sq
 

@@ -64,6 +64,63 @@ def test_circulant_eigenvalues_nonnegative_near_h_one():
     assert fbm.sample_increments_circulant(hurst, level, 1, 0, 1).shape == (1, n_inc)
 
 
+def _padded_row_eigenvalues(hurst, level):
+    """Oracle: one real FFT of the 2**(n+1)-point even row of covariances."""
+    n_inc = 2**level
+    cov = fbm.increment_autocovariance(hurst, level, np.arange(n_inc + 1))
+    return np.fft.rfft(np.concatenate([cov, cov[1:n_inc][::-1]])).real
+
+
+@pytest.mark.parametrize("hurst,level", [(0.6, 1), (0.1, 9), (0.3, 12), (0.7, 15),
+                                         (0.95, 16)])
+def test_eigenvalues_up_to_level_16_are_the_padded_row_fft(hurst, level):
+    sq = fbm._circulant_sqrt_eigs(hurst, level)
+    assert sq.tobytes() == np.sqrt(_padded_row_eigenvalues(hurst, level)).tobytes()
+
+
+@pytest.mark.parametrize("hurst,level", [(0.3, 17), (0.95, 18), (0.1, 19), (0.7, 20)])
+def test_split_eigenvalues_agree_with_the_padded_row_fft(hurst, level):
+    lam = fbm._circulant_sqrt_eigs(hurst, level) ** 2
+    oracle = _padded_row_eigenvalues(hurst, level)
+    assert np.max(np.abs(lam - oracle)) <= 1e-13 * np.max(oracle)
+
+
+@pytest.mark.parametrize("hurst", [0.1, 0.5, 0.75, 0.95])
+def test_split_spectrum_matches_a_long_double_cosine_sum(monkeypatch, hurst):
+    # six rounds of the split (2**10 down to 2**4), against the direct DCT-I sum
+    monkeypatch.setattr(fbm, "_SPLIT_MIN_POINTS", 2**4)
+    n = 2**10
+    x = fbm._covariances(hurst, 10)
+    lam = fbm._even_row_spectrum(x.copy())
+    pi = 4 * np.arctan(np.longdouble(1))
+    k = np.arange(n + 1)
+    phase = np.outer(k, np.arange(1, n)) % (2 * n)  # reduced exactly before the cosine
+    xl = x.astype(np.longdouble)
+    exact = xl[0] + np.where(k % 2 == 0, 1, -1) * xl[n] + 2 * (np.cos(pi * phase / n) @ xl[1:n])
+    assert np.max(np.abs(lam - exact)) <= 1e-14 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("level", [17, 20])
+def test_split_spectrum_of_a_unit_spike_is_flat(level):
+    # at H = 1/2 the increments are independent: the covariance row is
+    # 2**-n at lag 0 and exactly 0 elsewhere, so every eigenvalue is 2**-n
+    assert np.all(fbm._even_row_spectrum(fbm._covariances(0.5, level)) == 2.0**-level)
+    assert np.all(fbm._circulant_sqrt_eigs(0.5, level) == np.sqrt(2.0**-level))
+
+
+def test_eigenvalue_step_peak_allocation():
+    import tracemalloc
+
+    fbm._circulant_sqrt_eigs.cache_clear()
+    tracemalloc.start()
+    try:
+        sq = fbm._circulant_sqrt_eigs(0.7, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0 * sq.nbytes
+
+
 def _dense_complex_synthesis(sq, z):
     """Oracle: the full length-m Hermitian spectrum through a complex FFT,
     in the documented draw order."""

@@ -58,14 +58,35 @@ def partial_sums_oracle(values, hurst, m, q, n):
     return out
 
 
-def interval_order_oracle(values, hurst, m, q, n):
-    """The definition summed by output interval: the 2^(m-n) terms of each
+def reshape_sum_oracle(terms, hurst, m, q, n):
+    """Z from H_q terms summed by output interval: the 2^(m-n) terms of each
     interval in one pairwise sum, then the running sum of the 2^n sums."""
-    hq = hermite.hermite_eval(q, 2.0 ** (m * hurst) * np.diff(values, axis=-1))
-    sums = np.sum(hq.reshape(values.shape[:-1] + (2**n, 2 ** (m - n))), axis=-1)
-    out = np.zeros(values.shape[:-1] + (2**n + 1,))
+    sums = np.sum(terms.reshape(terms.shape[:-1] + (2**n, 2 ** (m - n))), axis=-1)
+    out = np.zeros(terms.shape[:-1] + (2**n + 1,))
     out[..., 1:] = np.cumsum(sums, axis=-1) * 2.0 ** (m * (q * (1.0 - hurst) - 1.0))
     return out
+
+
+def interval_order_oracle(values, hurst, m, q, n):
+    """The definition summed by output interval."""
+    hq = hermite.hermite_eval(q, 2.0 ** (m * hurst) * np.diff(values, axis=-1))
+    return reshape_sum_oracle(hq, hurst, m, q, n)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 4, 8, 64])
+@pytest.mark.parametrize("rows", [(), (3,)])
+def test_partial_sums_equal_the_reshape_sum(stride, rows):
+    # terms of many magnitudes, so that another order of addition shows,
+    # and whole intervals of -0.0 and of mixed zeros
+    m = 10
+    n = m - stride.bit_length() + 1
+    rng = np.random.default_rng(stride)
+    terms = rng.standard_normal(rows + (2**m,)) * 10.0 ** rng.integers(-8, 9, rows + (2**m,))
+    terms[..., : 2 * stride] = -0.0
+    terms[..., 2 * stride : 4 * stride : 2] = 0.0
+    terms[..., 2 * stride + 1 : 4 * stride : 2] = -0.0
+    z = hermite_partial_sums(terms, 0.9, m, 2, n)
+    assert z.tobytes() == reshape_sum_oracle(terms, 0.9, m, 2, n).tobytes()
 
 
 @pytest.mark.parametrize("hurst,q,m,n", [(0.9, 2, 10, 4), (0.9, 3, 9, 9), (0.95, 4, 8, 1)])
