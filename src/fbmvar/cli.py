@@ -31,6 +31,7 @@ from .constants import (
 from .errors import ConfigError, DomainError, FbmvarError, SeriesDivergenceError
 from .experiments import EXPERIMENT_IDS, ExperimentConfig, json_text, run_experiment
 from .hermite_process import _check_request, simulate_hermite
+from .rng import check_key
 from .variations import (
     _check_order,
     renormalize,
@@ -51,6 +52,22 @@ def _precision(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"precision must be an integer >= 1, got {text!r}")
     return int(text)
+
+
+def _key_word(name: str):
+    """argparse type of a seed or stream index: an integer in [0, 2**64)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        try:
+            return check_key(value, name)
+        except DomainError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
 def _emit(payload: dict, out: str | None, precision: int | None) -> None:
@@ -91,8 +108,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="subcommand", parser_class=_Parser)
     # the options the path and payload subcommands share
     path_opts = argparse.ArgumentParser(add_help=False)
-    path_opts.add_argument("--seed", type=int, default=0, help="master seed")
-    path_opts.add_argument("--stream", type=int, default=0, help="replicate stream index")
+    path_opts.add_argument("--seed", type=_key_word("seed"), default=0, help="master seed")
+    path_opts.add_argument("--stream", type=_key_word("stream index"), default=0,
+                           help="replicate stream index")
     out_opts = argparse.ArgumentParser(add_help=False)
     out_opts.add_argument("--out", help="output file (default stdout)")
     out_opts.add_argument("--precision", type=_precision,
@@ -151,7 +169,7 @@ def build_parser() -> _Parser:
     p.add_argument("--weight")
     p.add_argument("--levels", help="comma-separated dyadic levels")
     p.add_argument("--replicates", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_key_word("seed"))
     p.add_argument("--fine-offset", type=int)
     p.add_argument("--threads", type=int,
                    help="worker threads (default FBMVAR_THREADS or 1)")

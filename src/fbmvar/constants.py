@@ -176,11 +176,50 @@ def rho_tail_mass_bound(hurst: float, p: int, radius: int) -> float:
     return 2.0 * c * (radius - 1.0) ** (1.0 - s) / (s - 1.0)
 
 
+# extraction rounds of exact_sum before the residual goes to math.fsum; with
+# 2**b > 2N terms each round takes 53 - b bits (30 for N = 2**21) off the
+# residual's largest magnitude
+_EXACT_SUM_ROUNDS = 40
+
+
+def exact_sum(terms) -> float:
+    """``math.fsum(terms)``, bit for bit, in a few whole-array passes.
+
+    Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31,
+    2008): with N terms, 2**b > 2N and sigma = 2**(b + e) >= 2**b max|x|,
+    q = (sigma + x) - sigma and x - q are exact, every q is a multiple of
+    2**-53 sigma and N max|q| <= sigma / 2, so the round's ``np.sum(q)`` is
+    exact in any order.  Rounds repeat on x - q until it is zero, and
+    ``math.fsum`` rounds the few exact partial sums once.  Where sigma would
+    overflow (max|x| >= 2**(1023 - b)), a term is not finite or the rounds
+    run out, the rest goes to ``math.fsum`` as it is, which keeps its
+    results and its OverflowError.
+    """
+    x = np.array(terms, dtype=float).ravel()
+    bits = (2 * x.size).bit_length()
+    q = np.empty_like(x)
+    partials = []
+    for _ in range(_EXACT_SUM_ROUNDS):
+        top = float(np.max(np.abs(x, out=q))) if x.size else 0.0
+        if top == 0.0:
+            # with no partial sum every term is +-0.0, and math.fsum picks
+            # the zero's sign
+            return math.fsum(partials) if partials else math.fsum(x)
+        if not math.isfinite(top) or math.frexp(top)[1] + bits > 1023:
+            break
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + bits)
+        np.add(x, sigma, out=q)
+        q -= sigma
+        x -= q
+        partials.append(float(np.sum(q)))
+    return math.fsum(partials + x.tolist())
+
+
 def _rho_powers_stable(hurst: float, p: int, radius: int) -> float:
     """sum_{r=1..R} rho^p, exactly rounded.  ``fbm.rho`` evaluates the large
     lags without cancellation noise, which would otherwise swamp the
     analytic tail control when summing millions of lags."""
-    return math.fsum(rho(np.arange(1, radius + 1, dtype=float), hurst) ** p)
+    return exact_sum(rho(np.arange(1, radius + 1, dtype=float), hurst) ** p)
 
 
 def rho_power_sum(

@@ -69,6 +69,7 @@ from .constants import (
 from .errors import ConfigError, DomainError, RegimeError, SizeLimitError
 from .hermite import monomial_in_hermite
 from .hermite_process import hermite_partial_sums, young_integral_rows
+from .rng import check_key
 from .stats import (
     count_inversions,
     ks_1samp_normal,
@@ -128,6 +129,7 @@ class ExperimentConfig:
         for name, low in (("replicates", 100), ("fine_offset", 0), ("threads", 1)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        check_key(self.master_seed, "master_seed")
         if parse_weight(self.weight) == ZERO:
             raise ConfigError(
                 f"weight {self.weight!r} is identically zero: every statistic is 0"

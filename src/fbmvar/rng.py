@@ -7,17 +7,30 @@ seed, which is how experiments assign one stream per Monte Carlo
 replicate before any parallel fan-out.  Gaussian variates are produced by
 ``numpy.random.Generator.standard_normal`` (ziggurat method); together
 with the fixed draw order documented in each sampler this makes results
-bit-reproducible across platforms and across worker counts.
+bit-reproducible across platforms and across worker counts.  Seeds and
+stream indices are the two 64-bit words of the Philox key: ``check_key``
+rejects any other value rather than reducing it modulo 2**64.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+from .errors import DomainError
+
+_KEY_LIMIT = 1 << 64
+
+
+def check_key(value: int, name: str) -> int:
+    """`value` if it is an integer in [0, 2**64), a word of the Philox key;
+    DomainError otherwise, so that no seed or stream index aliases another."""
+    if not isinstance(value, (int, np.integer)) or not 0 <= value < _KEY_LIMIT:
+        raise DomainError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+    return value
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
     """Return the generator for replicate `index` of master seed `seed`."""
-    key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
+    key = np.array([check_key(seed, "seed"), check_key(index, "stream index")],
+                   dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -13,9 +13,17 @@ The row functions of the Monte Carlo experiments take a (replicates,
 2^n + 1) path-value matrix and the weight's values at every point of it,
 and sum each statistic's per-increment terms with numpy's pairwise summation
 (error O(eps log(2**n)), ten orders of magnitude below Monte Carlo noise).
-The single-path entry points ``math.fsum`` the same terms (exactly rounded;
-the sums mix 2**n terms of both signs), and raise ``DomainError`` when a
-term is not finite or the sum overflows a double.
+The single-path entry points sum the same terms exactly rounded, as
+``math.fsum`` would (the sums mix 2**n terms of both signs), and raise
+``DomainError`` when a term is not finite or the sum overflows a double.
+They sum through ``constants.exact_sum``: with N terms and sigma = 2**k at
+least 2N times the largest |term|, q = (sigma + x) - sigma splits every
+term exactly into a high part q and x - q, and the N high parts add up
+exactly in any order, so ``np.sum`` adds them in one pass.  A few such
+rounds leave x - q all zero, and ``math.fsum`` rounds the handful of exact
+partial sums once: the same double as ``math.fsum`` over the terms, about
+three times faster at 2**20 terms.  The exact second moments
+(``_corr_power_sum``) and the constants' lag sums use the same helper.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ScalingRegime, classify_regime, renorm_factor
+from .constants import ScalingRegime, classify_regime, exact_sum, renorm_factor
 from .errors import DomainError, GridAlignmentError, SizeLimitError
 from .fbm import FbmPath, rho
 from .hermite import gaussian_moment, hermite_eval, monomial_in_hermite
@@ -81,12 +89,12 @@ def _power_terms(values, hurst, level, weight, q, centered) -> np.ndarray:
 
 
 def finite_fsum(terms: np.ndarray, what: str) -> float:
-    """math.fsum of `terms`; DomainError, naming `what`, when a term is not
-    finite or the exact sum overflows a double."""
+    """math.fsum of `terms` (through ``exact_sum``); DomainError, naming
+    `what`, when a term is not finite or the exact sum overflows a double."""
     if not np.isfinite(terms).all():
         raise DomainError(f"{what}: a term is not finite (it overflows a double)")
     try:
-        return math.fsum(terms)
+        return exact_sum(terms)
     except OverflowError:
         raise DomainError(f"{what}: the sum overflows a double") from None
 
@@ -253,7 +261,7 @@ def _corr_power_sum(hurst: float, level: int, p: int) -> float:
     n_pts = 2**level
     lags = np.arange(1, n_pts)
     corr = 0.5 * rho(lags, hurst)
-    return n_pts * 1.0 + 2.0 * math.fsum((n_pts - lags) * corr**p)
+    return n_pts * 1.0 + 2.0 * exact_sum((n_pts - lags) * corr**p)
 
 
 def unweighted_second_moment(hurst: float, q: int, level: int) -> float:

@@ -376,6 +376,44 @@ def test_domain_error_exits_one(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("sample", "--H", "0.7", "--n", "3", "--seed", "-1"),
+    ("sample", "--H", "0.7", "--n", "3", "--seed", str(2**64)),
+    ("sample", "--H", "0.7", "--n", "3", "--stream", "-1"),
+    ("variation", "--H", "0.7", "--n", "4", "--q", "2", "--stream", str(2**64 + 3)),
+    ("hermite-process", "--q", "2", "--H", "0.8", "--m", "6", "--n-out", "3",
+     "--seed", "-7"),
+    ("experiment", "--id", "clt", "--H", "0.6", "--q", "2", "--levels", "6",
+     "--replicates", "100", "--seed", "-5"),
+])
+def test_seeds_and_streams_outside_64_bits_exit_one(capsys, argv):
+    # they used to wrap modulo 2**64: --seed -1 drew the path of 2**64 - 1
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "must be an integer in [0, 2**64)" in err.splitlines()[-1]
+    assert err.splitlines()[-1].startswith("error: ")
+
+
+def test_config_file_seed_outside_64_bits_exits_one(capsys, tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("H = 0.6\nq = 2\nlevels = 6\nreplicates = 100\nseed = -5\n")
+    code, out, err = run_cli(capsys, "experiment", "--id", "clt", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err == "error: master_seed must be an integer in [0, 2**64), got -5\n"
+
+
+def test_largest_seed_and_stream_round_trip_through_fbm1(capsys, tmp_path):
+    top = 2**64 - 1
+    out_file = tmp_path / "p.bin"
+    code, _, _ = run_cli(capsys, "sample", "--H", "0.7", "--n", "4", "--seed", str(top),
+                         "--stream", str(top), "--format", "bin", "--out", str(out_file))
+    assert code == 0
+    with open(out_file, "rb") as fh:
+        path = fbm.read_binary(fh)
+    assert path.seed == top
+    assert np.array_equal(path.values, fbm.sample_fbm_circulant(0.7, 4, top, top).values)
+
+
 def test_precision_flag(capsys):
     _, full, _ = run_cli(capsys, "constants", "--H", "0.6", "--q", "2")
     _, short, _ = run_cli(capsys, "constants", "--H", "0.6", "--q", "2",

@@ -63,6 +63,10 @@ class TestConfig:
                 small_cfg(threads=threads)
         with pytest.raises(ConfigError):
             small_cfg(fine_offset=-2)
+        for seed in (-1, 2**64):  # a Philox key word, never reduced mod 2**64
+            with pytest.raises(DomainError, match="master_seed"):
+                small_cfg(master_seed=seed)
+        assert small_cfg(master_seed=2**64 - 1).master_seed == 2**64 - 1
 
         # a finest sampled level above the circulant ceiling (19 + 6 = 25)
         # fails before any block is drawn

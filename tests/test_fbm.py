@@ -182,6 +182,77 @@ def test_synthesis_writes_into_the_normals():
     assert np.shares_memory(inc, z)
 
 
+def _half_spectrum_l1(sq, z):
+    """sum_k |S_k| of each row's half spectrum, the scale of the synthesis's
+    rounding error."""
+    m = z.shape[1]
+    w = sq * np.sqrt(m)
+    w[1 : m // 2] /= np.sqrt(2.0)
+    mag = np.empty((z.shape[0], m // 2 + 1))
+    mag[:, 0], mag[:, -1] = np.abs(z[:, 0]), np.abs(z[:, 1])
+    mag[:, 1:-1] = np.hypot(z[:, 2::2], z[:, 3::2])
+    return np.sum(mag * w, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("level", [17, 18])
+@pytest.mark.parametrize("hurst", [0.1, 0.5, 0.7, 0.9, 0.99])
+def test_packed_synthesis_agrees_with_the_real_inverse_fft(hurst, level):
+    sq = fbm._circulant_sqrt_eigs(hurst, level)
+    z = np.stack([stream(6, i).standard_normal(2 ** (level + 1)) for i in range(2)])
+    oracle = _strided_half_spectrum_synthesis(sq, z)
+    tol = 4 * np.finfo(float).eps * _half_spectrum_l1(sq, z) / 2 ** (level + 1)
+    inc = fbm._increments_from_normals(sq, z)
+    assert np.all(np.abs(inc - oracle) <= tol)
+    assert np.max(np.abs(inc - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("level", [3, 4, 7, 10])
+@pytest.mark.parametrize("hurst", [0.1, 0.5, 0.7, 0.9, 0.99])
+def test_packed_synthesis_below_a_lowered_threshold(monkeypatch, hurst, level):
+    # the pack at small M: one chunk, several chunks, and M/2 = 2 pairs
+    sq = fbm._circulant_sqrt_eigs(hurst, level)
+    z = np.stack([stream(7, i).standard_normal(2 ** (level + 1)) for i in range(3)])
+    oracle = _strided_half_spectrum_synthesis(sq, z)
+    monkeypatch.setattr(fbm, "_SPLIT_MIN_POINTS", 2)
+    monkeypatch.setattr(fbm, "_CHUNK", 8)
+    tol = 4 * np.finfo(float).eps * _half_spectrum_l1(sq, z) / 2 ** (level + 1)
+    inc = fbm._increments_from_normals(sq, z)
+    assert np.all(np.abs(inc - oracle) <= tol)
+    assert np.shares_memory(inc, z)
+
+
+def test_packed_synthesis_rows_are_independent():
+    block = fbm.sample_increments_circulant(0.7, 17, 8, 5, 3)
+    for i in range(3):
+        row = fbm.sample_increments_circulant(0.7, 17, 8, 5 + i, 1)[0]
+        assert block[i].tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("hurst,level,seed,first,count,digest", [
+    (0.3, 12, 5, 0, 3, "980def56d78b0c3ed047ccbdbbc8f2e8ff120b8e9060b1f49cdf996f051515ba"),
+    (0.7, 16, 11, 3, 2, "26856221f3c18eb5cf2304a602467b341d5861dde2b46285ffb4a745507487e5"),
+    (0.99, 16, 2, 7, 1, "c497e96c196e9c2864782ac865bcb63e008d5d7688c8a4b6234b598e2923800e"),
+])
+def test_increments_up_to_level_16_keep_their_bytes(hurst, level, seed, first, count, digest):
+    # sha256 of the increments as the real inverse FFT synthesis first wrote them
+    import hashlib
+
+    inc = fbm.sample_increments_circulant(hurst, level, seed, first, count)
+    assert hashlib.sha256(inc.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n,start,count", [(2**22, 0, 2**20 + 1), (2**10, 0, 257),
+                                           (2**17, 1, 2**15), (2**5, 3, 1), (8, 0, 3)])
+def test_twiddles_match_a_long_double_table(n, start, count):
+    out = fbm._twiddles(n, start, np.empty(count, dtype=complex))
+    pi = 4 * np.arctan(np.longdouble(1))
+    theta = pi * np.arange(start, start + count, dtype=np.longdouble) / n
+    assert np.max(np.abs(out.real - np.cos(theta))) <= 4e-16
+    assert np.max(np.abs(out.imag - np.sin(theta))) <= 4e-16
+    if start == 0:
+        assert out[0] == 1.0
+
+
 def test_eigenvalue_cache_holds_the_one_key_a_run_samples():
     # every block of a report samples its top level, so one entry serves
     # the whole run: one miss, then a hit per further block
@@ -223,6 +294,20 @@ def test_circulant_eigenvalues_read_only():
     with pytest.raises(ValueError):
         chol[0, 0] = 1.0
     assert fbm._cholesky_factor(0.6, 5) is chol
+
+
+@pytest.mark.parametrize("seed,index", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64),
+                                        (1.0, 0), (0, "2")])
+def test_stream_rejects_keys_outside_64_bits(seed, index):
+    with pytest.raises(DomainError, match=r"\[0, 2\*\*64\)"):
+        stream(seed, index)
+
+
+def test_stream_keys_span_64_bits():
+    top = 2**64 - 1
+    a = stream(top, top).standard_normal(4)
+    assert np.array_equal(a, stream(np.uint64(top), np.uint64(top)).standard_normal(4))
+    assert not np.array_equal(a, stream(top - 1, top).standard_normal(4))
 
 
 @pytest.mark.parametrize("count", [1, 37, 128])

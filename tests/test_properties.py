@@ -1,20 +1,25 @@
 """Property tests of the input boundary: FBM1 bytes, report JSON and config
 text.  A CLI request ends in exit 0, or in exit 1 or 2 with an error line,
-and never in a traceback."""
+and never in a traceback.  Also ``constants.exact_sum`` against
+``math.fsum``, bit for bit."""
 
 import contextlib
 import io
 import json
+import math
 import struct
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fbmvar import cli, fbm
+from fbmvar.constants import exact_sum
 from fbmvar.errors import DomainError
+from fbmvar.variations import finite_fsum
 from fbmvar.experiments import ExperimentReport
 
 _HEADER = struct.Struct("<diQ")
@@ -139,3 +144,56 @@ def test_experiment_config_of_any_text_exits_cleanly(data):
         cfg.write_bytes(data)
         _assert_clean_exit(*_run(["experiment", "--id", "clt", "--config", str(cfg),
                                   "--out", str(Path(tmp) / "rep.json")]))
+
+
+def _sum_outcome(fn, x):
+    """The bytes of fn(x), or the overflow it raises."""
+    try:
+        return np.float64(fn(x)).tobytes()
+    except OverflowError:
+        return "overflow"
+
+
+def _float_array(seed, size, lo, span, zero_share, cancel):
+    """`size` doubles (2 size with `cancel`) with binary exponents in
+    [lo, lo + span], subnormals from lo = -1074 on, a share of +-0.0 and,
+    with `cancel`, the negated terms appended in another order plus a tiny
+    remainder."""
+    rng = np.random.default_rng(seed)
+    exps = rng.integers(lo, min(lo + span, 1020) + 1, size).astype(float)
+    x = rng.standard_normal(size) * np.exp2(exps)
+    x[rng.random(size) < zero_share] = 0.0
+    x[rng.random(size) < zero_share / 2] = -0.0
+    if cancel:
+        x = np.concatenate([x, -rng.permutation(x)])
+        if x.size:
+            x[rng.integers(x.size)] += np.exp2(float(lo))
+    return x
+
+
+float_arrays = st.builds(
+    _float_array,
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2048),
+    st.integers(-1074, 1020),
+    st.sampled_from([0, 1, 20, 60, 200, 2100]),
+    st.sampled_from([0.0, 0.1, 1.0]),
+    st.booleans(),
+) | st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=64).map(
+    lambda xs: np.array(xs, dtype=float))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=float_arrays)
+# ties that only a correctly rounded last step of the partial sums breaks
+@example(x=np.array([1.0, 2.0**-53, 2.0**-106]))
+@example(x=np.array([2.0**-1000, 2.0**-1053, 5e-324, 1e300, -1e300]))
+@example(x=np.array([1e16, 1.0, -1e16, -(2.0**-60), 2.0**-53]))
+def test_exact_sum_is_math_fsum_bit_for_bit(x):
+    assert x.size <= 4096
+    assert _sum_outcome(exact_sum, x) == _sum_outcome(math.fsum, x)
+
+
+def test_finite_fsum_still_reports_an_overflowing_partial_sum():
+    with pytest.raises(DomainError, match="overflows"):
+        finite_fsum([1e308, 1e308, -1e308], "demo")
