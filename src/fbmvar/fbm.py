@@ -41,7 +41,8 @@ Two exact samplers are provided:
   reports were recorded with, byte for byte, while the single large
   requests above gain the time and memory.  Above n = 16 the eigenvalues
   differ from the padded row by rounding (about 1e-15 of the largest), and
-  the increments from the ``irfft`` path by about 6e-16 of the largest.
+  the packed synthesis moves the increments of the ``irfft`` path by at
+  most 6.4e-16 of the largest.
   The twiddles of both steps come from ``_twiddles``.
 * ``sample_fbm_cholesky`` factorises the dense increment covariance;
   it is O(2**(3n)) and capped at n <= 12, and serves as the independent
@@ -73,7 +74,7 @@ from typing import IO, Iterator
 import numpy as np
 
 from .errors import CirculantEmbeddingError, DomainError, SizeLimitError
-from .rng import stream
+from .rng import check_key, stream
 
 logger = logging.getLogger(__name__)
 
@@ -81,9 +82,10 @@ EIG_REL_TOL = 1e-9
 CHOLESKY_MAX_LEVEL = 12
 CIRCULANT_MAX_LEVEL = 24
 _EXACT_RHO_MAX_LAG = 64
-# lags per covariance call and twiddles per table call
+# lags per covariance call and frequency pairs per step of the synthesis pack
 _CHUNK = 1 << 15
-# the even-row spectrum of more points is split into halves first
+# the even-row spectrum of more points is split into halves first, and the
+# synthesis of more increments packs its half spectrum into complex points
 _SPLIT_MIN_POINTS = 1 << 16
 # rows of CSV text built per string
 _CSV_CHUNK_ROWS = 1 << 16
@@ -113,6 +115,8 @@ class FbmPath:
             )
         if self.values[0] != 0.0:
             raise DomainError("values[0] must be exactly 0")
+        check_key(self.seed, "seed")
+        check_key(self.stream_index, "stream index")
 
     @property
     def times(self) -> np.ndarray:
@@ -490,7 +494,7 @@ def write_csv(path: FbmPath, fh: IO[str]) -> None:
 def write_binary(path: FbmPath, fh: IO[bytes]) -> None:
     """Binary layout: magic 'FBM1', H float64, n int32, seed uint64, values."""
     fh.write(_BIN_MAGIC)
-    fh.write(_BIN_HEADER.pack(path.hurst, path.level, path.seed & ((1 << 64) - 1)))
+    fh.write(_BIN_HEADER.pack(path.hurst, path.level, path.seed))
     fh.write(memoryview(np.ascontiguousarray(path.values, dtype="<f8").view(np.uint8)))
 
 

@@ -506,3 +506,8 @@ def test_path_invariants_enforced():
         fbm.FbmPath(hurst=0.5, level=2, values=np.array([1.0, 0.0, 0.0, 0.0, 0.0]), seed=0)
     with pytest.raises(DomainError):
         fbm.FbmPath(hurst=0.5, level=2, values=np.zeros(4), seed=0)
+    # a seed the FBM1 header would store modulo 2**64
+    with pytest.raises(DomainError, match="seed"):
+        fbm.FbmPath(hurst=0.5, level=2, values=np.zeros(5), seed=-1)
+    with pytest.raises(DomainError, match="stream index"):
+        fbm.FbmPath(hurst=0.5, level=2, values=np.zeros(5), seed=0, stream_index=2**64)
