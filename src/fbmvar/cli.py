@@ -148,7 +148,8 @@ def build_parser() -> _Parser:
     p.add_argument("--H", type=float, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--rel-tol", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=0, help="echoed (no randomness)")
+    p.add_argument("--seed", type=_key_word("seed"), default=0,
+                   help="echoed (no randomness)")
 
     p = sub.add_parser("hermite-process", parents=[path_opts, out_opts],
                        help="simulate the Hermite process from a fine fBm path")
@@ -182,7 +183,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_report)
     p.add_argument("--merge", nargs="+", required=True, help="report JSON files")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--seed", type=int, default=0, help="echoed (no randomness)")
+    p.add_argument("--seed", type=_key_word("seed"), default=0,
+                   help="echoed (no randomness)")
     p.add_argument("--out")
     return parser
 

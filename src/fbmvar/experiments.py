@@ -263,13 +263,13 @@ def _replicate_block(
     return out
 
 
-# Normals per block.  A row at level n draws 2^(n+1) normals, so a block of
-# 2^18 (2 MiB) keeps its normals, spectrum, paths and kernel arrays near a
-# 2 MiB L2 through every elementwise pass while it holds two rows or more
-# (fine level 16 or below).  Above that no block stays in cache, and a block
-# takes up to 2^22 normals (32 MiB): several rows per inverse FFT sample
-# faster than one.  Rows are independent, so the split does not change any
-# replicate's values.
+# Normals per block.  A row at level n draws 2^(n+1) normals, which the
+# synthesis turns into its increments in place, so a block of 2^18 (2 MiB)
+# keeps its normals, paths and kernel arrays near a 2 MiB L2 through every
+# elementwise pass while it holds two rows or more (fine level 16 or
+# below).  Above that no block stays in cache, and a block takes up to 2^22
+# normals (32 MiB): several rows per inverse FFT sample faster than one.
+# Rows are independent, so the split does not change any replicate's values.
 _BLOCK_NORMALS = 1 << 18
 _LARGE_BLOCK_NORMALS = 1 << 22
 

@@ -19,8 +19,7 @@ Two exact samplers are provided:
   and the Gaussian spectrum of a path is Hermitian: only the half
   spectrum, frequencies 0 .. 2**n, is built, and the square roots of the
   2**n + 1 eigenvalues it needs are cached as a read-only array for the
-  last (H, n) only: a run samples one (H, n) at a time.  The inverse FFT
-  always writes into the block's own normals.  Cost O(n 2**n).
+  last (H, n) only: a run samples one (H, n) at a time.  Cost O(n 2**n).
 
   The eigenvalues are the DCT-I of the 2**n + 1 covariances (computed
   2**15 lags at a time).  Up to n = 16 it is one real FFT of the padded
@@ -28,21 +27,11 @@ Two exact samplers are provided:
   points, each odd half an inverse real FFT of half the round's points:
   about one real FFT of length 2**n in all, half the padded row's work,
   and at most 3.3 times the result's bytes at n >= 20 where the padded
-  row takes 5.  The synthesis splits at the same level: up to n = 16 it is
-  one ``irfft`` of the half spectrum; above, the half spectrum is packed
-  pairwise, in place in the normals, into 2**n complex points whose one
-  complex inverse FFT, read as floats, is the m real outputs (about 30 ns
-  a point at n = 22 against 40-50 for the ``irfft``), with no spectrum
-  array beside the normals.
-
-  Both steps split above 2**16 points because every experiment, every
-  acceptance criterion and every engine workload samples at n <= 16: so
-  the eigenvalues and the increments at n <= 16 keep the bits those
-  reports were recorded with, byte for byte, while the single large
-  requests above gain the time and memory.  Above n = 16 the eigenvalues
-  differ from the padded row by rounding (about 1e-15 of the largest), and
-  the packed synthesis moves the increments of the ``irfft`` path by at
-  most 6.4e-16 of the largest.
+  row takes 5; the eigenvalues then differ from the padded row by
+  rounding (about 1e-15 of the largest).  At every level the synthesis
+  packs the half spectrum pairwise, in place in the block's normals, into
+  2**n complex points whose one complex inverse FFT, read as floats, is
+  the m real outputs, with no spectrum array beside the normals.
   The twiddles of both steps come from ``_twiddles``.
 * ``sample_fbm_cholesky`` factorises the dense increment covariance;
   it is O(2**(3n)) and capped at n <= 12, and serves as the independent
@@ -84,8 +73,7 @@ CIRCULANT_MAX_LEVEL = 24
 _EXACT_RHO_MAX_LAG = 64
 # lags per covariance call and frequency pairs per step of the synthesis pack
 _CHUNK = 1 << 15
-# the even-row spectrum of more points is split into halves first, and the
-# synthesis of more increments packs its half spectrum into complex points
+# the even-row spectrum of more points is split into halves first
 _SPLIT_MIN_POINTS = 1 << 16
 # rows of CSV text built per string
 _CSV_CHUNK_ROWS = 1 << 16
@@ -319,52 +307,27 @@ def _circulant_sqrt_eigs(hurst: float, level: int) -> np.ndarray:
 def _increments_from_normals(sq: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Synthesise stationary increments from a (rows, m) matrix of normals.
 
-    Draw order for a path at level n (m = 2**(n+1) normals): z[0] feeds
-    frequency 0, z[1] feeds frequency m/2, and the pair (z[2k], z[2k+1])
-    feeds frequency k for k = 1 .. m/2 - 1.  The spectrum is Hermitian, so
-    the paths are the real inverse FFT of its half S, frequencies 0 .. m/2;
-    the sign of the imaginary part keeps them equal to the forward
-    transform of the full spectrum, Re FFT(S) / sqrt(m) = sqrt(m) irfft(conj S).
+    Draw order for a path at level n (m = 2**(n+1) normals, M = m/2): z[0]
+    feeds frequency 0, z[1] feeds frequency M, and the pair (z[2k], z[2k+1])
+    feeds frequency k for k = 1 .. M - 1.  The spectrum is Hermitian, so the
+    increments are the real inverse FFT x of length m of its half S:
+    S_0 = w_0 z[0], S_M = w_M z[1] and S_k = w_k (z[2k] - i z[2k+1]), with
+    w = sq sqrt(m), divided by sqrt(2) for 0 < k < M.  The conjugate keeps x
+    equal to Re FFT(D) / sqrt(m), D the full drawn spectrum with
+    D_k = sq_k (z[2k] + i z[2k+1]) / sqrt(2).
 
-    Up to m = 2 * _SPLIT_MIN_POINTS that is one ``irfft`` of S.  Above, the
-    real inverse FFT of length m is one complex inverse FFT of length
-    M = m/2 (``_pack_half_spectrum``), whose output, read as floats, is the
-    m real outputs.  Either way the transform is written into z itself,
-    which is read in full before it is written; the rows returned are views
-    into z.
-    """
-    b, m = z.shape
-    half = m // 2
-    if half > _SPLIT_MIN_POINTS:
-        spec = _pack_half_spectrum(sq, z.view(complex))
-        np.fft.ifft(spec, axis=1, out=spec)
-        return z[:, :half]
-    weight = sq * np.sqrt(m)
-    weight[1:half] /= np.sqrt(2.0)
-    spec = np.empty((b, half + 1), dtype=complex)
-    # the pairs (z[2k], z[2k+1]) read as complex numbers, conjugated in one pass
-    np.conjugate(z[:, 2:].view(complex), out=spec[:, 1:half])
-    spec[:, 0] = z[:, 0]
-    spec[:, half] = z[:, 1]
-    spec *= weight
-    del weight
-    return np.fft.irfft(spec, n=m, axis=1, out=z)[:, :half]
-
-
-def _pack_half_spectrum(sq: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Turn the normals c (rows, M), read as complex pairs, in place into W
-    with ifft(W) = x_0 + i x_1, x_2 + i x_3, .. for x the real inverse FFT of
-    length m = 2M of the half spectrum S (``_increments_from_normals``).
-
-    S_0 = w_0 Re c_0, S_M = w_M Im c_0 and S_k = w_k conj(c_k) otherwise, with
-    w = sq sqrt(m), divided by sqrt(2) for 0 < k < M.  With t_k = e^{i pi k/M},
+    x is one complex inverse FFT of length M.  The normals, read as M complex
+    points c_k = z[2k] + i z[2k+1], are packed in place into W with
+    ifft(W) = x_0 + i x_1, x_2 + i x_3, ..  With t_k = e^{i pi k/M},
 
         W_k = E + F,  E = (S_k + conj S_{M-k}) / 2,  F = i t_k (S_k - conj S_{M-k}) / 2,
 
     and t_{M-k} = -conj t_k gives W_{M-k} = conj(E - F): each pair (k, M - k)
-    is read and written together, _CHUNK pairs at a time, and W_{M/2} =
-    conj S_{M/2}.
+    is read and written together, _CHUNK pairs at a time, W_0 =
+    (S_0 + S_M) / 2 + i (S_0 - S_M) / 2 and W_{M/2} = conj S_{M/2}.  The
+    inverse FFT is written into z itself; the rows returned are views into z.
     """
+    c = z.view(complex)
     half = c.shape[1]
     m = 2 * half
     s_0 = c[:, 0].real * (sq[0] * np.sqrt(m))
@@ -374,21 +337,27 @@ def _pack_half_spectrum(sq: np.ndarray, c: np.ndarray) -> np.ndarray:
     c[:, half // 2] *= sq[half // 2] * (np.sqrt(m) / np.sqrt(2.0))
     # w_k / 2 for 0 < k < M
     scale = 0.5 * np.sqrt(m) / np.sqrt(2.0)
-    twiddle = np.empty(_CHUNK, dtype=complex)
+    # F of one chunk is the only block-sized array beside the normals: each
+    # fresh block-sized temporary is a fresh mapping whose pages fault again
+    scratch = np.empty((c.shape[0], min(_CHUNK, half // 2)), dtype=complex)
+    twiddle = np.empty(scratch.shape[1], dtype=complex)
     for lo in range(1, half // 2, _CHUNK):
         hi = min(lo + _CHUNK, half // 2)
         low, high = c[:, lo:hi], c[:, half - lo : half - hi : -1]
-        e = np.conjugate(low)
-        e *= sq[lo:hi] * scale
-        conj_high = high * (sq[half - lo : half - hi : -1] * scale)
-        f = e - conj_high
-        e += conj_high
+        f = scratch[:, : hi - lo]
+        # low = S_k / 2, high = conj S_{M-k} / 2
+        np.conjugate(low, out=low)
+        low *= sq[lo:hi] * scale
+        high *= sq[half - lo : half - hi : -1] * scale
+        np.subtract(low, high, out=f)
+        low += high
         # i t_k = e^{i pi (k + M/2) / M}
         f *= _twiddles(half, lo + half // 2, twiddle[: hi - lo])
-        np.add(e, f, out=low)
-        np.subtract(e, f, out=conj_high)
-        np.conjugate(conj_high, out=high)
-    return c
+        np.subtract(low, f, out=high)
+        low += f
+        np.conjugate(high, out=high)
+    np.fft.ifft(c, axis=1, out=c)
+    return z[:, :half]
 
 
 def values_from_increments(inc: np.ndarray) -> np.ndarray:

@@ -385,6 +385,8 @@ def test_domain_error_exits_one(capsys):
      "--seed", "-7"),
     ("experiment", "--id", "clt", "--H", "0.6", "--q", "2", "--levels", "6",
      "--replicates", "100", "--seed", "-5"),
+    ("constants", "--H", "0.6", "--q", "2", "--seed", "-1"),
+    ("report", "--merge", "missing.json", "--seed", str(2**64)),
 ])
 def test_seeds_and_streams_outside_64_bits_exit_one(capsys, argv):
     # they used to wrap modulo 2**64: --seed -1 drew the path of 2**64 - 1

@@ -9,7 +9,9 @@ Each line is ``<sha256>  <name>``.  The outputs covered are:
 
 * every experiment runner (corollary items 1-6 each), at threads 1 and 2,
   as report JSON, per-level CSV and plot TSV;
-* ``sample`` as json, csv and bin (the FBM1 bytes);
+* ``sample`` as json, csv and bin (the FBM1 bytes), and as bin at n = 17,
+  where the eigenvalues take a split round and the synthesis two chunks
+  of frequency pairs;
 * ``variation`` for five weights, each as Hermite, power, centred power
   and renormalised Hermite variation;
 * ``constants`` at the benchmark's five (H, q) pairs and at q = 4, 6, 12;
@@ -144,6 +146,9 @@ def digests(workdir: Path):
         yield f"sample {sampler} csv", _digest(_cli(workdir, (*base, "--format", "csv")))
         yield f"sample {sampler} bin", _digest(
             _cli(workdir, (*base, "--format", "bin", "--out", "{dir}/s.bin")))
+    yield "sample circulant n=17 bin", _digest(_cli(workdir, (
+        "sample", "--H", "0.7", "--n", "17", "--seed", "3", "--format", "bin",
+        "--out", "{dir}/p17.bin")))
 
     for weight in WEIGHTS:
         for q in (2, 3):
