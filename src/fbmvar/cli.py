@@ -54,6 +54,17 @@ def _precision(text: str) -> int:
     return int(text)
 
 
+def _real(text: str) -> float:
+    """A decimal, or p/q read as int(p) / int(q), which rounds correctly: 5/6
+    is the double ``classify_regime`` takes for 1 - 1/(2*3)."""
+    p, slash, q = str(text).partition("/")  # str: a flag's float reads back as itself
+    try:
+        return int(p) / int(q) if slash else float(text)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        what = f"ratio {text!r} ({exc})" if slash else f"float value: {text!r}"
+        raise argparse.ArgumentTypeError(f"invalid {what}") from None
+
+
 def _key_word(name: str):
     """argparse type of a seed or stream index: an integer in [0, 2**64)."""
 
@@ -120,7 +131,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sample", parents=[path_opts, out_opts],
                        help="sample one exact fBm path")
     p.set_defaults(func=_cmd_sample)
-    p.add_argument("--H", type=float, required=True, help="Hurst parameter in (0,1)")
+    p.add_argument("--H", type=_real, required=True, help="Hurst parameter in (0,1)")
     p.add_argument("--n", type=int, required=True, help="dyadic level (2^n increments)")
     p.add_argument("--sampler", choices=("circulant", "cholesky"), default="circulant",
                    help="exact sampler to use")
@@ -130,7 +141,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("variation", parents=[path_opts, out_opts],
                        help="weighted Hermite/power variation of a sampled path")
     p.set_defaults(func=_cmd_variation)
-    p.add_argument("--H", type=float, required=True)
+    p.add_argument("--H", type=_real, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True, help="variation order q >= 1")
     p.add_argument("--weight", default="one",
@@ -145,7 +156,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("constants", parents=[out_opts],
                        help="limit constants and regime for (H, q)")
     p.set_defaults(func=_cmd_constants)
-    p.add_argument("--H", type=float, required=True)
+    p.add_argument("--H", type=_real, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--rel-tol", type=float, default=1e-8)
     p.add_argument("--seed", type=_key_word("seed"), default=0,
@@ -155,7 +166,7 @@ def build_parser() -> _Parser:
                        help="simulate the Hermite process from a fine fBm path")
     p.set_defaults(func=_cmd_hermite_process)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--H", type=float, required=True)
+    p.add_argument("--H", type=_real, required=True)
     p.add_argument("--m", type=int, required=True, help="fine level")
     p.add_argument("--n-out", type=int, required=True, help="output grid level")
     p.add_argument("--export", choices=("csv", "json"), default="json")
@@ -165,7 +176,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_experiment)
     p.add_argument("--id", required=True, choices=EXPERIMENT_IDS, dest="experiment_id")
     p.add_argument("--config", help="key = value config file (flags override)")
-    p.add_argument("--H", type=float)
+    p.add_argument("--H", type=_real)
     p.add_argument("--q", type=int)
     p.add_argument("--weight")
     p.add_argument("--levels", help="comma-separated dyadic levels")
@@ -208,18 +219,9 @@ def _cmd_sample(args) -> int:
         # the CSV schema is fixed (k,t,B), so the seed echo goes to stderr
         sys.stderr.write(f"seed {args.seed} stream {args.stream}\n")
         return 0
-    _emit(
-        {
-            "H": path.hurst,
-            "n": path.level,
-            "seed": args.seed,
-            "stream": args.stream,
-            "sampler": args.sampler,
-            "values": path.values.tolist(),
-        },
-        args.out,
-        args.precision,
-    )
+    payload = {"H": path.hurst, "n": path.level, "seed": args.seed, "stream": args.stream,
+               "sampler": args.sampler, "values": path.values.tolist()}
+    _emit(payload, args.out, args.precision)
     return 0
 
 
@@ -240,17 +242,10 @@ def _cmd_variation(args) -> int:
         raw = weighted_power_variation(path, f, args.q, centered=args.centered)
     else:
         raw = weighted_hermite_variation(path, f, args.q)
-    payload = {
-        "H": args.H,
-        "n": args.n,
-        "q": args.q,
-        "weight": args.weight,
-        "seed": args.seed,
-        "stream": args.stream,
-        "kind": "power" if args.power else "hermite",
-        "centered": bool(args.centered),
-        "raw_value": raw,
-    }
+    payload = {"H": args.H, "n": args.n, "q": args.q, "weight": args.weight,
+               "seed": args.seed, "stream": args.stream,
+               "kind": "power" if args.power else "hermite",
+               "centered": bool(args.centered), "raw_value": raw}
     if args.renormalize:
         stat = renormalize(raw, args.H, args.q, args.n)
         payload["renormalized_value"] = stat.renormalized_value
@@ -261,19 +256,12 @@ def _cmd_variation(args) -> int:
 
 def _cmd_constants(args) -> int:
     regime = classify_regime(args.H, args.q)
-    payload: dict = {
-        "H": args.H,
-        "q": args.q,
-        "seed": args.seed,
-        "regime": regime.case_id.value,
-        "renorm_exponent": regime.renorm_exponent,
-        "conjectural": regime.conjectural,
-        "sigma": None,
-        "sigma_tilde": None,
-        "c_qH": None,
-        "truncation_radius": None,
-        "tail_bound": None,
-    }
+    payload: dict = {"H": args.H, "q": args.q, "seed": args.seed,
+                     "regime": regime.case_id.value,
+                     "renorm_exponent": regime.renorm_exponent,
+                     "conjectural": regime.conjectural}
+    payload.update(dict.fromkeys(
+        ("sigma", "sigma_tilde", "c_qH", "truncation_radius", "tail_bound")))
     try:
         s = sigma_clt(args.H, args.q, rel_tol=args.rel_tol)
         payload.update(
@@ -305,19 +293,9 @@ def _cmd_hermite_process(args) -> int:
             fh.write("j,t,Z\n")
             fh.writelines(fbm.csv_rows(z.times, z.values))
         return 0
-    _emit(
-        {
-            "q": args.q,
-            "H": args.H,
-            "m": args.m,
-            "n_out": args.n_out,
-            "seed": args.seed,
-            "stream": args.stream,
-            "values": z.values.tolist(),
-        },
-        args.out,
-        args.precision,
-    )
+    payload = {"q": args.q, "H": args.H, "m": args.m, "n_out": args.n_out,
+               "seed": args.seed, "stream": args.stream, "values": z.values.tolist()}
+    _emit(payload, args.out, args.precision)
     return 0
 
 
@@ -359,7 +337,7 @@ def _build_experiment_config(args) -> ExperimentConfig:
             raw[key] = val
     if "threads" not in raw:
         raw["threads"] = os.environ.get("FBMVAR_THREADS", "1")
-    convert = {"str": str, "float": float, "int": int}
+    convert = {"str": str, "float": _real, "int": int}
     converted: dict = {}
     for key, val in raw.items():
         if key not in field_types:
@@ -369,7 +347,7 @@ def _build_experiment_config(args) -> ExperimentConfig:
                 converted[key] = tuple(int(x) for x in val.split(","))
             else:
                 converted[key] = convert[field_types[key]](val)
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             raise ConfigError(f"bad value {val!r} for config key {key!r}") from None
     if "hurst" not in converted or "order" not in converted:
         raise FbmvarError("experiment needs --H and --q (or a config file)")

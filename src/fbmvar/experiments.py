@@ -12,13 +12,13 @@ One engine (``_collect``) owns sampling, coarsening, blocking and the
 worker threads; runners only reduce.  Each replicate draws one path, at
 the finest level the run needs: max(levels), plus fine_offset for a
 ``fine`` kernel.  A runner passes a kernel, any callable mapping
-(cfg, w, v, m, n) to named per-replicate arrays for level n,
-where v is one block of that path restricted to level m = n (m = n +
-fine_offset for a fine kernel) and w(order) is f^(order) at every point
-of v, evaluated once per block on the finest grid.  The restriction of
-an exact fBm path to a coarser dyadic grid is exact fBm, so each level
-has the right law; the levels of one replicate are coupled through the
-shared path.
+(cfg, paths, m, n) to named per-replicate arrays for level n, where paths
+is one block of that path restricted to level m = n (m = n + fine_offset
+for a fine kernel): its increments, and only when the kernel reads them
+its values and f^(order) at every point, evaluated once per block on the
+finest grid.  The restriction of an exact fBm path to a coarser dyadic
+grid is exact fBm, so each level has the right law; the levels of one
+replicate are coupled through the shared path.
 
 Verdict policy (fixed, ``THRESHOLDS``, echoed in every report):
 decreasing-sequence checks allow at most max_inversions = 1 adjacent
@@ -47,7 +47,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from types import MappingProxyType
 from typing import Callable
 
@@ -56,6 +56,7 @@ import numpy as np
 from . import fbm
 from .constants import (
     RegimeCase,
+    TruncatedSeries,
     classify_regime,
     renorm_factor,
     require_regime,
@@ -80,12 +81,12 @@ from .stats import (
     variance_and_se,
 )
 from .variations import (
-    hermite_variation_rows,
     power_variation_rows,
     riemann_sum_rows,
     scaled_hermite,
     unweighted_second_moment,
     centered_power_second_moment,
+    weighted_rows,
 )
 from .weights import ZERO, ConstantOne, WeightFunction, parse_weight
 
@@ -156,39 +157,24 @@ class ExperimentReport:
 
     def to_json(self) -> str:
         """Canonical, byte-reproducible JSON (wall clock excluded)."""
-        payload = {
-            "schema": REPORT_SCHEMA,
-            "experiment": self.experiment_id,
-            "config": self.config,
-            "levels": self.levels,
-            "summary": self.summary,
-            "thresholds": self.thresholds,
-            "flags": self.flags,
-            "verdict": self.verdict,
-        }
+        payload = {"schema": REPORT_SCHEMA, "experiment": self.experiment_id}
+        for key in ("config", "levels", "summary", "thresholds", "flags", "verdict"):
+            payload[key] = getattr(self, key)
         return json_text(payload)
 
     def per_level_csv(self) -> str:
         # every key in order of first appearance
         keys = list(dict.fromkeys(k for entry in self.levels for k in entry))
-        lines = [",".join(keys)]
-        for entry in self.levels:
-            lines.append(",".join(_csv_cell(entry.get(k)) for k in keys))
-        return "\n".join(lines) + "\n"
+        rows = [[_csv_cell(entry.get(k)) for k in keys] for entry in self.levels]
+        return "".join(",".join(row) + "\n" for row in [keys, *rows])
 
     def plot_tsv(self) -> str:
-        lines = ["n\tstat\tyerr"]
-        for entry in self.levels:
-            lines.append(f"{entry['level']}\t{entry['stat']!r}\t{entry['stat_se']!r}")
-        return "\n".join(lines) + "\n"
+        rows = [f"{e['level']}\t{e['stat']!r}\t{e['stat_se']!r}\n" for e in self.levels]
+        return "".join(["n\tstat\tyerr\n", *rows])
 
 
 def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return "" if v is None else repr(v) if isinstance(v, float) else str(v)
 
 
 def _plain(obj):
@@ -218,30 +204,57 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 def _values_block(
     hurst: float, level: int, seed: int, start: int, count: int
 ) -> np.ndarray:
-    inc = fbm.sample_increments_circulant(hurst, level, seed, start, count)
-    return fbm.values_from_increments(inc)
+    """The block's increment rows at `level` (perfbench counts rows by this
+    name); ``_LevelPaths`` builds the path values only when a kernel reads them."""
+    return fbm.sample_increments_circulant(hurst, level, seed, start, count)
 
 
-class _GridWeight:
-    """The weight f and its derivatives at every point of one level's paths.
+class _LevelPaths:
+    """One block's paths restricted to one level, with the weight f.
 
-    A block evaluates each derivative order of f at most once, at every
-    point of its finest grid (`cache`), and a level reads the strided view
-    of that array its restriction of the paths sees.  An elementwise
-    function of the same doubles gives the same bits, so the values do not
-    depend on the grid they were evaluated on.
+    `inc` holds the level's increments: at the finest level (stride 1) the
+    rows the synthesis returned, at a coarser one the differences of the
+    strided path values.  The block builds its path values and each
+    derivative order of f at every point of its finest grid at most once,
+    on first use (`shared`), and a level reads the strided view its
+    restriction sees: an elementwise function of the same doubles gives the
+    same bits on any grid.  At f = 1 ``left()`` is None and weights nothing,
+    so an unweighted statistic at the finest level reads the increments alone.
     """
 
-    def __init__(self, f: WeightFunction, finest: np.ndarray, cache: dict, stride: int):
+    def __init__(self, f: WeightFunction, fine_inc: np.ndarray, shared: dict, stride: int):
         self.f = f
-        self._finest = finest
-        self._cache = cache
+        self._fine_inc = fine_inc
+        self._shared = shared
         self._stride = stride
 
+    def _finest(self, key) -> np.ndarray:
+        """The path values (key "values") or f^(key) on the finest grid."""
+        if key not in self._shared:
+            self._shared[key] = (
+                fbm.values_from_increments(self._fine_inc) if key == "values"
+                else self.f.derivative(key, self._finest("values"))
+            )
+        return self._shared[key]
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._finest("values")[:, :: self._stride]
+
+    @cached_property
+    def inc(self) -> np.ndarray:
+        return self._fine_inc if self._stride == 1 else np.diff(self.values, axis=1)
+
     def __call__(self, order: int = 0) -> np.ndarray:
-        if order not in self._cache:
-            self._cache[order] = self.f.derivative(order, self._finest)
-        return self._cache[order][:, :: self._stride]
+        """f^(order) at every point of the level's grid."""
+        return self._finest(order)[:, :: self._stride]
+
+    def left(self, order: int = 0, coarse: int = 1) -> np.ndarray | None:
+        """f^(order) at the left endpoint of each increment of the level's
+        grid, or of its every `coarse`-th point; None for f itself at f = 1."""
+        if order == 0 and isinstance(self.f, ConstantOne):
+            return None
+        return self(order)[:, ::coarse][:, :-1]
 
 
 def _replicate_block(
@@ -250,16 +263,15 @@ def _replicate_block(
     """Kernel outputs for replicates start .. start+count-1, every level."""
     f = parse_weight(cfg.weight)
     offset = fine_level - max(cfg.levels)
-    vals = _values_block(cfg.hurst, fine_level, cfg.master_seed, start, count)
-    cache: dict[int, np.ndarray] = {}
+    inc = _values_block(cfg.hurst, fine_level, cfg.master_seed, start, count)
+    shared: dict = {}
     out: dict[str, np.ndarray] = {}
     # an overflow shows as an output that is not finite, which _collect reports
     with np.errstate(over="ignore", invalid="ignore"):
         for n in cfg.levels:
             m = n + offset
-            stride = 2 ** (fine_level - m)
-            w = _GridWeight(f, vals, cache, stride)
-            out.update(kernel(cfg, w, vals[:, ::stride], m, n))
+            paths = _LevelPaths(f, inc, shared, 2 ** (fine_level - m))
+            out.update(kernel(cfg, paths, m, n))
     return out
 
 
@@ -328,92 +340,96 @@ def _collect(
 
 
 # ---------------------------------------------------------------------------
-# kernels: (cfg, w, v, m, n) -> named per-replicate arrays for level n, where
-# w(order) is f^(order) at every point of v (a _GridWeight)
+# kernels: (cfg, paths, m, n) -> named per-replicate arrays for level n, where
+# paths (a _LevelPaths) holds the level's increments and, built on first use,
+# its path values and f^(order) at every point of them
 
 
-def _hermite_drift(w: _GridWeight, v: np.ndarray, q: int) -> np.ndarray:
+def _hermite_drift(paths: _LevelPaths, q: int) -> np.ndarray:
     """((-1)^q / (2^q q!)) * Riemann sum of f^(q)(B): the small-H limit."""
     const = (-1.0) ** q / (2.0**q * math.factorial(q))
-    return const * riemann_sum_rows(v, w(q))
+    return const * riemann_sum_rows(paths.left(q))
 
 
-def _power_drift(w: _GridWeight, v: np.ndarray, q: int) -> np.ndarray:
+def _power_drift(paths: _LevelPaths, q: int) -> np.ndarray:
     """c_2/8 * Riemann sum of f''(B), c_2 = 2 C(q,2) mu_{q-2}: the even-q drift."""
-    return 0.125 * monomial_in_hermite(q).coeffs[2] * riemann_sum_rows(v, w(2))
+    return 0.125 * monomial_in_hermite(q).coeffs[2] * riemann_sum_rows(paths.left(2))
 
 
-def _pathwise_kernel(cfg, w, v, m, n, item=None):
+def _pathwise_kernel(cfg, paths, m, n, item=None):
     """Squared distance of the renormalised variation to its pathwise limit
     on the same path: small_h, or corollary item 1 or 2."""
     q, hurst = cfg.order, cfg.hurst
     if item == 1:
-        pv = power_variation_rows(v, hurst, n, w(), q, centered=False)
+        pv = power_variation_rows(paths.inc, hurst, n, paths.left(), q, centered=False)
         stat = 2.0 ** (-n * hurst) * pv
         c_1 = monomial_in_hermite(q).coeffs[1]  # q mu_{q-1}
-        limit = c_1 * (w.f.antiderivative(v[:, -1]) - w.f.antiderivative(0.0))
+        f = paths.f
+        limit = c_1 * (f.antiderivative(paths.values[:, -1]) - f.antiderivative(0.0))
     elif item == 2:
-        pv = power_variation_rows(v, hurst, n, w(), q, centered=True)
+        pv = power_variation_rows(paths.inc, hurst, n, paths.left(), q, centered=True)
         stat = 2.0 ** (2 * n * hurst - n) * pv
-        limit = _power_drift(w, v, q)
+        limit = _power_drift(paths, q)
     else:
-        stat = renorm_factor(hurst, q, n) * hermite_variation_rows(v, hurst, n, w(), q)
-        limit = _hermite_drift(w, v, q)
+        hq = scaled_hermite(paths.inc, hurst, n, q)
+        stat = renorm_factor(hurst, q, n) * weighted_rows(hq, paths.left())
+        limit = _hermite_drift(paths, q)
     return {f"diff_sq_{n}": (stat - limit) ** 2}
 
 
-def _normalised_kernel(cfg, w, v, m, n, power=False, drift=False):
+def _normalised_kernel(cfg, paths, m, n, power=False, drift=False):
     """y = 2^(-n/2) V_n (Hermite, or centred power when `power`), further
     divided by sqrt(n) at a critical point H = 1 - 1/(2q) (q = 2 for the
     power variation), with the Riemann sum of f(B)^2 and, when `drift`,
     the drift part of the mixed limit at H = 1/(2q)."""
     q, hurst = cfg.order, cfg.hurst
     norm = renorm_factor(hurst, 2 if power else q, n)
+    left = paths.left()
     if power:
-        raw = power_variation_rows(v, hurst, n, w(), q, centered=True)
+        raw = power_variation_rows(paths.inc, hurst, n, left, q, centered=True)
     else:
-        raw = hermite_variation_rows(v, hurst, n, w(), q)
-    # fsq: Riemann sum of f(B)^2, the conditional-variance weight
-    out = {f"y_{n}": norm * raw, f"fsq_{n}": riemann_sum_rows(v, w() ** 2)}
+        raw = weighted_rows(scaled_hermite(paths.inc, hurst, n, q), left)
+    # fsq: Riemann sum of f(B)^2, the conditional-variance weight (1 at f = 1)
+    fsq = np.ones(len(raw)) if left is None else riemann_sum_rows(left**2)
+    out = {f"y_{n}": norm * raw, f"fsq_{n}": fsq}
     if drift:
-        out[f"drift_{n}"] = _power_drift(w, v, q) if power else _hermite_drift(w, v, q)
+        out[f"drift_{n}"] = _power_drift(paths, q) if power else _hermite_drift(paths, q)
     return out
 
 
-def _young_kernel(cfg, w, v, m, n, power=False):
+def _young_kernel(cfg, paths, m, n, power=False):
     """Renormalised fine-level variation against the Young sum of f(B)
     against the Hermite process built from the same path: of order q for
     V_n^(q) (noncentral), of order 2 and scaled by 2 mu_{q-2} C(q,2) for
     the centred power variation (corollary item 6)."""
     q, hurst = cfg.order, cfg.hurst
     order = 2 if power else q
-    terms = scaled_hermite(np.diff(v, axis=1), hurst, m, order)
+    terms = scaled_hermite(paths.inc, hurst, m, order)
     z_vals = hermite_partial_sums(terms, hurst, m, order, n)
     if power:
-        pv = power_variation_rows(v, hurst, m, w(), q, centered=True)
+        pv = power_variation_rows(paths.inc, hurst, m, paths.left(), q, centered=True)
         stat = 2.0 ** (m - 2.0 * hurst * m) * pv
         const = monomial_in_hermite(q).coeffs[2]
     else:
         # the one H_q pass of the level feeds both Z and, weighted in place
         # once Z is built, V_m^(q)(f)
-        terms *= w()[:, :-1]
-        stat = renorm_factor(hurst, q, m) * np.sum(terms, axis=1)
+        stat = renorm_factor(hurst, q, m) * weighted_rows(terms, paths.left())
         const = 1.0
-    coarse = 2 ** (m - n)
-    limit = const * young_integral_rows(w()[:, ::coarse], v[:, ::coarse], z_vals)
+    limit = const * young_integral_rows(paths.left(coarse=2 ** (m - n)), z_vals)
     return {f"diff_sq_{n}": (stat - limit) ** 2, f"v_sq_{n}": stat**2}
 
 
-def _trapezoid_kernel(cfg, w, v, m, n):
-    f0 = float(w.f.derivative(0, np.zeros(1))[0])
-    fprime = w(1)
-    t_sum = 0.5 * np.sum((fprime[:, 1:] + fprime[:, :-1]) * np.diff(v, axis=1), axis=1)
-    target = w.f.derivative(0, v[:, -1]) - f0
+def _trapezoid_kernel(cfg, paths, m, n):
+    f0 = float(paths.f.derivative(0, np.zeros(1))[0])
+    fprime = paths(1)
+    t_sum = 0.5 * np.sum((fprime[:, 1:] + fprime[:, :-1]) * paths.inc, axis=1)
+    target = paths.f.derivative(0, paths.values[:, -1]) - f0
     return {f"err_{n}": np.abs(t_sum - target)}
 
 
-def _audit_kernel(cfg, w, v, m, n):
-    return {f"vsq_{n}": hermite_variation_rows(v, cfg.hurst, n, w(), cfg.order) ** 2}
+def _audit_kernel(cfg, paths, m, n):
+    hq = scaled_hermite(paths.inc, cfg.hurst, n, cfg.order)
+    return {f"vsq_{n}": weighted_rows(hq, paths.left()) ** 2}
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +567,12 @@ def _arbitrate(
     }
 
 
+def _unconverged(name: str, series: TruncatedSeries) -> list[str]:
+    """A flag naming the series constant `name` when it did not converge."""
+    flag = f"series {name} not converged at radius {series.radius}"
+    return [] if series.converged else [flag]
+
+
 def _report(cfg, levels, summary, flags, ok: bool) -> ExperimentReport:
     return ExperimentReport(
         experiment_id=cfg.experiment_id,
@@ -610,10 +632,7 @@ def run_clt(cfg: ExperimentConfig) -> ExperimentReport:
         else:
             slope, slope_se = through_origin_slope(data[f"fsq_{n}"], y**2)
             entry.update(
-                stat=slope,
-                stat_se=slope_se,
-                statistic="conditional_variance_slope",
-            )
+                stat=slope, stat_se=slope_se, statistic="conditional_variance_slope")
         levels.append(entry)
     top = levels[-1]
     f2 = float(np.mean(data[f"fsq_{max(cfg.levels)}"]))  # exactly 1.0 at f = 1
@@ -624,6 +643,7 @@ def run_clt(cfg: ExperimentConfig) -> ExperimentReport:
         "variance_rel_err": abs(top["variance"] / (sigma2 * f2) - 1.0),
     }
     flags = ["pair-convergence tested via marginal law + conditional variance only"]
+    flags += _unconverged("sigma_clt", sigma)
     if unweighted:
         y_top = data[f"y_{max(cfg.levels)}"]
         ks_d, ks_p = ks_1samp_normal(y_top / sigma.value)
@@ -752,6 +772,7 @@ def run_corollary(cfg: ExperimentConfig) -> ExperimentReport:
         target = target_base * f2  # f2 is exactly 1.0 at f = 1
         rel_err = abs(levels[-1]["stat"] / target - 1.0)
         ok = rel_err <= THRESHOLDS["variance_rtol"]
+        flags += _unconverged("sigma_tilde", st)
         summary = {
             "sigma_tilde2": target_base,
             "target_variance": target,
@@ -782,6 +803,7 @@ def run_corollary(cfg: ExperimentConfig) -> ExperimentReport:
     else:  # item 3
         flags.append("EXPLORATORY")
         st = sigma_tilde(cfg.hurst, q)
+        flags += _unconverged("sigma_tilde", st)
         levels, ok, summary = _drift_excess(cfg, data, st.value)
     summary["item"] = item
     return _report(cfg, levels, summary, flags, ok)
@@ -825,6 +847,7 @@ def run_conjecture_quarter(cfg: ExperimentConfig) -> ExperimentReport:
     if q >= 3:
         flags.append("UNPROVEN")
     sigma = sigma_clt(cfg.hurst, q)
+    flags += _unconverged("sigma_clt", sigma)
     data = _collect(cfg, partial(_normalised_kernel, drift=True))
     levels, ok, summary = _drift_excess(cfg, data, sigma.value)
     summary["sigma2"] = sigma.value**2
@@ -865,16 +888,8 @@ def variance_order_audit(
     # ExperimentConfig validates the inputs and carries them to the engine,
     # which reads only the sampling fields; the audit has no regime, so the
     # experiment id is a placeholder that nothing reads
-    cfg = ExperimentConfig(
-        experiment_id="clt",
-        hurst=hurst,
-        order=q,
-        weight=weight,
-        levels=levels,
-        replicates=replicates,
-        master_seed=master_seed,
-        threads=threads,
-    )
+    cfg = ExperimentConfig("clt", hurst, q, weight, levels, replicates, master_seed,
+                           threads=threads)
     data = _collect(cfg, _audit_kernel)
     means = _level_entries(cfg, data, "vsq", mean_and_se, "mean_sq")
     log_means = [math.log2(e["stat"]) for e in means]

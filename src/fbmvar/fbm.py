@@ -14,10 +14,11 @@ Two exact samplers are provided:
 
 * ``sample_fbm_circulant`` embeds the increment autocovariance in a
   circulant of length m = 2**(n+1) and synthesises the stationary Gaussian
-  increments through one real inverse FFT of length m (Davies-Harte).  The
-  embedding row is real and symmetric, so its spectrum is real and even
-  and the Gaussian spectrum of a path is Hermitian: only the half
-  spectrum, frequencies 0 .. 2**n, is built, and the square roots of the
+  increments through one complex inverse FFT of length 2**n on the packed
+  half spectrum (Davies-Harte; see below).  The embedding row is real and
+  symmetric, so its spectrum is real and even and the Gaussian spectrum
+  of a path is Hermitian: only the half spectrum, frequencies
+  0 .. 2**n, is used, and the square roots of the
   2**n + 1 eigenvalues it needs are cached as a read-only array for the
   last (H, n) only: a run samples one (H, n) at a time.  Cost O(n 2**n).
 

@@ -32,7 +32,7 @@ import numpy as np
 from .constants import RegimeCase, require_regime
 from .errors import DomainError, GridAlignmentError
 from .fbm import FbmPath
-from .variations import finite_fsum, scaled_hermite
+from .variations import finite_fsum, scaled_hermite, weighted_rows
 from .weights import WeightFunction
 
 
@@ -111,11 +111,6 @@ def simulate_hermite(path: FbmPath, q: int, out_level: int) -> HermiteApprox:
     )
 
 
-def _young_terms(weight: np.ndarray, z_values: np.ndarray) -> np.ndarray:
-    """f(B_(j-1)h) (Z_jh - Z_(j-1)h) along the last axis, f at every point."""
-    return weight[..., :-1] * np.diff(z_values, axis=-1)
-
-
 def young_integral(
     f: WeightFunction, coarse_values: np.ndarray, z: HermiteApprox
 ) -> float:
@@ -128,18 +123,11 @@ def young_integral(
             f"{len(z.values)} Z points"
         )
     with np.errstate(over="ignore", invalid="ignore"):  # finite_fsum reports it
-        terms = _young_terms(f(coarse_values), z.values)
+        terms = f(coarse_values)[:-1] * np.diff(z.values)
     return finite_fsum(terms, "Young integral")
 
 
-def young_integral_rows(
-    weight: np.ndarray, coarse_values: np.ndarray, z_values: np.ndarray
-) -> np.ndarray:
-    """Batched Young sums for (replicates, grid) matrices; `weight` holds f
-    at every point of `coarse_values`."""
-    if not weight.shape == coarse_values.shape == z_values.shape:
-        raise GridAlignmentError(
-            f"grid mismatch: weight {weight.shape}, path {coarse_values.shape}, "
-            f"Z {z_values.shape}"
-        )
-    return np.sum(_young_terms(weight, z_values), axis=-1)
+def young_integral_rows(left, z_values: np.ndarray) -> np.ndarray:
+    """Batched Young sums for a (replicates, grid) matrix of Z values; `left`
+    holds f at the left endpoint of each Z interval, or is None for f = 1."""
+    return weighted_rows(np.diff(z_values, axis=-1), left)

@@ -9,10 +9,11 @@ weighted power variation decomposes exactly through the monomial
 expansion x**q - mu_q = sum_{p>=1} c_p H_p(x), whose coefficients
 c_p = p! C(q,p) mu_{q-p} ``hermite.monomial_in_hermite`` owns.
 
-The row functions of the Monte Carlo experiments take a (replicates,
-2^n + 1) path-value matrix and the weight's values at every point of it,
-and sum each statistic's per-increment terms with numpy's pairwise summation
-(error O(eps log(2**n)), ten orders of magnitude below Monte Carlo noise).
+The row functions of the Monte Carlo experiments take a (replicates, 2^n)
+increment matrix and the weight's values at the left endpoint of each
+increment, or None for f = 1, which weights nothing; they sum each
+statistic's per-increment terms with numpy's pairwise summation (error
+O(eps log(2**n)), ten orders of magnitude below Monte Carlo noise).
 The single-path entry points sum the same terms exactly rounded, as
 ``math.fsum`` would (the sums mix 2**n terms of both signs), and raise
 ``DomainError`` when a term is not finite or the sum overflows a double.
@@ -73,19 +74,25 @@ def scaled_hermite(increments, hurst, level, q) -> np.ndarray:
     return hermite_eval(q, 2.0 ** (level * hurst) * increments)
 
 
-def _hermite_terms(values, hurst, level, weight, q) -> np.ndarray:
-    """f(B_(k-1)2^-n) H_q(2^{nH} dB_k2^-n) along the last axis of `values`."""
-    return _left_endpoints(weight, values) * scaled_hermite(
-        np.diff(values, axis=-1), hurst, level, q
-    )
+def _weighted(terms: np.ndarray, left) -> np.ndarray:
+    """`terms` times f at each term's left endpoint (`left`), in place; at
+    f = 1 (`left` None) the terms themselves."""
+    if left is not None:
+        if left.shape != terms.shape:
+            raise GridAlignmentError(
+                f"grid mismatch: weight {left.shape} vs increments {terms.shape}"
+            )
+        terms *= left
+    return terms
 
 
-def _power_terms(values, hurst, level, weight, q, centered) -> np.ndarray:
-    """f(B_(k-1)2^-n) [(2^{nH} dB_k2^-n)^q - (centered ? mu_q : 0)], likewise."""
-    powers = (2.0 ** (level * hurst) * np.diff(values, axis=-1)) ** q
+def _power_terms(inc, hurst, level, left, q, centered) -> np.ndarray:
+    """f(B_(k-1)2^-n) [(2^{nH} dB_k2^-n)^q - (centered ? mu_q : 0)] for the
+    increments `inc`."""
+    powers = (2.0 ** (level * hurst) * inc) ** q
     if centered:
-        powers = powers - gaussian_moment(q)
-    return _left_endpoints(weight, values) * powers
+        powers -= gaussian_moment(q)
+    return _weighted(powers, left)
 
 
 def finite_fsum(terms: np.ndarray, what: str) -> float:
@@ -103,7 +110,8 @@ def weighted_hermite_variation(path: FbmPath, f: WeightFunction, q: int) -> floa
     """V_n^(q)(f) for one path, exactly accumulated."""
     _check_order(q)
     with np.errstate(over="ignore", invalid="ignore"):  # finite_fsum reports it
-        terms = _hermite_terms(path.values, path.hurst, path.level, f(path.values), q)
+        hq = scaled_hermite(path.increments, path.hurst, path.level, q)
+        terms = _weighted(hq, f(path.values)[:-1])
     return finite_fsum(terms, "weighted Hermite variation")
 
 
@@ -114,7 +122,7 @@ def weighted_power_variation(
     _check_order(q)
     with np.errstate(over="ignore", invalid="ignore"):  # finite_fsum reports it
         terms = _power_terms(
-            path.values, path.hurst, path.level, f(path.values), q, centered
+            path.increments, path.hurst, path.level, f(path.values)[:-1], q, centered
         )
     return finite_fsum(terms, "weighted power variation")
 
@@ -216,43 +224,37 @@ def diagnostic_sums(hurst: float, level: int, q: int) -> DiagnosticSums:
     )
 
 
-def _left_endpoints(weight: np.ndarray, values: np.ndarray) -> np.ndarray:
-    if weight.shape != values.shape:
-        raise GridAlignmentError(
-            f"grid mismatch: weight {weight.shape} vs path {values.shape}"
-        )
-    return weight[..., :-1]
+def weighted_rows(terms: np.ndarray, left) -> np.ndarray:
+    """sum_k f(B_(k-1)2^-n) terms_k per row of a (replicates, 2^n) matrix of
+    per-increment terms, weighted in place: V_n^(q)(f) for the terms of
+    ``scaled_hermite``.  `left` holds f at the left endpoint of each
+    increment, or is None for f = 1."""
+    return np.sum(_weighted(terms, left), axis=-1)
 
 
 def hermite_variation_rows(
-    values: np.ndarray, hurst: float, level: int, weight: np.ndarray, q: int
+    values: np.ndarray, hurst: float, level: int, weight, q: int
 ) -> np.ndarray:
     """V_n^(q)(f) per row of a (replicates, 2^n + 1) path-value matrix;
-    `weight` holds f at every point of `values`."""
+    `weight` is f, or holds f at every point of `values`."""
     if isinstance(weight, WeightFunction):  # perfbench/reference.py passes f itself
         weight = weight(values)
-    return np.sum(_hermite_terms(values, hurst, level, weight, q), axis=-1)
+    hq = scaled_hermite(np.diff(values, axis=-1), hurst, level, q)
+    return weighted_rows(hq, weight[..., :-1])
 
 
 def power_variation_rows(
-    values: np.ndarray,
-    hurst: float,
-    level: int,
-    weight: np.ndarray,
-    q: int,
-    centered: bool,
+    inc: np.ndarray, hurst: float, level: int, left, q: int, centered: bool
 ) -> np.ndarray:
-    """Weighted power variation per row; `weight` holds f at every point of
-    `values`."""
-    return np.sum(_power_terms(values, hurst, level, weight, q, centered), axis=-1)
+    """Weighted power variation per row of an increment matrix; `left` as in
+    ``weighted_rows``."""
+    return np.sum(_power_terms(inc, hurst, level, left, q, centered), axis=-1)
 
 
-def riemann_sum_rows(values: np.ndarray, weight: np.ndarray) -> np.ndarray:
+def riemann_sum_rows(left: np.ndarray) -> np.ndarray:
     """Left-endpoint Riemann sum 2^-n sum_k g(B_(k-1)2^-n) per row, where
-    `weight` holds g (f or one of its derivatives) at every point of
-    `values`."""
-    n_inc = values.shape[1] - 1
-    return np.sum(_left_endpoints(weight, values), axis=1) / n_inc
+    `left` holds g (f or one of its derivatives) at the 2^n left endpoints."""
+    return np.sum(left, axis=1) / left.shape[1]
 
 
 def _corr_power_sum(hurst: float, level: int, p: int) -> float:

@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fbmvar import cli as cli_module
 from fbmvar import experiments, fbm
 from fbmvar.cli import _emit, build_parser, main
-from fbmvar.constants import sigma_clt
+from fbmvar.constants import classify_regime, sigma_clt
+from fbmvar.errors import ConfigError
 from fbmvar.experiments import EXPERIMENT_IDS
 from fbmvar.hermite_process import simulate_hermite
 from fbmvar.variations import weighted_power_variation
@@ -135,6 +137,46 @@ def test_experiment_config_line_without_equals_exits_one(tmp_path, capsys):
     code, out, err = run_cli(capsys, "experiment", "--id", "clt", "--config", str(cfg))
     assert (code, out) == (1, "")
     assert err == "error: bad config line 'H 0.6  # no equals sign' (want key = value)\n"
+
+
+@pytest.mark.parametrize("ratio, q, regime", [("5/6", 3, "CRITICAL_HIGH"),
+                                               ("1/4", 2, "CRITICAL_LOW")])
+def test_rational_hurst_hits_the_critical_case(capsys, monkeypatch, tmp_path, ratio, q,
+                                               regime):
+    code, out, _ = run_cli(capsys, "constants", "--H", ratio, "--q", str(q))
+    assert code == 0 and json.loads(out)["regime"] == regime
+    # --H and the config key hurst give the experiment the same double
+    seen = []
+
+    def record(cfg):
+        seen.append(cfg.hurst)
+        raise ConfigError("recorded")
+
+    monkeypatch.setattr(cli_module, "run_experiment", record)
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(f"hurst = {ratio}\nq = {q}\n")
+    for given in (("--H", ratio, "--q", str(q)), ("--config", str(cfg_file))):
+        assert run_cli(capsys, "experiment", "--id", "clt", *given)[0] == 1
+    p, _, d = ratio.partition("/")
+    assert seen == [int(p) / int(d)] * 2
+    assert classify_regime(seen[0], q).case_id.name == regime
+
+
+def test_decimal_hurst_keeps_its_bytes_and_bad_ratios_exit_one(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "constants", "--H", "0.6", "--q", "2")
+    assert (code, out) == run_cli(capsys, "constants", "--H", "3/5", "--q", "2")[:2]
+    code, out, err = run_cli(capsys, "constants", "--H", "abc", "--q", "2")
+    assert (code, out) == (1, "")
+    assert err.endswith("error: argument --H: invalid float value: 'abc'\n")
+    for bad in ("1/0", "a/2", "1/2/3", "1.5/2", "/2", f"{10**400}/3"):
+        code, out, err = run_cli(capsys, "constants", "--H", bad, "--q", "2")
+        assert (code, out) == (1, "") and "invalid ratio" in err
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(f"hurst = {bad}\nq = 2\n")
+        code, out, err = run_cli(capsys, "experiment", "--id", "clt", "--config",
+                                 str(cfg_file))
+        assert (code, out, err) == (1, "", f"error: bad value {bad!r} for config key "
+                                    "'hurst'\n")
 
 
 @pytest.mark.parametrize("given", [(), ("--H", "0.6"), ("--q", "2")])

@@ -380,15 +380,14 @@ def test_sigma_tilde_matches_reference_bits(q):
 def test_coefficient_constants_match_reference_bits():
     rng = np.random.default_rng(7)
     x = rng.standard_normal(64)
-    v = np.cumsum(rng.standard_normal((3, 17)), axis=1)
-    w = E._GridWeight(parse_weight("cos:1.0"), v, {}, 1)
+    paths = E._LevelPaths(parse_weight("cos:1.0"), rng.standard_normal((3, 16)), {}, 1)
     for q in range(2, 35):
         c = monomial_in_hermite(q).coeffs
         mu1, mu2 = gaussian_moment(q - 1), gaussian_moment(q - 2)
         # corollary item 1's limit, the even-q drift and item 6's constant
         assert (c[1] * x).tobytes() == (q * mu1 * x).tobytes()
-        assert E._power_drift(w, v, q).tobytes() == (
-            0.25 * math.comb(q, 2) * mu2 * V.riemann_sum_rows(v, w(2))
+        assert E._power_drift(paths, q).tobytes() == (
+            0.25 * math.comb(q, 2) * mu2 * V.riemann_sum_rows(paths(2)[:, :-1])
         ).tobytes()
         assert (c[2] * x).tobytes() == (2.0 * mu2 * math.comb(q, 2) * x).tobytes()
         if q % 2 == 0:

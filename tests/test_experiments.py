@@ -30,8 +30,8 @@ from fbmvar.experiments import (
 from fbmvar.hermite import hermite_eval
 from fbmvar.hermite_process import simulate_hermite, young_integral_rows
 from fbmvar.stats import through_origin_slope
-from fbmvar.variations import hermite_variation_rows
-from fbmvar.weights import parse_weight
+from fbmvar.variations import hermite_variation_rows, scaled_hermite, weighted_rows
+from fbmvar.weights import ConstantOne, parse_weight
 
 
 def small_cfg(**kw):
@@ -303,7 +303,7 @@ class TestEngine:
 
         def collect(threads):
             c = dataclasses.replace(cfg, threads=threads)
-            return experiments._collect(c, lambda cfg, w, v, m, n: {f"x_{n}": v[:, -1]},
+            return experiments._collect(c, lambda cfg, p, m, n: {f"x_{n}": p.values[:, -1]},
                                         fine=True)
 
         serial, threaded = collect(1), collect(2)
@@ -330,21 +330,105 @@ class TestEngine:
         cfg = self.nc_cfg(replicates=100, fine_offset=3)
         seen = {}
 
-        def recording(cfg, f, v, m, n):
-            seen[n] = (m, v.copy())
-            return {f"x_{n}": v[:, -1]}
+        def recording(cfg, paths, m, n):
+            seen[n] = (m, paths.values.copy(), paths.inc.copy())
+            return {f"x_{n}": paths.values[:, -1]}
 
         experiments._collect(cfg, recording, fine=True)
         for i in (0, 57, 99):
             finest = fbm.sample_fbm_circulant(cfg.hurst, 10, cfg.master_seed, i)
-            for n, (m, v) in seen.items():
+            drawn = fbm.sample_increments_circulant(cfg.hurst, 10, cfg.master_seed, i, 1)
+            for n, (m, v, inc) in seen.items():
                 assert m == n + 3
                 assert np.array_equal(v[i], fbm.coarsen(finest, m).values)
+                # the finest level reads the drawn increments, a coarser one
+                # the differences of its path values
+                want = drawn[0] if m == 10 else np.diff(v[i])
+                assert np.array_equal(inc[i], want)
 
     def test_thread_count_does_not_change_noncentral_report(self):
         serial = run_noncentral(self.nc_cfg())
         parallel = run_noncentral(self.nc_cfg(threads=2))
         assert serial.to_json() == parallel.to_json()
+
+
+class TestIncrementKernels:
+    """Unweighted statistics read the drawn increments: no path values and
+    no weight arrays at the finest level."""
+
+    UNWEIGHTED = (("clt", 0.6, 14), ("critical_high", 0.75, 16))
+
+    @pytest.mark.parametrize("exp_id, hurst, level", UNWEIGHTED)
+    def test_unweighted_block_builds_no_values_and_no_weight(
+        self, monkeypatch, exp_id, hurst, level
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an unweighted block built path values or a weight")
+
+        monkeypatch.setattr(fbm, "values_from_increments", refuse)
+        monkeypatch.setattr(ConstantOne, "derivative", refuse)
+        cfg = ExperimentConfig(exp_id, hurst=hurst, order=2, levels=(level,),
+                               replicates=100, master_seed=7)
+        data = experiments._collect(cfg, experiments._normalised_kernel)
+        # the Riemann sum of f^2 at f = 1 is the double 1.0, as a sum of ones gives
+        assert data[f"fsq_{level}"].tobytes() == np.ones(100).tobytes()
+
+    @pytest.mark.parametrize("exp_id, hurst, level", UNWEIGHTED)
+    def test_unweighted_statistic_matches_the_path_value_rows(self, exp_id, hurst, level):
+        cfg = ExperimentConfig(exp_id, hurst=hurst, order=2, levels=(level,),
+                               replicates=100, master_seed=7)
+        y = experiments._collect(cfg, experiments._normalised_kernel)[f"y_{level}"]
+        vals = fbm.values_from_increments(
+            fbm.sample_increments_circulant(hurst, level, 7, 0, 100))
+        ref = renorm_factor(hurst, 2, level) * hermite_variation_rows(
+            vals, hurst, level, ConstantOne(), 2)
+        # the sum over the drawn increments against the sum over the
+        # differences of their running sum: rounding only, on the scale of
+        # the statistic (a row near 0 has no meaningful relative error)
+        assert not np.array_equal(y, ref)
+        assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("exp_id, hurst", [("clt", 0.6), ("critical_high", 0.75)])
+    def test_every_spelling_of_one_gives_the_same_report(self, exp_id, hurst):
+        reports = set()
+        for weight in ("one", "cos:0", "poly:1"):
+            for threads in (1, 2):
+                rep = run_experiment(ExperimentConfig(
+                    exp_id, hurst=hurst, order=2, weight=weight, levels=(8, 10),
+                    replicates=300, master_seed=3, threads=threads))
+                text = rep.to_json().replace(f'"weight": "{weight}"', '"weight": "one"')
+                reports.add((text, rep.per_level_csv(), rep.plot_tsv()))
+        assert len(reports) == 1
+
+
+class TestUnconvergedSeries:
+    """A series constant that did not converge is named in the flags."""
+
+    def unconverged(self, series):
+        def patched(*args, **kwargs):
+            return dataclasses.replace(series(*args, **kwargs), converged=False)
+        return patched
+
+    @pytest.mark.parametrize("name, cfg", [
+        ("sigma_clt", ExperimentConfig("clt", hurst=0.6, order=2, levels=(6, 8),
+                                       replicates=100, master_seed=1)),
+        ("sigma_clt", ExperimentConfig("conjecture_quarter", hurst=0.25, order=2,
+                                       weight="cos:1.0", levels=(6, 8), replicates=100,
+                                       master_seed=1)),
+        ("sigma_tilde", ExperimentConfig("corollary", hurst=0.25, order=2, weight="cos:1.0",
+                                         levels=(6, 8), replicates=100, master_seed=1)),
+        ("sigma_tilde", ExperimentConfig("corollary", hurst=0.6, order=2, levels=(6, 8),
+                                         replicates=100, master_seed=1)),
+    ])
+    def test_flag_names_the_series_and_its_radius(self, monkeypatch, name, cfg):
+        clean = run_experiment(cfg)
+        radius = getattr(experiments, name)(cfg.hurst, cfg.order).radius
+        flag = f"series {name} not converged at radius {radius}"
+        assert flag not in clean.flags
+        monkeypatch.setattr(experiments, name, self.unconverged(getattr(experiments, name)))
+        flagged = run_experiment(cfg)
+        assert flagged.flags == clean.flags + [flag]
+        assert dataclasses.replace(flagged, flags=clean.flags) == clean
 
 
 class TestCltExperiment:
@@ -383,11 +467,11 @@ class TestSmallH:
         # criterion 6's decay exponent is set by the chaos-2q floor and
         # cannot see the limit itself; regressing the renormalised variation
         # on its limit, replicate by replicate, can (slope 1 when they match)
-        def pair(cfg, w, v, m, n):
+        def pair(cfg, paths, m, n):
             q, hurst = cfg.order, cfg.hurst
-            variation = hermite_variation_rows(v, hurst, n, w(), q)
+            variation = hermite_variation_rows(paths.values, hurst, n, paths(), q)
             stat = renorm_factor(hurst, q, n) * variation
-            return {"stat": stat, "limit": experiments._hermite_drift(w, v, q)}
+            return {"stat": stat, "limit": experiments._hermite_drift(paths, q)}
 
         cfg = ExperimentConfig("small_h", hurst=0.2, order=2, weight="cos:1.0",
                                levels=(12,), replicates=2000, master_seed=2024)
@@ -464,18 +548,23 @@ class TestNoncentral:
         # variation rows and of partial sums that evaluate H_q a second time
         hurst = 0.9
         cfg = ExperimentConfig("noncentral", hurst=hurst, order=q, weight=weight)
+        f = parse_weight(weight)
         for m, n in ((7, 4), (9, 9), (10, 1)):
-            v = experiments._values_block(hurst, m, 12, 0, 3)
-            w = experiments._GridWeight(parse_weight(weight), v, {}, 1)
-            got = experiments._young_kernel(cfg, w, v, m, n)
-            stat = renorm_factor(hurst, q, m) * hermite_variation_rows(v, hurst, m, w(), q)
-            hq = hermite_eval(q, 2.0 ** (m * hurst) * np.diff(v, axis=1))
+            inc = experiments._values_block(hurst, m, 12, 0, 3)
+            paths = experiments._LevelPaths(f, inc, {}, 1)
+            got = experiments._young_kernel(cfg, paths, m, n)
+            v = fbm.values_from_increments(inc)
+            left = None if weight == "one" else f(v)[:, :-1]
+            terms = scaled_hermite(inc, hurst, m, q)
+            stat = renorm_factor(hurst, q, m) * weighted_rows(terms, left)
+            hq = hermite_eval(q, 2.0 ** (m * hurst) * inc)
             stride = 2 ** (m - n)
             # Z by output interval: one sum per interval, then a running sum
             sums = np.sum(hq.reshape(3, 2**n, stride), axis=2)
             z = np.zeros((3, 2**n + 1))
             z[:, 1:] = np.cumsum(sums, axis=1) * 2.0 ** (m * (q * (1.0 - hurst) - 1.0))
-            limit = young_integral_rows(w()[:, ::stride], v[:, ::stride], z)
+            z_left = None if weight == "one" else f(v[:, ::stride])[:, :-1]
+            limit = young_integral_rows(z_left, z)
             assert got[f"diff_sq_{n}"].tobytes() == ((stat - limit) ** 2).tobytes()
             assert got[f"v_sq_{n}"].tobytes() == (stat**2).tobytes()
 

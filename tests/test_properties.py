@@ -120,6 +120,9 @@ _config_line = st.text(max_size=24) | st.builds(
     st.text(max_size=10)
     | st.integers().map(str)
     | st.floats().map(repr)
+    # p/q ratios, exact critical points among them; huge or zero q included
+    | st.builds("{}/{}".format, st.integers(), st.integers())
+    | st.builds("{}/{}".format, st.integers(-1, 7), st.sampled_from([4, 6, 12, 0]))
     | st.lists(st.integers(-2, 30), min_size=1, max_size=4).map(
         lambda xs: ",".join(map(str, xs))),
 )

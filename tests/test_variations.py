@@ -166,10 +166,13 @@ class TestHermiteVariation:
         for short in (f(vals[:, :-1]), f(vals[0])):
             with pytest.raises(GridAlignmentError):
                 V.hermite_variation_rows(vals, 0.6, 6, short, 3)
+        # the increment rows take f at each left endpoint, not at every point
+        inc = np.diff(vals, axis=1)
+        for wrong in (f(vals), f(vals[0, :-1])):
             with pytest.raises(GridAlignmentError):
-                V.power_variation_rows(vals, 0.6, 6, short, 3, centered=True)
+                V.weighted_rows(V.scaled_hermite(inc, 0.6, 6, 3), wrong)
             with pytest.raises(GridAlignmentError):
-                V.riemann_sum_rows(vals, short)
+                V.power_variation_rows(inc, 0.6, 6, wrong, 3, centered=True)
 
 
 class TestRenormalize:
@@ -206,9 +209,7 @@ class TestSecondMoments:
     def test_centered_power_second_moment_vs_monte_carlo(self):
         hurst, q, n, reps = 0.6, 4, 7, 6000
         inc = fbm.sample_increments_circulant(hurst, n, 4, 0, reps)
-        vals = np.zeros((reps, 2**n + 1))
-        np.cumsum(inc, axis=1, out=vals[:, 1:])
-        s = V.power_variation_rows(vals, hurst, n, ONE(vals), q, centered=True)
+        s = V.power_variation_rows(inc, hurst, n, None, q, centered=True)
         exact = V.centered_power_second_moment(hurst, q, n)
         se = np.std(s**2) / math.sqrt(reps)
         assert abs(np.mean(s**2) - exact) < 3 * se

@@ -5,6 +5,10 @@ the two listings:
 
     PYTHONPATH=src python tools/report_digests.py > digests.txt
 
+With ``--dump DIR`` it also writes each covered output to ``DIR/<name>``,
+named after its listing line, so the outputs of two checkouts whose digests
+differ can be compared number by number.
+
 Each line is ``<sha256>  <name>``.  The outputs covered are:
 
 * every experiment runner (corollary items 1-6 each), at threads 1 and 2,
@@ -28,6 +32,7 @@ machines, so only digests made on one machine compare.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -102,10 +107,6 @@ REJECTED = {
 }
 
 
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _cli(workdir: Path, argv) -> bytes:
     """Exit code, stdout, stderr and the --out file of one CLI request."""
     argv = [a.replace("{dir}", str(workdir)) for a in argv]
@@ -120,8 +121,8 @@ def _cli(workdir: Path, argv) -> bytes:
     return text.encode() + written
 
 
-def digests(workdir: Path):
-    """(name, sha256) of every covered output, in a fixed order."""
+def outputs(workdir: Path):
+    """(name, bytes) of every covered output, in a fixed order."""
     merged = []  # the report files of the first two configs, for report --merge
     for exp_id, hurst, q, weight, levels, reps, seed, offset in RUNNER_CONFIGS:
         for threads in (1, 2):
@@ -135,52 +136,64 @@ def digests(workdir: Path):
             if threads == 1 and len(merged) < 2:
                 merged.append(str(workdir / f"report{len(merged)}.json"))
                 Path(merged[-1]).write_text(rep.to_json())
-            yield f"{name} json", _digest(rep.to_json().encode())
-            yield f"{name} csv", _digest(rep.per_level_csv().encode())
-            yield f"{name} tsv", _digest(rep.plot_tsv().encode())
+            yield f"{name} json", rep.to_json().encode()
+            yield f"{name} csv", rep.per_level_csv().encode()
+            yield f"{name} tsv", rep.plot_tsv().encode()
 
     for sampler in ("circulant", "cholesky"):
         base = ("sample", "--H", "0.7", "--n", "8", "--seed", "3", "--stream", "2",
                 "--sampler", sampler)
-        yield f"sample {sampler} json", _digest(_cli(workdir, (*base, "--format", "json")))
-        yield f"sample {sampler} csv", _digest(_cli(workdir, (*base, "--format", "csv")))
-        yield f"sample {sampler} bin", _digest(
-            _cli(workdir, (*base, "--format", "bin", "--out", "{dir}/s.bin")))
-    yield "sample circulant n=17 bin", _digest(_cli(workdir, (
+        yield f"sample {sampler} json", _cli(workdir, (*base, "--format", "json"))
+        yield f"sample {sampler} csv", _cli(workdir, (*base, "--format", "csv"))
+        yield f"sample {sampler} bin", _cli(
+            workdir, (*base, "--format", "bin", "--out", "{dir}/s.bin"))
+    yield "sample circulant n=17 bin", _cli(workdir, (
         "sample", "--H", "0.7", "--n", "17", "--seed", "3", "--format", "bin",
-        "--out", "{dir}/p17.bin")))
+        "--out", "{dir}/p17.bin"))
 
     for weight in WEIGHTS:
         for q in (2, 3):
             for mode, flags in VARIATION_MODES.items():
                 argv = ("variation", "--H", "0.6", "--n", "10", "--q", str(q),
                         "--weight", weight, "--seed", "4", *flags)
-                yield f"variation {weight} q={q} {mode}", _digest(_cli(workdir, argv))
+                yield f"variation {weight} q={q} {mode}", _cli(workdir, argv)
 
     for hurst, q in CONSTANT_PAIRS:
         argv = ("constants", "--H", str(hurst), "--q", str(q), "--seed", "5")
-        yield f"constants H={hurst} q={q}", _digest(_cli(workdir, argv))
+        yield f"constants H={hurst} q={q}", _cli(workdir, argv)
 
     for q, hurst, m, n_out in HERMITE_PROCESS:
         for export in ("json", "csv"):
             argv = ("hermite-process", "--q", q, "--H", hurst, "--m", m, "--n-out", n_out,
                     "--seed", "6", "--export", export)
-            yield f"hermite-process q={q} {export}", _digest(_cli(workdir, argv))
+            yield f"hermite-process q={q} {export}", _cli(workdir, argv)
 
     for name, argv in PRECISION_REQUESTS.items():
         for precision in ("1", "4", "17"):
-            yield f"{name} precision={precision}", _digest(
-                _cli(workdir, (*argv, "--precision", precision)))
+            yield f"{name} precision={precision}", _cli(
+                workdir, (*argv, "--precision", precision))
 
     for fmt in ("table", "json"):
         argv = ("report", "--merge", *merged, "--format", fmt, "--seed", "7")
-        yield f"report merge {fmt}", _digest(_cli(workdir, argv))
+        yield f"report merge {fmt}", _cli(workdir, argv)
 
     for name, argv in REJECTED.items():
-        yield f"rejected {name}", _digest(_cli(workdir, argv))
+        yield f"rejected {name}", _cli(workdir, argv)
+
+
+def _main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--dump", type=Path, metavar="DIR",
+                        help="also write each output to DIR/<name>")
+    args = parser.parse_args(argv)
+    if args.dump is not None:
+        args.dump.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in outputs(Path(tmp)):
+            sys.stdout.write(f"{hashlib.sha256(data).hexdigest()}  {name}\n")
+            if args.dump is not None:
+                (args.dump / name).write_bytes(data)
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, value in digests(Path(tmp)):
-            sys.stdout.write(f"{value}  {name}\n")
+    _main()
