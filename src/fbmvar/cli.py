@@ -23,6 +23,7 @@ import numpy as np
 
 from . import fbm
 from .constants import (
+    _check_order,
     classify_regime,
     hermite_process_variance_const,
     sigma_clt,
@@ -32,12 +33,7 @@ from .errors import ConfigError, DomainError, FbmvarError, SeriesDivergenceError
 from .experiments import EXPERIMENT_IDS, ExperimentConfig, json_text, run_experiment
 from .hermite_process import _check_request, simulate_hermite
 from .rng import check_key
-from .variations import (
-    _check_order,
-    renormalize,
-    weighted_hermite_variation,
-    weighted_power_variation,
-)
+from .variations import renormalize, weighted_hermite_variation, weighted_power_variation
 from .weights import parse_weight
 
 
@@ -143,7 +139,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_variation)
     p.add_argument("--H", type=_real, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True, help="variation order q >= 1")
+    p.add_argument("--q", type=int, required=True,
+                   help="order q, an integer in [1, 150]; [2, 150] with --renormalize")
     p.add_argument("--weight", default="one",
                    help="weight spec: one | poly:c0,c1,.. | cos:a | sin:a | exp:a")
     p.add_argument("--power", action="store_true",
@@ -157,7 +154,7 @@ def build_parser() -> _Parser:
                        help="limit constants and regime for (H, q)")
     p.set_defaults(func=_cmd_constants)
     p.add_argument("--H", type=_real, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=int, required=True, help="order q, an integer in [2, 150]")
     p.add_argument("--rel-tol", type=float, default=1e-8)
     p.add_argument("--seed", type=_key_word("seed"), default=0,
                    help="echoed (no randomness)")
@@ -165,7 +162,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("hermite-process", parents=[path_opts, out_opts],
                        help="simulate the Hermite process from a fine fBm path")
     p.set_defaults(func=_cmd_hermite_process)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=int, required=True, help="order q, an integer in [2, 150]")
     p.add_argument("--H", type=_real, required=True)
     p.add_argument("--m", type=int, required=True, help="fine level")
     p.add_argument("--n-out", type=int, required=True, help="output grid level")
@@ -177,7 +174,8 @@ def build_parser() -> _Parser:
     p.add_argument("--id", required=True, choices=EXPERIMENT_IDS, dest="experiment_id")
     p.add_argument("--config", help="key = value config file (flags override)")
     p.add_argument("--H", type=_real)
-    p.add_argument("--q", type=int)
+    p.add_argument("--q", type=int, help="order q, an integer in [1, 150]; "
+                   "[2, 150] in every runner but corollary and trapezoid")
     p.add_argument("--weight")
     p.add_argument("--levels", help="comma-separated dyadic levels")
     p.add_argument("--replicates", type=int)
@@ -234,7 +232,7 @@ def _cmd_variation(args) -> int:
         # variation follows its leading chaos, an uncentred one has no prefactor
         raise FbmvarError("--renormalize applies to the Hermite variation, not to --power")
     f = parse_weight(args.weight)
-    _check_order(args.q)
+    _check_order(args.q, minimum=1)
     if args.renormalize:
         classify_regime(args.H, args.q)
     path = fbm.sample_fbm_circulant(args.H, args.n, args.seed, args.stream)

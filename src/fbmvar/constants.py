@@ -100,17 +100,15 @@ class TruncatedSeries:
     converged: bool
 
 
-def _check_order(q: int) -> None:
-    if not isinstance(q, (int, np.integer)) or q < 2:
-        raise DomainError(f"order q must be an integer >= 2, got {q}")
-
-
-def _check_constant_order(q: int) -> None:
-    # the constants are doubles: 2^q q!, the scale of sigma_(H,q), and the
-    # sigma~ sums are finite up to q = 150
-    _check_order(q)
-    if q > 150:
-        raise DomainError(f"limit constants overflow a double above q=150, got q={q}")
+def _check_order(q: int, minimum: int = 2) -> None:
+    """The one check on a statistic's order q: an integer in [minimum, 150].
+    The limit constants are doubles, and 2^q q!, the scale of sigma_(H,q),
+    and the sigma~ sums are finite up to q = 150."""
+    if not isinstance(q, (int, np.integer)) or not minimum <= q <= 150:
+        raise DomainError(
+            f"order q must be an integer in [{minimum}, 150], got {q} "
+            "(the limit constants overflow a double above q=150)"
+        )
 
 
 def classify_regime(hurst: float, q: int) -> ScalingRegime:
@@ -292,7 +290,7 @@ def sigma_clt(
     Defined whenever S_q converges, i.e. H < 1 - 1/(2q); this includes the
     low-H regimes, where the constant still appears (e.g. at H = 1/(2q)).
     """
-    _check_constant_order(q)
+    _check_order(q)
     series = rho_power_sum(hurst, q, rel_tol=rel_tol, radius=radius)
     scale = 2.0**q * math.factorial(q)
     var = series.value / scale
@@ -310,7 +308,7 @@ def sigma_critical_high(q: int) -> float:
 
     (2 log 2 / q!) (1 - 1/(2q))**q (1 - 1/q)**q
     """
-    _check_constant_order(q)
+    _check_order(q)
     return (
         2.0 * math.log(2.0) / math.factorial(q)
         * (1.0 - 1.0 / (2 * q)) ** q
@@ -341,7 +339,7 @@ def sigma_tilde(
     sigma~**2 = sum_p c_p**2 sigma_{H,p}**2 holds term by term against
     ``sigma_clt``.
     """
-    _check_constant_order(q)
+    _check_order(q)
     var = 0.0
     tail = 0.0
     max_radius = 1
@@ -367,7 +365,7 @@ def sigma_tilde_critical(q: int) -> float:
 
     (the trailing factors carry the exponent q, not p, as printed).
     """
-    _check_constant_order(q)
+    _check_order(q)
     if q % 2 == 1:
         raise DomainError(f"sigma_tilde_critical addresses even q, got {q}")
     shape = (1.0 - 1.0 / (2 * q)) ** q * (1.0 - 1.0 / q) ** q
@@ -389,7 +387,7 @@ def sigma_tilde_critical_corrected(q: int) -> float:
 
     sigma~**2 = c_2**2 * sigma_critical_high(2), with c_2 = 2 C(q,2) mu_{q-2}.
     """
-    _check_constant_order(q)
+    _check_order(q)
     if q % 2 == 1:
         raise DomainError(f"sigma_tilde_critical addresses even q, got {q}")
     return monomial_in_hermite(q).coeffs[2] * math.sqrt(sigma_critical_high(2))
@@ -403,7 +401,7 @@ def hermite_process_variance_const(q: int, hurst: float) -> float:
     integers at the double H = a/b and rounded once by the division: in
     doubles the factor 2Hq - 2q + 1 cancels within a few ulps of 1 - 1/(2q).
     """
-    _check_constant_order(q)
+    _check_order(q)
     if not 1.0 - 1.0 / (2 * q) < hurst < 1.0:
         raise DomainError(
             f"c_(q,H) requires 1 - 1/(2q) = {1.0 - 1.0/(2*q)} < H < 1, got {hurst}"

@@ -57,6 +57,7 @@ from . import fbm
 from .constants import (
     RegimeCase,
     TruncatedSeries,
+    _check_order,
     classify_regime,
     renorm_factor,
     require_regime,
@@ -121,6 +122,7 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment_id!r}; "
                 f"choose from {EXPERIMENT_IDS}"
             )
+        _check_order(self.order, minimum=1)  # corollary item 1 runs at q = 1
         levels = tuple(self.levels) or _EXPERIMENTS[self.experiment_id][1]
         object.__setattr__(self, "levels", levels)
         if any(b <= a for a, b in zip(levels, levels[1:])):

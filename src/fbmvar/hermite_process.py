@@ -32,7 +32,7 @@ import numpy as np
 from .constants import RegimeCase, require_regime
 from .errors import DomainError, GridAlignmentError
 from .fbm import FbmPath
-from .variations import finite_fsum, scaled_hermite, weighted_rows
+from .variations import _weighted, finite_fsum, left_weights, scaled_hermite, weighted_rows
 from .weights import WeightFunction
 
 
@@ -123,7 +123,7 @@ def young_integral(
             f"{len(z.values)} Z points"
         )
     with np.errstate(over="ignore", invalid="ignore"):  # finite_fsum reports it
-        terms = f(coarse_values)[:-1] * np.diff(z.values)
+        terms = _weighted(np.diff(z.values), left_weights(f, coarse_values))
     return finite_fsum(terms, "Young integral")
 
 

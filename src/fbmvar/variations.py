@@ -34,11 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ScalingRegime, classify_regime, exact_sum, renorm_factor
+from .constants import ScalingRegime, _check_order, classify_regime, exact_sum, renorm_factor
 from .errors import DomainError, GridAlignmentError, SizeLimitError
 from .fbm import FbmPath, rho
 from .hermite import gaussian_moment, hermite_eval, monomial_in_hermite
-from .weights import WeightFunction
+from .weights import ConstantOne, WeightFunction
 
 BETA_MAX_LEVEL = 24
 
@@ -62,16 +62,17 @@ class DiagnosticSums:
     gamma: float
 
 
-def _check_order(q: int) -> None:
-    if q < 1:
-        raise DomainError(f"order must be >= 1, got {q}")
-
-
 def scaled_hermite(increments, hurst, level, q) -> np.ndarray:
     """H_q(2^{nH} dB_k2^-n) for every level-n increment dB_k2^-n in
     `increments`: the terms of V_n^(q)(1), and the steps of the Hermite
     process approximation Z_n before its prefactor."""
     return hermite_eval(q, 2.0 ** (level * hurst) * increments)
+
+
+def left_weights(f: WeightFunction, values: np.ndarray) -> np.ndarray | None:
+    """f at the left endpoint of each increment of the path `values`, or None
+    for f = 1, which weights nothing."""
+    return None if isinstance(f, ConstantOne) else f(values)[:-1]
 
 
 def _weighted(terms: np.ndarray, left) -> np.ndarray:
@@ -108,10 +109,10 @@ def finite_fsum(terms: np.ndarray, what: str) -> float:
 
 def weighted_hermite_variation(path: FbmPath, f: WeightFunction, q: int) -> float:
     """V_n^(q)(f) for one path, exactly accumulated."""
-    _check_order(q)
+    _check_order(q, minimum=1)
     with np.errstate(over="ignore", invalid="ignore"):  # finite_fsum reports it
         hq = scaled_hermite(path.increments, path.hurst, path.level, q)
-        terms = _weighted(hq, f(path.values)[:-1])
+        terms = _weighted(hq, left_weights(f, path.values))
     return finite_fsum(terms, "weighted Hermite variation")
 
 
@@ -119,11 +120,10 @@ def weighted_power_variation(
     path: FbmPath, f: WeightFunction, q: int, centered: bool = False
 ) -> float:
     """sum_k f(B_(k-1)2^-n) [ (2^{nH} dB)^q - (centered ? mu_q : 0) ]."""
-    _check_order(q)
+    _check_order(q, minimum=1)
     with np.errstate(over="ignore", invalid="ignore"):  # finite_fsum reports it
-        terms = _power_terms(
-            path.increments, path.hurst, path.level, f(path.values)[:-1], q, centered
-        )
+        left = left_weights(f, path.values)
+        terms = _power_terms(path.increments, path.hurst, path.level, left, q, centered)
     return finite_fsum(terms, "weighted power variation")
 
 
@@ -146,7 +146,7 @@ def beta_sums(hurst: float, level: int, q: int) -> dict[int, float]:
     Uses the stationary reduction 2^(-2nrH - r) sum_{k,l} |rho_H(k-l)|^r,
     an O(2^n) computation allowed up to level 24.
     """
-    _check_order(q)
+    _check_order(q, minimum=1)
     if level > BETA_MAX_LEVEL:
         raise SizeLimitError(f"level {level} exceeds beta ceiling {BETA_MAX_LEVEL}")
     n_pts = 2**level

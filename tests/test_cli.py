@@ -257,6 +257,14 @@ def test_experiment_config_not_utf8_exits_one(tmp_path, capsys):
     ("constants", "--H", "0.3", "--q", "160"),
     ("experiment", "--id", "clt", "--H", "0.6", "--q", "200", "--levels", "4",
      "--replicates", "100"),
+    ("experiment", "--id", "noncentral", "--H", "0.9999", "--q", "1000", "--levels", "2,3",
+     "--replicates", "100", "--fine-offset", "1"),
+    ("experiment", "--id", "small_h", "--H", "0.001", "--q", "171", "--levels", "6,7",
+     "--replicates", "100"),
+    ("experiment", "--id", "corollary", "--H", "0.9", "--q", "400", "--levels", "4,5",
+     "--replicates", "100", "--fine-offset", "2"),
+    ("experiment", "--id", "trapezoid", "--H", "0.3", "--q", "-5", "--levels", "4",
+     "--replicates", "100"),
 ])
 def test_large_order_exits_one(capsys, argv):
     # 2^q q! has no finite double above q = 150: an error, not a traceback
@@ -467,11 +475,16 @@ def test_precision_flag(capsys):
     assert sigma_short == float(f"{sigma_full:.4g}")
 
 
+def _order_error(minimum, q):
+    return (f"order q must be an integer in [{minimum}, 150], got {q} "
+            "(the limit constants overflow a double above q=150)")
+
+
 def test_variation_order_below_one_exits_one(capsys):
     code, out, err = run_cli(capsys, "variation", "--H", "0.5", "--n", "4", "--q", "0")
     assert code == 1
     assert out == ""
-    assert "error: order must be >= 1" in err
+    assert err == f"error: {_order_error(1, 0)}\n"
 
 
 _N22 = ("--H", "0.6", "--n", "22")
@@ -482,10 +495,9 @@ _N22 = ("--H", "0.6", "--n", "22")
      "cannot parse weight spec 'bogus'"),
     (("variation", *_N22, "--q", "2", "--weight", "cos:nan"),
      "cannot parse weight spec 'cos:nan': parameter 'nan' is not finite"),
-    (("variation", *_N22, "--q", "0"), "order must be >= 1, got 0"),
-    (("variation", *_N22, "--q", "0", "--power"), "order must be >= 1, got 0"),
-    (("variation", *_N22, "--q", "1", "--renormalize"),
-     "order q must be an integer >= 2, got 1"),
+    (("variation", *_N22, "--q", "0"), _order_error(1, 0)),
+    (("variation", *_N22, "--q", "0", "--power"), _order_error(1, 0)),
+    (("variation", *_N22, "--q", "1", "--renormalize"), _order_error(2, 1)),
     (("hermite-process", "--q", "2", "--H", "0.6", "--m", "22", "--n-out", "4"),
      "the Hermite process needs H > 1 - 1/(2q) = 0.75, got H=0.6, q=2"),
     (("hermite-process", "--q", "2", "--H", "0.9", "--m", "22", "--n-out", "23"),
@@ -508,6 +520,14 @@ _N22 = ("--H", "0.6", "--n", "22")
     (("hermite-process", "--q", "2", "--H", "0.9", "--m", "22", "--n-out", "4",
       "--export", "csv", "--precision", "4"),
      "--precision applies to json output only, not csv"),
+    (("variation", "--H", "0.5", "--n", "4", "--q", "100000"), _order_error(1, 100000)),
+    (("variation", "--H", "0.5", "--n", "10", "--q", "151"), _order_error(1, 151)),
+    (("variation", "--H", "0.5", "--n", "10", "--q", "151", "--power"),
+     _order_error(1, 151)),
+    (("hermite-process", "--q", "1000", "--H", "0.9999", "--m", "8", "--n-out", "3"),
+     _order_error(2, 1000)),
+    (("hermite-process", "--q", "151", "--H", "0.9999", "--m", "8", "--n-out", "3"),
+     _order_error(2, 151)),
 ])
 def test_bad_request_exits_before_sampling(capsys, monkeypatch, argv, message):
     def no_path(*args):

@@ -63,6 +63,10 @@ class TestConfig:
                 small_cfg(threads=threads)
         with pytest.raises(ConfigError):
             small_cfg(fine_offset=-2)
+        # every runner takes an integer order in [1, 150]; trapezoid reads no q
+        for order in (-5, 0, 151, 2.5):
+            with pytest.raises(DomainError, match=r"order q must be an integer in \[1, 150\]"):
+                ExperimentConfig("trapezoid", 0.3, order)
         for seed in (-1, 2**64):  # a Philox key word, never reduced mod 2**64
             with pytest.raises(DomainError, match="master_seed"):
                 small_cfg(master_seed=seed)

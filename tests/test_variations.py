@@ -311,6 +311,8 @@ class TestDiagnostics:
             V.diagnostic_sums(0.5, 25, 2)
         with pytest.raises(SizeLimitError):
             V.beta_sums(0.5, 25, 2)
+        with pytest.raises(DomainError, match=r"order q must be an integer in \[1, 150\]"):
+            V.beta_sums(0.6, 4, 151)
         assert V.beta_sums(0.75, 16, 2)[2] > 0  # stationary path goes higher
 
 
@@ -326,3 +328,8 @@ def test_single_path_sums_reject_non_finite_terms_and_overflow():
         V.weighted_hermite_variation(path, Polynomial((1e308,)), 2)
     with pytest.raises(DomainError, match="weighted power variation"):
         V.weighted_power_variation(path, Polynomial((1e308, 1e308)), 2)
+    # an order outside [1, 150] or not an integer is refused before any term
+    for call in (lambda: V.weighted_hermite_variation(path, ONE, 151),
+                 lambda: V.weighted_power_variation(path, ONE, 2.5)):
+        with pytest.raises(DomainError, match=r"order q must be an integer in \[1, 150\]"):
+            call()

@@ -104,6 +104,13 @@ REJECTED = {
     "hermite-process-csv-precision": ("hermite-process", "--q", "2", "--H", "0.9",
                                       "--m", "8", "--n-out", "4", "--export", "csv",
                                       "--precision", "4"),
+    # orders above 150, where the limit constants overflow a double
+    "variation-order-151": ("variation", "--H", "0.5", "--n", "10", "--q", "151"),
+    "hermite-process-order-151": ("hermite-process", "--q", "151", "--H", "0.9999",
+                                  "--m", "8", "--n-out", "3"),
+    "experiment-order-1000": ("experiment", "--id", "noncentral", "--H", "0.9999",
+                              "--q", "1000", "--levels", "2,3", "--replicates", "100",
+                              "--fine-offset", "1"),
 }
 
 
