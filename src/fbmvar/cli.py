@@ -282,7 +282,6 @@ def _cmd_constants(args) -> int:
 
 def _cmd_hermite_process(args) -> int:
     _check_json_precision(args.precision, args.export)
-    fbm._check_level(args.m)
     _check_request(args.H, args.q, args.m, args.n_out)
     path = fbm.sample_fbm_circulant(args.H, args.m, args.seed, args.stream)
     z = simulate_hermite(path, args.q, args.n_out)

@@ -48,8 +48,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, RegimeError, SeriesDivergenceError
-from .fbm import _check_h, rho
+from .errors import DomainError, RegimeError, SeriesDivergenceError, check_int, integer_in
+from .fbm import _check_h, check_level, rho
 from .hermite import gaussian_moment, monomial_in_hermite
 
 DEFAULT_REL_TOL = 1e-8
@@ -104,7 +104,7 @@ def _check_order(q: int, minimum: int = 2) -> None:
     """The one check on a statistic's order q: an integer in [minimum, 150].
     The limit constants are doubles, and 2^q q!, the scale of sigma_(H,q),
     and the sigma~ sums are finite up to q = 150."""
-    if not isinstance(q, (int, np.integer)) or not minimum <= q <= 150:
+    if not integer_in(q, minimum, 150):
         raise DomainError(
             f"order q must be an integer in [{minimum}, 150], got {q} "
             "(the limit constants overflow a double above q=150)"
@@ -141,7 +141,8 @@ def require_regime(hurst: float, q: int, case: RegimeCase, who: str) -> None:
 
 
 def renorm_factor(hurst: float, q: int, level: int) -> float:
-    """Numeric renormalisation prefactor for the regime of (H, q)."""
+    """Numeric renormalisation prefactor for the regime of (H, q) at `level`."""
+    check_level(level)
     return _CASES[classify_regime(hurst, q).case_id][2](hurst, q, level)
 
 
@@ -228,19 +229,20 @@ def rho_power_sum(
 ) -> TruncatedSeries:
     """sum over all integer lags of rho_H(r)**p, signed, with tail control.
 
-    Pass `radius` to pin the truncation radius (the tail estimate is still
-    applied); otherwise the radius doubles from 1024 until the certified
-    residual bound drops below rel_tol * |value|; rel_tol must lie in
-    (0, 1e-3].  Two cases are exact and sum no lags: H = 1/2, where
-    S_p = 2**p, and p = 1 with H < 1/2, where S_1 = 0 (the partial sums
-    telescope to 2((R+1)**(2H) - R**(2H)), so a relative stop could never
-    pass on them).
+    Pass `radius`, an integer in [32, 2**22], to pin the truncation radius
+    (the tail estimate is still applied); otherwise the radius doubles from
+    1024, up to 2**22, until the certified residual bound drops below
+    rel_tol * |value|; rel_tol must lie in (0, 1e-3].  Two cases are exact
+    and sum no lags: H = 1/2, where S_p = 2**p, and p = 1 with H < 1/2, where
+    S_1 = 0 (the partial sums telescope to 2((R+1)**(2H) - R**(2H)), so a
+    relative stop could never pass on them).
     """
     if not 0.0 < rel_tol <= 1e-3:
         raise DomainError(f"rel_tol must be in (0, 1e-3], got {rel_tol}")
     _check_h(hurst)
-    if p < 1:
-        raise DomainError(f"power must be >= 1, got {p}")
+    check_int(p, "power", 1)
+    fixed = radius is not None
+    r_cur = check_int(radius, "radius", 32, _MAX_RADIUS) if fixed else _START_RADIUS
     if hurst == 0.5:
         return TruncatedSeries(value=2.0**p, radius=1, tail_bound=0.0, converged=True)
     if p == 1 and hurst < 0.5:
@@ -257,8 +259,6 @@ def rho_power_sum(
     e1 = (a - 2.0) * (a - 3.0) / 12.0
     k_exp = 0.34 * p + 0.27 * math.comb(p, 2) + 1.0
 
-    fixed = radius is not None
-    r_cur = max(radius, 32) if fixed else _START_RADIUS
     while True:
         one_sided = _rho_powers_stable(hurst, p, r_cur)
         partial = 2.0**p + 2.0 * one_sided

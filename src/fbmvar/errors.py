@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer rule."""
+
+import numpy as np
 
 
 class FbmvarError(Exception):
@@ -21,8 +23,9 @@ class CirculantEmbeddingError(FbmvarError, RuntimeError):
     """The circulant embedding produced eigenvalues below the tolerance."""
 
 
-class SizeLimitError(FbmvarError, ValueError):
-    """A level exceeds the documented ceiling of an algorithm."""
+class SizeLimitError(DomainError):
+    """A level lies outside the range an algorithm supports, or a run needs more
+    memory than the machine has: a ceiling is part of an operation's domain."""
 
 
 class GridAlignmentError(FbmvarError, ValueError):
@@ -31,3 +34,20 @@ class GridAlignmentError(FbmvarError, ValueError):
 
 class ConfigError(FbmvarError, ValueError):
     """An experiment configuration is malformed."""
+
+
+def integer_in(value, low: int, high: int | None = None) -> bool:
+    """The one integer rule, for every level, order, degree, count, radius and
+    key: an int or a numpy integer, never a bool, in [low, high] (no ceiling
+    when `high` is None)."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and low <= value and (high is None or value <= high))
+
+
+def check_int(value, name: str, low: int, high: int | None = None, error=DomainError):
+    """`value` if ``integer_in(value, low, high)``, else `error` in the one
+    wording, which names the input and its range."""
+    if not integer_in(value, low, high):
+        span = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise error(f"{name} must be an integer {span}, got {value!r}")
+    return value

@@ -68,7 +68,7 @@ from .constants import (
     sigma_tilde_critical,
     sigma_tilde_critical_corrected,
 )
-from .errors import ConfigError, DomainError, RegimeError, SizeLimitError
+from .errors import ConfigError, DomainError, RegimeError, SizeLimitError, check_int
 from .hermite import monomial_in_hermite
 from .hermite_process import hermite_partial_sums, young_integral_rows
 from .rng import check_key
@@ -125,13 +125,13 @@ class ExperimentConfig:
         _check_order(self.order, minimum=1)  # corollary item 1 runs at q = 1
         levels = tuple(self.levels) or _EXPERIMENTS[self.experiment_id][1]
         object.__setattr__(self, "levels", levels)
+        # the ceiling applies to the finest sampled level, which _collect checks
+        for level in levels:
+            fbm.check_level(level, None, "levels", ConfigError)
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ConfigError(f"levels must be strictly increasing, got {levels}")
-        if levels[0] < 1:
-            raise ConfigError(f"levels must be >= 1, got {levels}")
         for name, low in (("replicates", 100), ("fine_offset", 0), ("threads", 1)):
-            if getattr(self, name) < low:
-                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+            check_int(getattr(self, name), name, low, error=ConfigError)
         check_key(self.master_seed, "master_seed")
         if parse_weight(self.weight) == ZERO:
             raise ConfigError(
@@ -301,12 +301,8 @@ def _collect(
 ) -> dict[str, np.ndarray]:
     """Run the kernel over all replicates, in order, and concatenate;
     DomainError names the first output that is not finite."""
-    fine_level = max(cfg.levels) + (cfg.fine_offset if fine else 0)
-    if fine_level > fbm.CIRCULANT_MAX_LEVEL:
-        raise SizeLimitError(
-            f"finest sampled level {fine_level} exceeds the circulant "
-            f"sampler's ceiling {fbm.CIRCULANT_MAX_LEVEL}"
-        )
+    fine_level = fbm.check_level(
+        max(cfg.levels) + (cfg.fine_offset if fine else 0), name="finest sampled level")
     # the outputs alone hold a double per replicate and level; a count whose
     # outputs cannot fit in memory is refused before its blocks are listed
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -347,15 +343,22 @@ def _collect(
 # its path values and f^(order) at every point of them
 
 
-def _hermite_drift(paths: _LevelPaths, q: int) -> np.ndarray:
-    """((-1)^q / (2^q q!)) * Riemann sum of f^(q)(B): the small-H limit."""
+def _variation(cfg, paths, level, power=False, centered=True) -> np.ndarray:
+    """V_level^(q)(f) per row of the level's increments, or with `power` the
+    weighted power variation, centred unless `centered` is False."""
+    if power:
+        return power_variation_rows(paths.inc, cfg.hurst, level, paths.left(), cfg.order, centered)
+    return weighted_rows(scaled_hermite(paths.inc, cfg.hurst, level, cfg.order), paths.left())
+
+
+def _drift(paths: _LevelPaths, q: int, power=False) -> np.ndarray:
+    """((-1)^q / (2^q q!)) * Riemann sum of f^(q)(B), the small-H limit; with
+    `power`, c_2/8 * Riemann sum of f''(B), c_2 = 2 C(q,2) mu_{q-2}, the
+    even-q drift of the centred power variation."""
+    if power:
+        return 0.125 * monomial_in_hermite(q).coeffs[2] * riemann_sum_rows(paths.left(2))
     const = (-1.0) ** q / (2.0**q * math.factorial(q))
     return const * riemann_sum_rows(paths.left(q))
-
-
-def _power_drift(paths: _LevelPaths, q: int) -> np.ndarray:
-    """c_2/8 * Riemann sum of f''(B), c_2 = 2 C(q,2) mu_{q-2}: the even-q drift."""
-    return 0.125 * monomial_in_hermite(q).coeffs[2] * riemann_sum_rows(paths.left(2))
 
 
 def _pathwise_kernel(cfg, paths, m, n, item=None):
@@ -363,19 +366,16 @@ def _pathwise_kernel(cfg, paths, m, n, item=None):
     on the same path: small_h, or corollary item 1 or 2."""
     q, hurst = cfg.order, cfg.hurst
     if item == 1:
-        pv = power_variation_rows(paths.inc, hurst, n, paths.left(), q, centered=False)
-        stat = 2.0 ** (-n * hurst) * pv
+        stat = 2.0 ** (-n * hurst) * _variation(cfg, paths, n, power=True, centered=False)
         c_1 = monomial_in_hermite(q).coeffs[1]  # q mu_{q-1}
         f = paths.f
         limit = c_1 * (f.antiderivative(paths.values[:, -1]) - f.antiderivative(0.0))
-    elif item == 2:
-        pv = power_variation_rows(paths.inc, hurst, n, paths.left(), q, centered=True)
-        stat = 2.0 ** (2 * n * hurst - n) * pv
-        limit = _power_drift(paths, q)
     else:
-        hq = scaled_hermite(paths.inc, hurst, n, q)
-        stat = renorm_factor(hurst, q, n) * weighted_rows(hq, paths.left())
-        limit = _hermite_drift(paths, q)
+        # item 2 renormalises the centred power variation, small_h V_n^(q)(f)
+        power = item == 2
+        norm = 2.0 ** (2 * n * hurst - n) if power else renorm_factor(hurst, q, n)
+        stat = norm * _variation(cfg, paths, n, power)
+        limit = _drift(paths, q, power)
     return {f"diff_sq_{n}": (stat - limit) ** 2}
 
 
@@ -384,18 +384,14 @@ def _normalised_kernel(cfg, paths, m, n, power=False, drift=False):
     divided by sqrt(n) at a critical point H = 1 - 1/(2q) (q = 2 for the
     power variation), with the Riemann sum of f(B)^2 and, when `drift`,
     the drift part of the mixed limit at H = 1/(2q)."""
-    q, hurst = cfg.order, cfg.hurst
-    norm = renorm_factor(hurst, 2 if power else q, n)
-    left = paths.left()
-    if power:
-        raw = power_variation_rows(paths.inc, hurst, n, left, q, centered=True)
-    else:
-        raw = weighted_rows(scaled_hermite(paths.inc, hurst, n, q), left)
+    norm = renorm_factor(cfg.hurst, 2 if power else cfg.order, n)
+    raw = _variation(cfg, paths, n, power)
     # fsq: Riemann sum of f(B)^2, the conditional-variance weight (1 at f = 1)
+    left = paths.left()
     fsq = np.ones(len(raw)) if left is None else riemann_sum_rows(left**2)
     out = {f"y_{n}": norm * raw, f"fsq_{n}": fsq}
     if drift:
-        out[f"drift_{n}"] = _power_drift(paths, q) if power else _hermite_drift(paths, q)
+        out[f"drift_{n}"] = _drift(paths, cfg.order, power)
     return out
 
 
@@ -409,8 +405,7 @@ def _young_kernel(cfg, paths, m, n, power=False):
     terms = scaled_hermite(paths.inc, hurst, m, order)
     z_vals = hermite_partial_sums(terms, hurst, m, order, n)
     if power:
-        pv = power_variation_rows(paths.inc, hurst, m, paths.left(), q, centered=True)
-        stat = 2.0 ** (m - 2.0 * hurst * m) * pv
+        stat = 2.0 ** (m - 2.0 * hurst * m) * _variation(cfg, paths, m, power=True)
         const = monomial_in_hermite(q).coeffs[2]
     else:
         # the one H_q pass of the level feeds both Z and, weighted in place
@@ -430,8 +425,7 @@ def _trapezoid_kernel(cfg, paths, m, n):
 
 
 def _audit_kernel(cfg, paths, m, n):
-    hq = scaled_hermite(paths.inc, cfg.hurst, n, cfg.order)
-    return {f"vsq_{n}": weighted_rows(hq, paths.left()) ** 2}
+    return {f"vsq_{n}": _variation(cfg, paths, n) ** 2}
 
 
 # ---------------------------------------------------------------------------

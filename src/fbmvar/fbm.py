@@ -63,7 +63,7 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .errors import CirculantEmbeddingError, DomainError, SizeLimitError
+from .errors import CirculantEmbeddingError, DomainError, SizeLimitError, check_int
 from .rng import check_key, stream
 
 logger = logging.getLogger(__name__)
@@ -95,8 +95,7 @@ class FbmPath:
 
     def __post_init__(self) -> None:
         _check_h(self.hurst)
-        if self.level < 1:
-            raise DomainError(f"level must be >= 1, got {self.level}")
+        check_level(self.level)
         if len(self.values) != 2**self.level + 1:
             raise DomainError(
                 f"values must have 2**level+1 = {2**self.level + 1} entries, "
@@ -121,10 +120,11 @@ def _check_h(hurst: float) -> None:
         raise DomainError(f"hurst must be in (0,1), got {hurst}")
 
 
-def _check_level(level: int) -> None:
-    """The circulant sampler's level range."""
-    if not 1 <= level <= CIRCULANT_MAX_LEVEL:
-        raise SizeLimitError(f"level must be in [1, {CIRCULANT_MAX_LEVEL}], got {level}")
+def check_level(level: int, top=CIRCULANT_MAX_LEVEL, name="level", error=SizeLimitError) -> int:
+    """The one level check: `level` if it is an integer in [1, top] (no ceiling
+    when `top` is None), else `error` naming `name` and the range.  The default
+    top, the circulant sampler's, bounds every path, path file and level-n sum."""
+    return check_int(level, name, 1, top, error)
 
 
 def fbm_covariance(t: float, s: float, hurst: float) -> float:
@@ -374,7 +374,6 @@ def sample_fbm_circulant(
 ) -> FbmPath:
     """Exact fBm sample at `level` via circulant embedding of the increments."""
     _check_h(hurst)
-    _check_level(level)
     inc = sample_increments_circulant(hurst, level, seed, stream_index, 1)[0]
     return FbmPath(hurst, level, values_from_increments(inc), seed, stream_index)
 
@@ -387,6 +386,7 @@ def sample_increments_circulant(
     Row i is bit-identical to the increments of
     ``sample_fbm_circulant(hurst, level, seed, first_stream + i)``.
     """
+    check_level(level)
     sq = _circulant_sqrt_eigs(hurst, level)
     m = 2 ** (level + 1)
     z = np.empty((count, m))
@@ -405,10 +405,7 @@ def sample_fbm_cholesky(
     first 2**n normals of the (seed, stream) Philox stream.
     """
     _check_h(hurst)
-    if not 1 <= level <= CHOLESKY_MAX_LEVEL:
-        raise SizeLimitError(
-            f"cholesky sampler requires level <= {CHOLESKY_MAX_LEVEL}, got {level}"
-        )
+    check_level(level, CHOLESKY_MAX_LEVEL)
     chol = _cholesky_factor(hurst, level)
     z = stream(seed, stream_index).standard_normal(2**level)
     return FbmPath(hurst, level, values_from_increments(chol @ z), seed, stream_index)
@@ -433,8 +430,7 @@ def _cholesky_factor(hurst: float, level: int) -> np.ndarray:
 
 def coarsen(path: FbmPath, level: int) -> FbmPath:
     """Restriction of a path to a coarser dyadic grid (still exact fBm)."""
-    if level > path.level or level < 1:
-        raise DomainError(f"target level must be in [1, {path.level}]")
+    check_level(level, path.level, "target level")
     step = 2 ** (path.level - level)
     return FbmPath(path.hurst, level, path.values[::step], path.seed, path.stream_index)
 
@@ -486,9 +482,7 @@ def read_binary(fh: IO[bytes]) -> FbmPath:
     header = bytearray(_BIN_HEADER.size)
     _read_exact(fh, header, "header")
     hurst, level, seed = _BIN_HEADER.unpack(header)
-    # checked before the level sizes the read below
-    if not 1 <= level <= CIRCULANT_MAX_LEVEL:
-        raise DomainError(f"header level {level} outside [1, {CIRCULANT_MAX_LEVEL}]")
+    check_level(level, name="header level")  # before the level sizes the read below
     values = np.empty(2**level + 1, dtype="<f8")
     _read_exact(fh, values.view(np.uint8), "values")
     if fh.read(1):

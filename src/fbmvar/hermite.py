@@ -24,13 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import check_int
 
 
 def hermite_eval(q: int, x):
     """Evaluate H_q (probabilists' Hermite / q!) at scalar or array x."""
-    if q < 0:
-        raise DomainError(f"degree must be >= 0, got {q}")
+    check_int(q, "degree", 0)
     scalar = np.isscalar(x)
     x = np.asarray(x, dtype=float)
     if q == 0:
@@ -50,8 +49,7 @@ def hermite_eval(q: int, x):
 
 def gaussian_moment(q: int) -> float:
     """q-th moment of a standard Gaussian: (q-1)!! for even q, 0 for odd."""
-    if q < 0:
-        raise DomainError(f"order must be >= 0, got {q}")
+    check_int(q, "moment order", 0)
     if q % 2 == 1:
         return 0.0
     return float(_double_factorial_odd(q - 1))
@@ -98,8 +96,7 @@ def monomial_in_hermite(m: int) -> HermiteCoefficients:
     and m have different parity, the leading coefficient is m!, and the
     H_0 coefficient equals mu_m (so x**m - mu_m has no constant part).
     """
-    if m < 1:
-        raise DomainError(f"monomial degree must be >= 1, got {m}")
+    check_int(m, "monomial degree", 1)
     coeffs = []
     for p in range(m + 1):
         if (m - p) % 2 == 1:

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import RegimeCase, require_regime
-from .errors import DomainError, GridAlignmentError
-from .fbm import FbmPath
+from .errors import GridAlignmentError
+from .fbm import FbmPath, check_level
 from .variations import _weighted, finite_fsum, left_weights, scaled_hermite, weighted_rows
 from .weights import WeightFunction
 
@@ -46,11 +46,6 @@ class HermiteApprox:
     @property
     def times(self) -> np.ndarray:
         return np.arange(2**self.out_level + 1) * 2.0**-self.out_level
-
-
-def _check_out_level(level: int, out_level: int) -> None:
-    if not 1 <= out_level <= level:
-        raise DomainError(f"out_level must be in [1, {level}], got {out_level}")
 
 
 def hermite_partial_sums(
@@ -69,12 +64,12 @@ def hermite_partial_sums(
     From 8 items on numpy sums in unrolled blocks of 8, in another order,
     so there the reduction stays.
     """
+    check_level(out_level, check_level(fine_level, name="fine_level"), "out_level")
     if terms.shape[-1] != 2**fine_level:
         raise GridAlignmentError(
             f"grid mismatch: {terms.shape[-1]} H_q terms per path vs "
             f"2^{fine_level} increments at fine level {fine_level}"
         )
-    _check_out_level(fine_level, out_level)
     prefactor = 2.0 ** (fine_level * (q * (1.0 - hurst) - 1.0))
     stride = 2 ** (fine_level - out_level)
     out = np.empty(terms.shape[:-1] + (2**out_level + 1,))
@@ -95,7 +90,8 @@ def _check_request(hurst: float, q: int, level: int, out_level: int) -> None:
     """Raise unless Z^(q) can be built from a level-`level` path of Hurst
     index `hurst` on the grid of `out_level`; needs no path."""
     require_regime(hurst, q, RegimeCase.NONCENTRAL, "the Hermite process")
-    _check_out_level(level, out_level)
+    check_level(level)
+    check_level(out_level, level, "out_level")
 
 
 def simulate_hermite(path: FbmPath, q: int, out_level: int) -> HermiteApprox:

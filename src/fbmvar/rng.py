@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, integer_in
 
 _KEY_LIMIT = 1 << 64
 
@@ -24,7 +24,7 @@ _KEY_LIMIT = 1 << 64
 def check_key(value: int, name: str) -> int:
     """`value` if it is an integer in [0, 2**64), a word of the Philox key;
     DomainError otherwise, so that no seed or stream index aliases another."""
-    if not isinstance(value, (int, np.integer)) or not 0 <= value < _KEY_LIMIT:
+    if not integer_in(value, 0, _KEY_LIMIT - 1):
         raise DomainError(f"{name} must be an integer in [0, 2**64), got {value!r}")
     return value
 

@@ -35,12 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import ScalingRegime, _check_order, classify_regime, exact_sum, renorm_factor
-from .errors import DomainError, GridAlignmentError, SizeLimitError
-from .fbm import FbmPath, rho
+from .errors import DomainError, GridAlignmentError
+from .fbm import FbmPath, check_level, rho
 from .hermite import gaussian_moment, hermite_eval, monomial_in_hermite
 from .weights import ConstantOne, WeightFunction
-
-BETA_MAX_LEVEL = 24
 
 
 @dataclass(frozen=True)
@@ -147,8 +145,7 @@ def beta_sums(hurst: float, level: int, q: int) -> dict[int, float]:
     an O(2^n) computation allowed up to level 24.
     """
     _check_order(q, minimum=1)
-    if level > BETA_MAX_LEVEL:
-        raise SizeLimitError(f"level {level} exceeds beta ceiling {BETA_MAX_LEVEL}")
+    check_level(level)
     n_pts = 2**level
     abs_rho = rho(np.arange(n_pts, dtype=float), hurst)
     np.abs(abs_rho, out=abs_rho)
@@ -260,6 +257,7 @@ def riemann_sum_rows(left: np.ndarray) -> np.ndarray:
 def _corr_power_sum(hurst: float, level: int, p: int) -> float:
     """sum_{k,l} (rho_H(k-l)/2)^p over 2^n increments, by stationarity: 2^n
     (rho_H(0) = 2) plus twice sum over lags j >= 1 of (2^n - j) (rho(j)/2)^p."""
+    check_level(level)
     n_pts = 2**level
     lags = np.arange(1, n_pts)
     corr = 0.5 * rho(lags, hurst)
@@ -270,6 +268,7 @@ def unweighted_second_moment(hurst: float, q: int, level: int) -> float:
     """Exact E[(V_n^(q)(1))^2] = (1/q!) sum_{k,l} (rho_H(k-l)/2)^q, an O(2^n)
     computation; the normalised increments have correlation rho_H(k-l)/2 and
     E[H_q(X)H_q(Y)] = corr^q / q!."""
+    _check_order(q, minimum=1)
     return _corr_power_sum(hurst, level, q) / math.factorial(q)
 
 

@@ -231,7 +231,8 @@ def test_experiment_config_rejects_policy_keys(tmp_path, capsys, key):
     (("--threads", "0"), "threads"),
     (("--threads", "-3"), "threads"),
     (("--fine-offset", "-2"), "fine_offset"),
-    (("--levels", "6,19", "--fine-offset", "6"), "level 25"),
+    (("--levels", "6,19", "--fine-offset", "6"),
+     "finest sampled level must be an integer in [1, 24], got 25"),
     (("--weight", "poly:nan"), "not finite"),
     (("--weight", "exp:nan"), "not finite"),
     (("--replicates", "100000000000000000000"), "physical memory"),
@@ -501,11 +502,11 @@ _N22 = ("--H", "0.6", "--n", "22")
     (("hermite-process", "--q", "2", "--H", "0.6", "--m", "22", "--n-out", "4"),
      "the Hermite process needs H > 1 - 1/(2q) = 0.75, got H=0.6, q=2"),
     (("hermite-process", "--q", "2", "--H", "0.9", "--m", "22", "--n-out", "23"),
-     "out_level must be in [1, 22], got 23"),
+     "out_level must be an integer in [1, 22], got 23"),
     (("hermite-process", "--q", "2", "--H", "0.9", "--m", "22", "--n-out", "0"),
-     "out_level must be in [1, 22], got 0"),
+     "out_level must be an integer in [1, 22], got 0"),
     (("hermite-process", "--q", "2", "--H", "0.9", "--m", "0", "--n-out", "1"),
-     "level must be in [1, 24], got 0"),
+     "level must be an integer in [1, 24], got 0"),
     (("sample", *_N22, "--format", "bin"), "binary output requires --out"),
     (("sample", *_N22, "--format", "bin", "--sampler", "cholesky"),
      "binary output requires --out"),

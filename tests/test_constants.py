@@ -87,6 +87,10 @@ def test_renorm_factor_values():
     assert C.renorm_factor(0.9, 2, 10) == 2.0**-8
     assert C.renorm_factor(0.75, 2, 16) == 2.0**-8 / 4.0
     assert C.renorm_factor(0.25, 2, 10) == 2.0**-5  # H = 1/(2q)
+    for level in (-3, 2.5):  # returned 2^(3/2) and 2^(-5/4)
+        with pytest.raises(DomainError,
+                           match=rf"^level must be an integer in \[1, 24\], got {level}$"):
+            C.renorm_factor(0.6, 2, level)
 
 
 def test_sigma_clt_analytic_collapse():
@@ -113,6 +117,16 @@ def test_sigma_clt_domain():
     assert C.sigma_clt(0.2, 2).value > 0
     with pytest.raises(DomainError):
         C.sigma_clt(0.6, 2, rel_tol=0.5)
+    # a pinned radius: 10 became 32, 100.5 ran as 100.5 and 2**30 would
+    # allocate an 8 GiB lag array
+    for radius in (10, 100.5, 2**30):
+        for series in (C.rho_power_sum, C.sigma_clt, C.sigma_tilde):
+            with pytest.raises(
+                DomainError, match=rf"^radius must be an integer in \[32, 4194304\], got {radius}$"
+            ):
+                series(0.6, 2, radius=radius)
+    with pytest.raises(DomainError, match=r"^power must be an integer >= 1, got 2.5$"):
+        C.rho_power_sum(0.6, 2.5, radius=64)
 
 
 def test_large_order_raises_domain_error():
@@ -386,7 +400,7 @@ def test_coefficient_constants_match_reference_bits():
         mu1, mu2 = gaussian_moment(q - 1), gaussian_moment(q - 2)
         # corollary item 1's limit, the even-q drift and item 6's constant
         assert (c[1] * x).tobytes() == (q * mu1 * x).tobytes()
-        assert E._power_drift(paths, q).tobytes() == (
+        assert E._drift(paths, q, power=True).tobytes() == (
             0.25 * math.comb(q, 2) * mu2 * V.riemann_sum_rows(paths(2)[:, :-1])
         ).tobytes()
         assert (c[2] * x).tobytes() == (2.0 * mu2 * math.comb(q, 2) * x).tobytes()

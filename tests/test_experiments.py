@@ -63,11 +63,20 @@ class TestConfig:
                 small_cfg(threads=threads)
         with pytest.raises(ConfigError):
             small_cfg(fine_offset=-2)
+        # the config's own integer fields: an int, never a float or a bool
+        for levels in ((8.5, 10), (True, 4)):
+            with pytest.raises(ConfigError, match=r"^levels must be an integer >= 1, got "):
+                small_cfg(levels=levels)
+        for name, value, low in (("replicates", 150.5, 100), ("fine_offset", 2.5, 0),
+                                 ("threads", 1.5, 1)):
+            with pytest.raises(ConfigError,
+                               match=rf"^{name} must be an integer >= {low}, got {value}$"):
+                small_cfg(**{name: value})
         # every runner takes an integer order in [1, 150]; trapezoid reads no q
-        for order in (-5, 0, 151, 2.5):
+        for order in (-5, 0, 151, 2.5, True):
             with pytest.raises(DomainError, match=r"order q must be an integer in \[1, 150\]"):
                 ExperimentConfig("trapezoid", 0.3, order)
-        for seed in (-1, 2**64):  # a Philox key word, never reduced mod 2**64
+        for seed in (-1, 2**64, True):  # a Philox key word, never reduced mod 2**64
             with pytest.raises(DomainError, match="master_seed"):
                 small_cfg(master_seed=seed)
         assert small_cfg(master_seed=2**64 - 1).master_seed == 2**64 - 1
@@ -475,7 +484,7 @@ class TestSmallH:
             q, hurst = cfg.order, cfg.hurst
             variation = hermite_variation_rows(paths.values, hurst, n, paths(), q)
             stat = renorm_factor(hurst, q, n) * variation
-            return {"stat": stat, "limit": experiments._hermite_drift(paths, q)}
+            return {"stat": stat, "limit": experiments._drift(paths, q)}
 
         cfg = ExperimentConfig("small_h", hurst=0.2, order=2, weight="cos:1.0",
                                levels=(12,), replicates=2000, master_seed=2024)

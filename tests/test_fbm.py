@@ -382,8 +382,10 @@ def test_self_similarity_slope():
 
 
 def test_cholesky_level_cap():
-    with pytest.raises(SizeLimitError):
-        fbm.sample_fbm_cholesky(0.2, 13, seed=0)
+    for level in (0, 13):
+        with pytest.raises(SizeLimitError,
+                           match=rf"^level must be an integer in \[1, 12\], got {level}$"):
+            fbm.sample_fbm_cholesky(0.2, level, seed=0)
     path = fbm.sample_fbm_cholesky(0.2, 5, seed=0)
     assert len(path.values) == 33
 
@@ -421,6 +423,10 @@ def test_coarsen():
     assert coarse.values[0] == 0.0
     assert coarse.values[-1] == path.values[-1]
     assert np.array_equal(coarse.values, path.values[::8])
+    for level in (0, 9, 2.5):
+        with pytest.raises(DomainError,
+                           match=rf"^target level must be an integer in \[1, 8\], got {level}$"):
+            fbm.coarsen(path, level)
 
 
 def test_csv_export():
@@ -467,6 +473,13 @@ def test_binary_header_level_checked_before_read():
         header = b"FBM1" + struct.pack("<d", 0.5) + struct.pack("<i", level)
         with pytest.raises(DomainError):
             fbm.read_binary(io.BytesIO(header + struct.pack("<Q", 0) + b"\0" * 64))
+    # nor can a path exist at a level its header would not carry back:
+    # write_binary wrote level 25, and level 3.0 failed in struct.pack
+    for level in (fbm.CIRCULANT_MAX_LEVEL + 1, 3.0):
+        values = np.broadcast_to(0.0, int(2**level) + 1)  # no memory behind it
+        with pytest.raises(DomainError,
+                           match=rf"^level must be an integer in \[1, 24\], got {level}$"):
+            fbm.FbmPath(0.5, level, values, seed=0)
 
 
 def test_binary_trailing_bytes_rejected():

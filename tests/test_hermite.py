@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fbmvar import hermite
+from fbmvar.errors import DomainError
 from fbmvar.rng import stream
 
 
@@ -28,6 +29,9 @@ def test_low_degree_values():
     assert hermite.hermite_eval(1, -2.5) == -2.5
     assert hermite.hermite_eval(2, 1.0) == pytest.approx(0.0, abs=1e-15)
     assert hermite.hermite_eval(3, 2.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
+    for q in (-1, 2.5, True):
+        with pytest.raises(DomainError, match=rf"^degree must be an integer >= 0, got {q}$"):
+            hermite.hermite_eval(q, np.ones(3))
 
 
 @pytest.mark.parametrize("q", range(0, 11))
@@ -51,6 +55,9 @@ def test_gaussian_moments():
     assert hermite.gaussian_moment(1) == 0.0
     assert hermite.gaussian_moment(2) == 1.0
     assert hermite.gaussian_moment(6) == 15.0
+    for q in (-1, 2.5):  # 2.5 returned 1.5
+        with pytest.raises(DomainError, match=rf"^moment order must be an integer >= 0, got {q}$"):
+            hermite.gaussian_moment(q)
     # quadrature oracle
     nodes, weights = np.polynomial.hermite_e.hermegauss(60)
     w = weights / math.sqrt(2 * math.pi)
@@ -65,6 +72,10 @@ def test_monomial_table():
     assert hermite.monomial_in_hermite(3).as_dict() == {3: 6, 1: 3}
     assert hermite.monomial_in_hermite(4).as_dict() == {4: 24, 2: 12, 0: 3}
     assert hermite.monomial_in_hermite(5).as_dict() == {5: 120, 3: 60, 1: 15}
+    for m in (0, 2.5):
+        with pytest.raises(DomainError,
+                           match=rf"^monomial degree must be an integer >= 1, got {m}$"):
+            hermite.monomial_in_hermite(m)
 
 
 def test_monomial_structure():

@@ -42,9 +42,13 @@ def test_partial_sums_reject_terms_off_the_fine_grid():
 
 def test_partial_sums_reject_out_level_outside_the_fine_levels():
     terms = scaled_hermite(fbm.sample_increments_circulant(0.9, 6, 0, 0, 2), 0.9, 6, 2)
-    for out_level in (0, 7):
-        with pytest.raises(DomainError, match=r"out_level must be in \[1, 6\]"):
+    for out_level in (0, 7, 2.5):
+        with pytest.raises(DomainError,
+                           match=rf"^out_level must be an integer in \[1, 6\], got {out_level}$"):
             hermite_partial_sums(terms, 0.9, 6, 2, out_level)
+    # a float fine level passed the grid test and failed as a float stride
+    with pytest.raises(DomainError, match=r"^fine_level must be an integer in \[1, 24\], got 6.0$"):
+        hermite_partial_sums(terms, 0.9, 6.0, 2, 3)
 
 
 def partial_sums_oracle(values, hurst, m, q, n):

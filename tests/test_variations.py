@@ -311,6 +311,14 @@ class TestDiagnostics:
             V.diagnostic_sums(0.5, 25, 2)
         with pytest.raises(SizeLimitError):
             V.beta_sums(0.5, 25, 2)
+        # beta_sums(0.6, -1, 2) returned {1: 1.149, 2: 2.639} and
+        # unweighted_second_moment(0.6, 2, -1) returned 0.25
+        for sums, args in ((V.beta_sums, (0.6, -1, 2)), (V.beta_sums, (0.6, 2.5, 2)),
+                           (V.diagnostic_sums, (0.6, 3.5, 2)),
+                           (V.unweighted_second_moment, (0.6, 2, -1)),
+                           (V.centered_power_second_moment, (0.6, 4, -3))):
+            with pytest.raises(DomainError, match=r"^level must be an integer in \[1, 24\], got "):
+                sums(*args)
         with pytest.raises(DomainError, match=r"order q must be an integer in \[1, 150\]"):
             V.beta_sums(0.6, 4, 151)
         assert V.beta_sums(0.75, 16, 2)[2] > 0  # stationary path goes higher

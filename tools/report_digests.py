@@ -111,6 +111,16 @@ REJECTED = {
     "experiment-order-1000": ("experiment", "--id", "noncentral", "--H", "0.9999",
                               "--q", "1000", "--levels", "2,3", "--replicates", "100",
                               "--fine-offset", "1"),
+    # levels outside [1, 24] ([1, 12] for Cholesky) and output levels below 1
+    "sample-level-25": ("sample", "--H", "0.7", "--n", "25"),
+    "sample-cholesky-level-0": ("sample", "--H", "0.7", "--n", "0", "--sampler", "cholesky"),
+    "hermite-process-level-0": ("hermite-process", "--q", "2", "--H", "0.9", "--m", "0",
+                                "--n-out", "1"),
+    "experiment-level-0": ("experiment", "--id", "clt", "--H", "0.6", "--q", "2",
+                           "--levels", "0,8", "--replicates", "100"),
+    "experiment-finest-level-25": ("experiment", "--id", "noncentral", "--H", "0.9",
+                                   "--q", "2", "--levels", "6,19", "--replicates", "100",
+                                   "--fine-offset", "6"),
 }
 
 
