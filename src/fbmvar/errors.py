@@ -20,7 +20,7 @@ class SeriesDivergenceError(FbmvarError, ValueError):
 
 
 class CirculantEmbeddingError(FbmvarError, RuntimeError):
-    """The circulant embedding produced eigenvalues below the tolerance."""
+    """The circulant embedding produced a negative eigenvalue."""
 
 
 class SizeLimitError(DomainError):

@@ -43,9 +43,8 @@ Philox stream keyed by (seed, stream); the circulant sampler draws all
 2**(n+1) normals in one call and the Cholesky sampler draws 2**n, so
 identical (H, n, seed, stream) always give bit-identical paths.
 Eigenvalues of the embedded circulant are mathematically non-negative for
-fBm increments; values in [-eps, 0) with eps = 1e-9 * max eigenvalue are
-clamped to zero with a logged warning and anything below that raises
-``CirculantEmbeddingError``.
+fBm increments, and a computed eigenvalue below 0 raises
+``CirculantEmbeddingError``: no eigenvalue is ever repaired.
 
 Path files: ``write_binary`` writes the path's values from their own
 memory (no copy for little-endian float64 values) and ``read_binary`` reads
@@ -55,7 +54,6 @@ those of ``tobytes()``.  ``write_csv`` builds its text 2**16 rows at a time.
 
 from __future__ import annotations
 
-import logging
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -66,9 +64,6 @@ import numpy as np
 from .errors import CirculantEmbeddingError, DomainError, SizeLimitError, check_int
 from .rng import check_key, stream
 
-logger = logging.getLogger(__name__)
-
-EIG_REL_TOL = 1e-9
 CHOLESKY_MAX_LEVEL = 12
 CIRCULANT_MAX_LEVEL = 24
 _EXACT_RHO_MAX_LAG = 64
@@ -284,22 +279,10 @@ def _circulant_sqrt_eigs(hurst: float, level: int) -> np.ndarray:
     """
     lam = _even_row_spectrum(_covariances(hurst, level))
     lam_min = lam.min()
-    floor = -EIG_REL_TOL * lam.max()
-    if lam_min < floor:
-        raise CirculantEmbeddingError(
-            f"circulant eigenvalue {lam_min:.3e} below tolerance {floor:.3e} "
-            f"for H={hurst}, n={level}"
-        )
     if lam_min < 0.0:
-        logger.warning(
-            "clamping %d tiny negative circulant eigenvalues (min %.3e) "
-            "for H=%s, n=%d",
-            int((lam < 0).sum()),
-            lam_min,
-            hurst,
-            level,
+        raise CirculantEmbeddingError(
+            f"circulant eigenvalue {lam_min:.3e} below 0 for H={hurst}, n={level}"
         )
-        np.maximum(lam, 0.0, out=lam)
     sq = np.sqrt(lam, out=lam)
     sq.flags.writeable = False
     return sq
@@ -387,6 +370,7 @@ def sample_increments_circulant(
     ``sample_fbm_circulant(hurst, level, seed, first_stream + i)``.
     """
     check_level(level)
+    check_int(count, "count", 1)
     sq = _circulant_sqrt_eigs(hurst, level)
     m = 2 ** (level + 1)
     z = np.empty((count, m))

@@ -447,6 +447,17 @@ def test_seeds_and_streams_outside_64_bits_exit_one(capsys, argv):
     assert err.splitlines()[-1].startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("sample", "--H", "0.7", "--n", "3", "--seed", "abc"),
+    ("sample", "--H", "0.7", "--n", "3", "--stream", "1e3"),
+])
+def test_seeds_and_streams_not_integers_exit_one(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"invalid int value: '{argv[-1]}'" in err.splitlines()[-1]
+    assert err.splitlines()[-1].startswith("error: ")
+
+
 def test_config_file_seed_outside_64_bits_exits_one(capsys, tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("H = 0.6\nq = 2\nlevels = 6\nreplicates = 100\nseed = -5\n")

@@ -221,6 +221,9 @@ def test_raw_tail_mass_bound():
         lags = np.arange(1001, 2_000_000)
         actual = 2.0 * float(np.sum(np.abs(rho(lags, hurst)) ** p))
         assert actual < C.rho_tail_mass_bound(hurst, p, 1000)
+    # (2 - 2H) p = 0.2 <= 1: the tail is infinite
+    with pytest.raises(SeriesDivergenceError):
+        C.rho_tail_mass_bound(0.9, 1, 100)
 
 
 def test_sigma_critical_high_printed():
@@ -300,6 +303,8 @@ def test_sigma_tilde_critical_printed():
     assert C.sigma_tilde_critical(4) == pytest.approx(math.sqrt(inner4), rel=1e-15)
     with pytest.raises(DomainError):
         C.sigma_tilde_critical(3)
+    with pytest.raises(DomainError):
+        C.sigma_tilde_critical_corrected(3)
     # corrected variant keeps only the critical chaos-2 term
     assert C.sigma_tilde_critical_corrected(2) == pytest.approx(
         C.sigma_tilde_critical(2), rel=1e-12

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from fbmvar import experiments, fbm
-from fbmvar.errors import DomainError, SizeLimitError
+from fbmvar.cli import main
+from fbmvar.errors import CirculantEmbeddingError, DomainError, SizeLimitError
 from fbmvar.rng import stream
 from fbmvar.stats import ks_2samp
 
@@ -62,6 +63,26 @@ def test_circulant_eigenvalues_nonnegative_near_h_one():
     lam = np.fft.fft(np.concatenate([cov, cov[1:n_inc][::-1]])).real
     assert lam.min() > 0.0
     assert fbm.sample_increments_circulant(hurst, level, 1, 0, 1).shape == (1, n_inc)
+
+
+def test_negative_circulant_eigenvalue_refused(monkeypatch, capsys):
+    # no fBm spectrum has a negative entry, so one is patched in: an
+    # eigenvalue barely below 0 is refused, not clamped to 0
+    def spectrum(cov):
+        lam = np.ones(len(cov))
+        lam[3] = -1e-300
+        return lam
+
+    fbm._circulant_sqrt_eigs.cache_clear()
+    monkeypatch.setattr(fbm, "_even_row_spectrum", spectrum)
+    message = "circulant eigenvalue -1.000e-300 below 0 for H=0.6, n=6"
+    try:
+        with pytest.raises(CirculantEmbeddingError, match=rf"^{message}$"):
+            fbm.sample_fbm_circulant(0.6, 6, 0)
+        assert main(["sample", "--H", "0.6", "--n", "6"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    finally:
+        fbm._circulant_sqrt_eigs.cache_clear()
 
 
 def _padded_row_eigenvalues(hurst, level):
@@ -313,6 +334,10 @@ def test_block_rows_independent_of_block_size(count):
     for i in range(count):
         row = fbm.sample_increments_circulant(hurst, level, seed, first + i, 1)[0]
         assert np.array_equal(block[i], row)
+    # a block has at least one row
+    for bad in (2.5, -1, 0):
+        with pytest.raises(DomainError, match=rf"^count must be an integer >= 1, got {bad}$"):
+            fbm.sample_increments_circulant(hurst, level, seed, first, bad)
 
 
 def test_engine_rows_equal_single_paths():

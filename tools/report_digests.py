@@ -121,6 +121,9 @@ REJECTED = {
     "experiment-finest-level-25": ("experiment", "--id", "noncentral", "--H", "0.9",
                                    "--q", "2", "--levels", "6,19", "--replicates", "100",
                                    "--fine-offset", "6"),
+    # seeds and stream indices that are not integers
+    "sample-seed-abc": ("sample", "--H", "0.7", "--n", "6", "--seed", "abc"),
+    "sample-stream-1e3": ("sample", "--H", "0.7", "--n", "6", "--stream", "1e3"),
 }
 
 
