@@ -29,7 +29,9 @@ from .constants import (
     sigma_clt,
     sigma_tilde,
 )
-from .errors import ConfigError, DomainError, FbmvarError, SeriesDivergenceError
+from .errors import (
+    ConfigError, DomainError, FbmvarError, SeriesDivergenceError, check_int,
+)
 from .experiments import EXPERIMENT_IDS, ExperimentConfig, json_text, run_experiment
 from .hermite_process import _check_request, simulate_hermite
 from .rng import check_key
@@ -108,6 +110,21 @@ def _text_out(out: str | None):
 def _write_text(text: str, out: str | None) -> None:
     with _text_out(out) as fh:
         fh.write(text)
+
+
+def _check_outputs(args) -> None:
+    """Raise OSError unless every --out, --csv and --plot-data path can be
+    written, before any path is drawn.  Nothing is written: a file made by
+    the check is removed again, and an existing file keeps its bytes."""
+    for name in (getattr(args, dest, None) for dest in ("out", "csv", "plot_data")):
+        if name is None:
+            continue
+        try:
+            open(name, "x").close()
+        except FileExistsError:
+            open(name, "a").close()
+        else:
+            os.remove(name)
 
 
 def build_parser() -> _Parser:
@@ -318,6 +335,8 @@ def _parse_config_file(path: str) -> dict:
         key, _, val = line.partition("=")
         key = key.strip().lower().replace("-", "_")
         key = _CONFIG_ALIASES.get(key, key)
+        if key in values:
+            raise ConfigError(f"config key {key!r} given twice in {path}")
         values[key] = val.strip()
     return values
 
@@ -333,7 +352,12 @@ def _build_experiment_config(args) -> ExperimentConfig:
         if key in field_types and val is not None:
             raw[key] = val
     if "threads" not in raw:
-        raw["threads"] = os.environ.get("FBMVAR_THREADS", "1")
+        env = os.environ.get("FBMVAR_THREADS", "1")
+        try:
+            threads = int(env)
+        except ValueError:
+            threads = env
+        raw["threads"] = check_int(threads, "FBMVAR_THREADS", 1, error=ConfigError)
     convert = {"str": str, "float": _real, "int": int}
     converted: dict = {}
     for key, val in raw.items():
@@ -415,6 +439,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             sys.stderr.write("error: a subcommand is required\n")
             return 1
+        _check_outputs(args)
         return args.func(args)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 0

@@ -293,12 +293,7 @@ def sigma_clt(
     _check_order(q)
     series = rho_power_sum(hurst, q, rel_tol=rel_tol, radius=radius)
     scale = 2.0**q * math.factorial(q)
-    var = series.value / scale
-    if var <= 0.0:
-        raise DomainError(
-            f"non-positive variance {var} for H={hurst}, q={q}"
-        )  # pragma: no cover - series is positive on its domain
-    value = math.sqrt(var)
+    value = math.sqrt(series.value / scale)
     tail = series.tail_bound / scale / (2.0 * value)
     return TruncatedSeries(value, series.radius, tail, series.converged)
 

@@ -467,10 +467,11 @@ def _decreasing(values: list[float]) -> tuple[bool, dict]:
 
 
 def _relative_l2(
-    cfg: ExperimentConfig, data: dict, detailed: bool, identity: bool = False
+    cfg: ExperimentConfig, data: dict, identity: bool = False
 ) -> tuple[list[dict], bool, dict]:
-    """Relative L2 distance sqrt(E diff^2 / E stat^2) per level; passes when
-    it decreases and ends below the absolute threshold 0.15.  Where the two
+    """Relative L2 distance sqrt(E diff^2 / E stat^2) per level, with the
+    fine level it was coupled at and both mean squares; passes when it
+    decreases and ends below the absolute threshold 0.15.  Where the two
     sides agree identically (`identity`), the distances are rounding noise
     in any order, so the verdict rests on max diff^2 <= 1e-24 alone."""
     levels = []
@@ -478,17 +479,15 @@ def _relative_l2(
         d_sq, d_se = mean_and_se(data[f"diff_sq_{n}"])
         v_sq, _ = mean_and_se(data[f"v_sq_{n}"])
         rel = math.sqrt(d_sq / v_sq) if v_sq > 0 else 0.0
-        entry: dict = {"level": n}
-        if detailed:
-            entry["fine_level"] = n + cfg.fine_offset
-        entry.update(
-            stat=rel,
-            stat_se=0.5 * rel * (d_se / d_sq) if d_sq > 0 else 0.0,
-            statistic="relative_l2_distance",
-        )
-        if detailed:
-            entry.update(mean_sq_distance=d_sq, mean_sq_value=v_sq)
-        levels.append(entry)
+        levels.append({
+            "level": n,
+            "fine_level": n + cfg.fine_offset,
+            "stat": rel,
+            "stat_se": 0.5 * rel * (d_se / d_sq) if d_sq > 0 else 0.0,
+            "statistic": "relative_l2_distance",
+            "mean_sq_distance": d_sq,
+            "mean_sq_value": v_sq,
+        })
     rels = [e["stat"] for e in levels]
     inversions = count_inversions(rels)
     ok = inversions <= THRESHOLDS["max_inversions"] and rels[-1] < 0.15
@@ -704,9 +703,7 @@ def run_noncentral(cfg: ExperimentConfig) -> ExperimentReport:
     the verdict rests on the identity check alone."""
     require_regime(cfg.hurst, cfg.order, RegimeCase.NONCENTRAL, "noncentral")
     data = _collect(cfg, _young_kernel, fine=True)
-    levels, ok, summary = _relative_l2(
-        cfg, data, detailed=True, identity=_unweighted(cfg)
-    )
+    levels, ok, summary = _relative_l2(cfg, data, identity=_unweighted(cfg))
     return _report(cfg, levels, summary, [], ok)
 
 
@@ -757,9 +754,7 @@ def run_corollary(cfg: ExperimentConfig) -> ExperimentReport:
         ok = ok and summary["final"] < summary["initial"]
     elif item == 6:
         # at q = 2, f = 1 the power variation equals 2 mu_0 C(2,2) Z(1) exactly
-        levels, ok, summary = _relative_l2(
-            cfg, data, detailed=False, identity=q == 2 and _unweighted(cfg)
-        )
+        levels, ok, summary = _relative_l2(cfg, data, identity=q == 2 and _unweighted(cfg))
     elif item == 4:
         st = sigma_tilde(cfg.hurst, q)
         target_base = st.value**2

@@ -55,14 +55,8 @@ def hermite_partial_sums(
     H_q(2^{mH} dB) of a path at level m = fine_level, as
     ``variations.scaled_hermite`` forms them, not its increments.
 
-    Each output interval's 2^(m-n) terms are summed, and Z is the running
-    sum of the interval sums.  numpy reduces fewer than 8 items in order,
-    from +0.0, but with one inner-loop call per interval; below stride 8
-    whole-row adds of the strided terms make the same sums without those
-    calls.  The running sum starts from Z's leading +0.0, so an interval
-    sum of -0.0 adds as the +0.0 the reduction gives, and Z keeps its bits.
-    From 8 items on numpy sums in unrolled blocks of 8, in another order,
-    so there the reduction stays.
+    Each output interval's 2^(m-n) terms are summed by one reshape
+    reduction, and Z is the running sum of the interval sums.
     """
     check_level(out_level, check_level(fine_level, name="fine_level"), "out_level")
     if terms.shape[-1] != 2**fine_level:
@@ -75,12 +69,7 @@ def hermite_partial_sums(
     out = np.empty(terms.shape[:-1] + (2**out_level + 1,))
     out[..., 0] = 0.0
     sums = out[..., 1:]
-    if stride < 8:
-        sums[...] = terms[..., ::stride]
-        for i in range(1, stride):
-            sums += terms[..., i::stride]
-    else:
-        terms.reshape(terms.shape[:-1] + (2**out_level, stride)).sum(axis=-1, out=sums)
+    terms.reshape(terms.shape[:-1] + (2**out_level, stride)).sum(axis=-1, out=sums)
     np.cumsum(out, axis=-1, out=out)
     sums *= prefactor
     return out

@@ -422,6 +422,95 @@ def test_io_error_exits_two(capsys):
     assert "io error" in err
 
 
+def _no_draw(*args, **kwargs):
+    raise AssertionError("a path was drawn")
+
+
+@pytest.mark.parametrize("argv", [
+    ("experiment", "--id", "clt", "--H", "0.6", "--q", "2", "--levels", "6",
+     "--replicates", "100", "--out", "{bad}"),
+    ("experiment", "--id", "clt", "--H", "0.6", "--q", "2", "--levels", "6",
+     "--replicates", "100", "--out", "{kept}", "--csv", "{bad}"),
+    ("experiment", "--id", "clt", "--H", "0.6", "--q", "2", "--levels", "6",
+     "--replicates", "100", "--out", "{kept}", "--plot-data", "{bad}"),
+    ("experiment", "--id", "clt", "--H", "0.6", "--q", "2", "--levels", "6",
+     "--replicates", "100", "--out", "{dir}"),
+    ("sample", "--H", "0.6", "--n", "6", "--format", "bin", "--out", "{bad}"),
+    ("hermite-process", "--q", "2", "--H", "0.9", "--m", "6", "--n-out", "3",
+     "--out", "{bad}"),
+], ids=["out", "csv", "plot-data", "out-is-a-directory", "sample", "hermite-process"])
+def test_bad_output_path_exits_two_before_drawing(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.setattr(fbm, "sample_increments_circulant", _no_draw)
+    monkeypatch.setattr(fbm, "sample_fbm_circulant", _no_draw)
+    kept = tmp_path / "kept.json"
+    kept.write_text("earlier report\n")
+    bad = tmp_path / "missing" / "r.out"
+    paths = {"{bad}": str(bad), "{kept}": str(kept), "{dir}": str(tmp_path)}
+    code, out, err = run_cli(capsys, *(paths.get(a, a) for a in argv))
+    assert (code, out) == (2, "")
+    if "{dir}" in argv:
+        assert err == f"io error: [Errno 21] Is a directory: '{tmp_path}'\n"
+    else:
+        assert err == f"io error: [Errno 2] No such file or directory: '{bad}'\n"
+    assert kept.read_text() == "earlier report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json"]
+
+
+def test_failed_run_leaves_output_files_as_they_were(capsys, monkeypatch, tmp_path):
+    def fail(*args, **kwargs):
+        raise ConfigError("no draw")
+
+    monkeypatch.setattr(fbm, "sample_increments_circulant", fail)
+    kept = tmp_path / "kept.json"
+    kept.write_text("earlier report\n")
+    code, out, err = run_cli(capsys, "experiment", "--id", "clt", "--H", "0.6", "--q", "2",
+                             "--levels", "6", "--replicates", "100", "--out", str(kept),
+                             "--csv", str(tmp_path / "r.csv"),
+                             "--plot-data", str(tmp_path / "r.tsv"))
+    assert (code, out, err) == (1, "", "error: no draw\n")
+    assert kept.read_text() == "earlier report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json"]
+
+
+@pytest.mark.parametrize("text, key", [
+    ("H = 0.6\nhurst = 0.7\nq = 2\n", "hurst"),
+    ("H = 0.6\nq = 2\nh = 0.7\n", "hurst"),
+    ("H = 0.6\nq = 2\norder = 3\n", "order"),
+    ("H = 0.6\nq = 2\nseed = 1\nmaster-seed = 2\n", "master_seed"),
+], ids=["H-hurst", "H-h", "q-order", "seed-master-seed"])
+def test_experiment_config_key_given_twice_exits_one(capsys, monkeypatch, tmp_path,
+                                                     text, key):
+    monkeypatch.setattr(fbm, "sample_increments_circulant", _no_draw)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, "experiment", "--id", "clt", "--config", str(cfg),
+                             "--H", "0.6")
+    assert (code, out) == (1, "")
+    assert err == f"error: config key {key!r} given twice in {cfg}\n"
+
+
+@pytest.mark.parametrize("value, shown", [("abc", "'abc'"), ("1.5", "'1.5'"), ("0", "0"),
+                                          ("-2", "-2"), ("", "''")])
+def test_bad_fbmvar_threads_is_named(capsys, monkeypatch, value, shown):
+    monkeypatch.setattr(fbm, "sample_increments_circulant", _no_draw)
+    monkeypatch.setenv("FBMVAR_THREADS", value)
+    argv = ("experiment", "--id", "clt", "--H", "0.6", "--q", "2", "--levels", "6",
+            "--replicates", "100")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: FBMVAR_THREADS must be an integer >= 1, got {shown}\n"
+    # --threads overrides the variable, which is then not read
+    seen = []
+
+    def record(cfg):
+        seen.append(cfg.threads)
+        raise ConfigError("recorded")
+
+    monkeypatch.setattr(cli_module, "run_experiment", record)
+    assert run_cli(capsys, *argv, "--threads", "2")[:2] == (1, "")
+    assert seen == [2]
+
+
 def test_domain_error_exits_one(capsys):
     code, _, err = run_cli(capsys, "sample", "--H", "1.5", "--n", "3", "--seed", "0")
     assert code == 1

@@ -611,7 +611,7 @@ class TestCorollary:
 
     def test_item6_relative_l2_verdict(self):
         # the verdict is "decreasing and final relative L2 below an absolute
-        # 0.15"; item 6 reports only the four common per-level keys
+        # 0.15"; item 6 reports the same seven per-level keys as noncentral
         passing = run_corollary(
             ExperimentConfig(
                 "corollary", hurst=0.9, order=2, weight="cos:1.0",
@@ -631,7 +631,9 @@ class TestCorollary:
             ok = rep.summary["inversions"] <= 1 and rep.summary["final"] < 0.15
             assert ok == (verdict == "PASS")
             for e in rep.levels:
-                assert list(e) == ["level", "stat", "stat_se", "statistic"]
+                assert list(e) == ["level", "fine_level", "stat", "stat_se", "statistic",
+                                   "mean_sq_distance", "mean_sq_value"]
+                assert e["fine_level"] == e["level"] + rep.config["fine_offset"]
                 assert e["statistic"] == "relative_l2_distance"
         assert failing.summary["inversions"] == 0  # failed on the threshold alone
 
@@ -646,12 +648,12 @@ class TestCorollary:
         for n, rel in rels.items():
             data[f"diff_sq_{n}"] = np.full(4, rel**2)
             data[f"v_sq_{n}"] = np.ones(4)
-        levels, ok, summary = experiments._relative_l2(cfg, data, False, identity=True)
+        levels, ok, summary = experiments._relative_l2(cfg, data, identity=True)
         assert [e["stat"] for e in levels] == pytest.approx(list(rels.values()), rel=1e-12)
         assert summary["inversions"] == 2
         assert ok
         # the relative L2 rule alone would fail the same sequence
-        assert not experiments._relative_l2(cfg, data, False)[1]
+        assert not experiments._relative_l2(cfg, data)[1]
         rep = run_corollary(
             ExperimentConfig(
                 "corollary", hurst=0.8, order=2, weight="one",

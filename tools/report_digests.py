@@ -19,15 +19,20 @@ Each line is ``<sha256>  <name>``.  The outputs covered are:
 * ``variation`` for five weights, each as Hermite, power, centred power
   and renormalised Hermite variation;
 * ``constants`` at the benchmark's five (H, q) pairs and at q = 4, 6, 12;
-* ``hermite-process`` as json and csv;
+* ``hermite-process`` as json and csv, at partial-sum strides 32, 64, 2
+  and 4;
+* ``experiment`` through the CLI: one request given by flags, and one by a
+  config file with a byte order mark, comments and aliased keys, writing
+  ``--csv`` and ``--plot-data`` files (the wall-clock seconds of its stderr
+  line are masked);
 * ``--precision`` 1, 4 and 17 JSON from ``sample``, ``variation``,
   ``constants`` and ``hermite-process``;
 * ``report --merge`` of two runner reports, as table and as JSON;
 * a few requests the CLI rejects, as exit code, stdout and stderr.
 
 A CLI digest covers the exit code, stdout, stderr and any file written
-with --out.  This is a script, not a test: FFT bits may differ between
-machines, so only digests made on one machine compare.
+with --out, --csv or --plot-data.  This is a script, not a test: FFT bits
+may differ between machines, so only digests made on one machine compare.
 """
 
 from __future__ import annotations
@@ -36,9 +41,12 @@ import argparse
 import contextlib
 import hashlib
 import io
+import os
+import re
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from fbmvar.cli import main
 from fbmvar.experiments import ExperimentConfig, run_experiment
@@ -83,7 +91,13 @@ CONSTANT_PAIRS = (
     (0.2, 2), (0.6, 2), (0.75, 2), (0.9, 2), (0.3, 3),
     (0.3, 4), (0.6, 4), (0.3, 6), (0.6, 6), (0.3, 12), (0.6, 12),
 )
-HERMITE_PROCESS = (("2", "0.9", "10", "5"), ("3", "0.9", "10", "4"))
+# name: (q, H, m, n_out); the last two sum 2 and 4 terms per output interval
+HERMITE_PROCESS = {
+    "q=2": ("2", "0.9", "10", "5"),
+    "q=3": ("3", "0.9", "10", "4"),
+    "q=2 n-out=9": ("2", "0.9", "10", "9"),
+    "q=2 n-out=8": ("2", "0.9", "10", "8"),
+}
 PRECISION_REQUESTS = {
     "sample": ("sample", "--H", "0.7", "--n", "8", "--seed", "3", "--format", "json"),
     "variation": ("variation", "--H", "0.6", "--n", "10", "--q", "3", "--weight",
@@ -91,6 +105,20 @@ PRECISION_REQUESTS = {
     "constants": ("constants", "--H", "0.3", "--q", "3", "--seed", "5"),
     "hermite-process": ("hermite-process", "--q", "2", "--H", "0.9", "--m", "10",
                         "--n-out", "5", "--seed", "6"),
+}
+# files written to the work directory before the CLI requests run
+CONFIG_FILES = {
+    "exp.cfg": "\ufeff# noncentral check\nid = noncentral\nH = 0.9  # aliases: h, hurst\n"
+               "q = 2\nweight = cos:1.0\nlevels = 5,6\nreplicates = 100\nseed = 10\n"
+               "fine-offset = 4\n",
+    "twice.cfg": "H = 0.6\nq = 2\nhurst = 0.7\nlevels = 6\nreplicates = 100\n",
+}
+EXPERIMENT_REQUESTS = {
+    "flags": ("experiment", "--id", "clt", "--H", "0.6", "--q", "2", "--weight", "cos:1.0",
+              "--levels", "8,10", "--replicates", "200", "--seed", "3", "--threads", "2",
+              "--out", "{dir}/e.json"),
+    "config": ("experiment", "--id", "noncentral", "--config", "{dir}/exp.cfg",
+               "--csv", "{dir}/e.csv", "--plot-data", "{dir}/e.tsv"),
 }
 REJECTED = {
     "variation-centred-hermite": ("variation", "--H", "0.6", "--n", "8", "--q", "2",
@@ -124,25 +152,45 @@ REJECTED = {
     # seeds and stream indices that are not integers
     "sample-seed-abc": ("sample", "--H", "0.7", "--n", "6", "--seed", "abc"),
     "sample-stream-1e3": ("sample", "--H", "0.7", "--n", "6", "--stream", "1e3"),
+    # a config key given twice, under two spellings, and an output path
+    # that cannot be written
+    "experiment-config-key-twice": ("experiment", "--id", "clt", "--config",
+                                    "{dir}/twice.cfg"),
+    "experiment-csv-missing-dir": ("experiment", "--id", "clt", "--H", "0.6", "--q", "2",
+                                   "--levels", "6", "--replicates", "100",
+                                   "--csv", "{dir}/missing/r.csv"),
 }
+# requests rejected for an environment variable: name: (variables, argv)
+REJECTED_ENV = {
+    "experiment-fbmvar-threads-abc": ({"FBMVAR_THREADS": "abc"}, (
+        "experiment", "--id", "clt", "--H", "0.6", "--q", "2", "--levels", "6",
+        "--replicates", "100")),
+}
+OUTPUT_FLAGS = ("--out", "--csv", "--plot-data")
 
 
-def _cli(workdir: Path, argv) -> bytes:
-    """Exit code, stdout, stderr and the --out file of one CLI request."""
+def _cli(workdir: Path, argv, env=None) -> bytes:
+    """Exit code, stdout, stderr and the output files of one CLI request,
+    with `env` added to the environment; a run's wall-clock seconds are
+    masked."""
     argv = [a.replace("{dir}", str(workdir)) for a in argv]
-    out_file = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
-    if out_file is not None and out_file.exists():
-        out_file.unlink()
+    files = [Path(argv[argv.index(flag) + 1]) for flag in OUTPUT_FLAGS if flag in argv]
+    for file in files:
+        file.unlink(missing_ok=True)
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            mock.patch.dict(os.environ, env or {}):
         code = main(argv)
-    written = out_file.read_bytes() if out_file is not None and out_file.exists() else b""
-    text = f"{code}\0{stdout.getvalue()}\0{stderr.getvalue()}\0".replace(str(workdir), "DIR")
+    written = b"\0".join(file.read_bytes() for file in files if file.exists())
+    err = re.sub(r"\(\d+\.\ds\)$", "(<seconds>)", stderr.getvalue(), flags=re.M)
+    text = f"{code}\0{stdout.getvalue()}\0{err}\0".replace(str(workdir), "DIR")
     return text.encode() + written
 
 
 def outputs(workdir: Path):
     """(name, bytes) of every covered output, in a fixed order."""
+    for name, text in CONFIG_FILES.items():
+        (workdir / name).write_text(text, encoding="utf-8")
     merged = []  # the report files of the first two configs, for report --merge
     for exp_id, hurst, q, weight, levels, reps, seed, offset in RUNNER_CONFIGS:
         for threads in (1, 2):
@@ -182,11 +230,14 @@ def outputs(workdir: Path):
         argv = ("constants", "--H", str(hurst), "--q", str(q), "--seed", "5")
         yield f"constants H={hurst} q={q}", _cli(workdir, argv)
 
-    for q, hurst, m, n_out in HERMITE_PROCESS:
+    for name, (q, hurst, m, n_out) in HERMITE_PROCESS.items():
         for export in ("json", "csv"):
             argv = ("hermite-process", "--q", q, "--H", hurst, "--m", m, "--n-out", n_out,
                     "--seed", "6", "--export", export)
-            yield f"hermite-process q={q} {export}", _cli(workdir, argv)
+            yield f"hermite-process {name} {export}", _cli(workdir, argv)
+
+    for name, argv in EXPERIMENT_REQUESTS.items():
+        yield f"experiment cli {name}", _cli(workdir, argv)
 
     for name, argv in PRECISION_REQUESTS.items():
         for precision in ("1", "4", "17"):
@@ -199,6 +250,8 @@ def outputs(workdir: Path):
 
     for name, argv in REJECTED.items():
         yield f"rejected {name}", _cli(workdir, argv)
+    for name, (env, argv) in REJECTED_ENV.items():
+        yield f"rejected {name}", _cli(workdir, argv, env)
 
 
 def _main(argv=None) -> None:
