@@ -114,11 +114,18 @@ def _write_text(text: str, out: str | None) -> None:
 
 def _check_outputs(args) -> None:
     """Raise OSError unless every --out, --csv and --plot-data path can be
-    written, before any path is drawn.  Nothing is written: a file made by
-    the check is removed again, and an existing file keeps its bytes."""
-    for name in (getattr(args, dest, None) for dest in ("out", "csv", "plot_data")):
+    written, and refuse two of them that name one file, before any path is
+    drawn.  Nothing is written: a file made by the check is removed again,
+    and an existing file keeps its bytes."""
+    flags: dict = {}  # resolved path: the flag that named it
+    for dest in ("out", "csv", "plot_data"):
+        name = getattr(args, dest, None)
         if name is None:
             continue
+        flag = "--" + dest.replace("_", "-")
+        first = flags.setdefault(os.path.realpath(name), flag)
+        if first != flag:
+            raise FbmvarError(f"{first} and {flag} name one file, {name}")
         try:
             open(name, "x").close()
         except FileExistsError:

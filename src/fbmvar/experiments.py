@@ -24,10 +24,13 @@ Verdict policy (fixed, ``THRESHOLDS``, echoed in every report):
 decreasing-sequence checks allow at most max_inversions = 1 adjacent
 inversion and require final < final_ratio * initial (final_ratio = 1/4)
 in small_h and the trapezoid convergence arm, a final relative L2
-distance below an absolute 0.15 in noncentral (at f = 1 only the exact
-identity, max squared distance <= 1e-24) and corollary item 6, and
+distance below an absolute 0.15 in noncentral and corollary item 6, and
 final < initial in corollary items 1 and 2 (the trapezoid counterexample
-arm needs final >= initial / 2).  Variance comparisons use a relative
+arm needs final >= initial / 2, and fails for a polynomial weight of
+degree <= 2, whose symmetric sums are exact).  Where the two sides agree
+by construction, at a constant weight c in noncentral, in corollary item 6
+at q = 2 and in item 1 at q = 1, only the exact identity counts: max
+squared distance <= 1e-24 c^2.  Variance comparisons use a relative
 tolerance variance_rtol = 5%, regression slopes and the printed/corrected
 arbitration slope_rtol = 10%, and KS tests reject below ks_alpha = 0.01.
 Series constants are evaluated at the library's default tolerance.  A
@@ -89,7 +92,7 @@ from .variations import (
     centered_power_second_moment,
     weighted_rows,
 )
-from .weights import ZERO, ConstantOne, WeightFunction, parse_weight
+from .weights import ZERO, ConstantOne, Polynomial, WeightFunction, parse_weight
 
 REPORT_SCHEMA = "fbmvar-report/1"
 
@@ -301,6 +304,10 @@ def _collect(
 ) -> dict[str, np.ndarray]:
     """Run the kernel over all replicates, in order, and concatenate;
     DomainError names the first output that is not finite."""
+    if fine:
+        # at offset 0, Z is built on the variation's own grid, where the two
+        # sides agree to rounding for every weight
+        check_int(cfg.fine_offset, "fine_offset", 1, error=ConfigError)
     fine_level = fbm.check_level(
         max(cfg.levels) + (cfg.fine_offset if fine else 0), name="finest sampled level")
     # the outputs alone hold a double per replicate and level; a count whose
@@ -343,11 +350,11 @@ def _collect(
 # its path values and f^(order) at every point of them
 
 
-def _variation(cfg, paths, level, power=False, centered=True) -> np.ndarray:
+def _variation(cfg, paths, level, power=False) -> np.ndarray:
     """V_level^(q)(f) per row of the level's increments, or with `power` the
-    weighted power variation, centred unless `centered` is False."""
+    centred weighted power variation (at odd q, mu_q = 0: the plain one)."""
     if power:
-        return power_variation_rows(paths.inc, cfg.hurst, level, paths.left(), cfg.order, centered)
+        return power_variation_rows(paths.inc, cfg.hurst, level, paths.left(), cfg.order)
     return weighted_rows(scaled_hermite(paths.inc, cfg.hurst, level, cfg.order), paths.left())
 
 
@@ -366,7 +373,7 @@ def _pathwise_kernel(cfg, paths, m, n, item=None):
     on the same path: small_h, or corollary item 1 or 2."""
     q, hurst = cfg.order, cfg.hurst
     if item == 1:
-        stat = 2.0 ** (-n * hurst) * _variation(cfg, paths, n, power=True, centered=False)
+        stat = 2.0 ** (-n * hurst) * _variation(cfg, paths, n, power=True)
         c_1 = monomial_in_hermite(q).coeffs[1]  # q mu_{q-1}
         f = paths.f
         limit = c_1 * (f.antiderivative(paths.values[:, -1]) - f.antiderivative(0.0))
@@ -448,6 +455,24 @@ def _unweighted(cfg: ExperimentConfig) -> bool:
     return isinstance(parse_weight(cfg.weight), ConstantOne)
 
 
+def _degree(cfg: ExperimentConfig) -> float:
+    """The degree of a polynomial weight (0 for a constant c, as in poly:2,0),
+    inf for any other weight."""
+    f = parse_weight(cfg.weight)
+    if not isinstance(f, Polynomial):
+        return math.inf
+    return max((k for k, c in enumerate(f.coefficients) if c), default=0)
+
+
+def _identity_ok(cfg: ExperimentConfig, data: dict, summary: dict) -> bool:
+    """Where the two sides agree by construction at a constant weight c, the
+    distances are rounding noise in any order, so the verdict rests on the
+    largest diff^2 of any replicate and level (identity_max_sq) <= 1e-24 c^2."""
+    c = parse_weight(cfg.weight).coefficients[0]
+    summary["identity_max_sq"] = float(max(np.max(data[f"diff_sq_{n}"]) for n in cfg.levels))
+    return summary["identity_max_sq"] <= 1e-24 * c * c
+
+
 def _variance(cfg: ExperimentConfig) -> Callable:
     # an unweighted variation is exactly centred, so its mean is known
     return partial(variance_and_se, known_mean=0.0 if _unweighted(cfg) else None)
@@ -471,9 +496,8 @@ def _relative_l2(
 ) -> tuple[list[dict], bool, dict]:
     """Relative L2 distance sqrt(E diff^2 / E stat^2) per level, with the
     fine level it was coupled at and both mean squares; passes when it
-    decreases and ends below the absolute threshold 0.15.  Where the two
-    sides agree identically (`identity`), the distances are rounding noise
-    in any order, so the verdict rests on max diff^2 <= 1e-24 alone."""
+    decreases and ends below the absolute threshold 0.15, or with `identity`
+    by ``_identity_ok`` alone."""
     levels = []
     for n in cfg.levels:
         d_sq, d_se = mean_and_se(data[f"diff_sq_{n}"])
@@ -498,10 +522,7 @@ def _relative_l2(
         "final_threshold": 0.15,
     }
     if identity:
-        summary["identity_max_sq"] = float(
-            max(np.max(data[f"diff_sq_{n}"]) for n in cfg.levels)
-        )
-        ok = summary["identity_max_sq"] <= 1e-24
+        ok = _identity_ok(cfg, data, summary)
     return levels, ok, summary
 
 
@@ -699,11 +720,11 @@ def run_critical_high(cfg: ExperimentConfig) -> ExperimentReport:
 def run_noncentral(cfg: ExperimentConfig) -> ExperimentReport:
     """Coupled check of 2^(n q(1-H) - n) V_n^(q)(f) against the Young sum
     of f(B) against the Hermite process built from the same fine path
-    (m = n + fine_offset).  At f = 1 the two sides agree identically, so
-    the verdict rests on the identity check alone."""
+    (m = n + fine_offset).  At a constant weight the two sides agree
+    identically, so the verdict rests on the identity check alone."""
     require_regime(cfg.hurst, cfg.order, RegimeCase.NONCENTRAL, "noncentral")
     data = _collect(cfg, _young_kernel, fine=True)
-    levels, ok, summary = _relative_l2(cfg, data, identity=_unweighted(cfg))
+    levels, ok, summary = _relative_l2(cfg, data, identity=_degree(cfg) == 0)
     return _report(cfg, levels, summary, [], ok)
 
 
@@ -752,9 +773,13 @@ def run_corollary(cfg: ExperimentConfig) -> ExperimentReport:
         # fixed final-ratio gate at desk-scale level windows
         ok, summary = _decreasing([e["stat"] for e in levels])
         ok = ok and summary["final"] < summary["initial"]
+        if q == 1 and _degree(cfg) == 0:
+            # the sum of c dB is c B_1, exactly the limit
+            ok = _identity_ok(cfg, data, summary)
     elif item == 6:
-        # at q = 2, f = 1 the power variation equals 2 mu_0 C(2,2) Z(1) exactly
-        levels, ok, summary = _relative_l2(cfg, data, identity=q == 2 and _unweighted(cfg))
+        # at q = 2 and f = c the power variation equals 2 mu_0 C(2,2) c Z(1) exactly
+        identity = q == 2 and _degree(cfg) == 0
+        levels, ok, summary = _relative_l2(cfg, data, identity)
     elif item == 4:
         st = sigma_tilde(cfg.hurst, q)
         target_base = st.value**2
@@ -805,7 +830,8 @@ def run_trapezoid(cfg: ExperimentConfig) -> ExperimentReport:
 
     H > 1/6 is the convergence arm (error must shrink); H <= 1/6 is the
     counterexample arm, which passes when the statistic does NOT decay
-    (final >= half of initial), as for f(x) = x^3.
+    (final >= half of initial), as for f(x) = x^3, and never for a
+    polynomial of degree <= 2, whose sums are exact.
 
     For 1/6 < H < 1/2 the median error decays as 2^(n(1/2-3H)), so the
     convergence arm's final_ratio verdict can only pass when
@@ -817,14 +843,20 @@ def run_trapezoid(cfg: ExperimentConfig) -> ExperimentReport:
     levels = _level_entries(cfg, data, "err", median_and_se, "median_abs_error")
     monotone, summary = _decreasing([e["stat"] for e in levels])
     summary["arm"] = arm
+    flags = []
     if arm == "convergence":
         ok = monotone and summary["final_over_initial"] < THRESHOLDS["final_ratio"]
         # a sum that telescopes exactly (e.g. f = x^2 at H = 1/2) leaves only
         # rounding noise; treat anything at the float floor as converged
         ok = ok or summary["final"] < 1e-12
+    elif _degree(cfg) <= 2:
+        # f' is linear, so sum (f'(B_k) + f'(B_(k-1))) dB_k / 2 = f(B_1) - f(0)
+        # on every path: the error is rounding noise, no counterexample
+        ok = False
+        flags.append("symmetric sums are exact for a polynomial weight of degree <= 2")
     else:
         ok = summary["final_over_initial"] >= 0.5
-    return _report(cfg, levels, summary, [], ok)
+    return _report(cfg, levels, summary, flags, ok)
 
 
 def run_conjecture_quarter(cfg: ExperimentConfig) -> ExperimentReport:
@@ -869,7 +901,6 @@ def variance_order_audit(
     levels: tuple[int, ...],
     replicates: int,
     master_seed: int,
-    threads: int = 1,
 ) -> dict:
     """Slope diagnostics of log2 E[V_n^(q)(f)^2] against n.
 
@@ -879,8 +910,7 @@ def variance_order_audit(
     # ExperimentConfig validates the inputs and carries them to the engine,
     # which reads only the sampling fields; the audit has no regime, so the
     # experiment id is a placeholder that nothing reads
-    cfg = ExperimentConfig("clt", hurst, q, weight, levels, replicates, master_seed,
-                           threads=threads)
+    cfg = ExperimentConfig("clt", hurst, q, weight, levels, replicates, master_seed)
     data = _collect(cfg, _audit_kernel)
     means = _level_entries(cfg, data, "vsq", mean_and_se, "mean_sq")
     log_means = [math.log2(e["stat"]) for e in means]

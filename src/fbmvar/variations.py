@@ -240,12 +240,10 @@ def hermite_variation_rows(
     return weighted_rows(hq, weight[..., :-1])
 
 
-def power_variation_rows(
-    inc: np.ndarray, hurst: float, level: int, left, q: int, centered: bool
-) -> np.ndarray:
-    """Weighted power variation per row of an increment matrix; `left` as in
-    ``weighted_rows``."""
-    return np.sum(_power_terms(inc, hurst, level, left, q, centered), axis=-1)
+def power_variation_rows(inc: np.ndarray, hurst: float, level: int, left, q: int) -> np.ndarray:
+    """Centred weighted power variation per row of an increment matrix; `left`
+    as in ``weighted_rows``."""
+    return np.sum(_power_terms(inc, hurst, level, left, q, True), axis=-1)
 
 
 def riemann_sum_rows(left: np.ndarray) -> np.ndarray:

@@ -40,16 +40,6 @@ class WeightFunction:
 
 
 @dataclass(frozen=True)
-class ConstantOne(WeightFunction):
-    def derivative(self, order: int, x):
-        x = np.asarray(x, dtype=float)
-        return np.ones_like(x) if order == 0 else np.zeros_like(x)
-
-    def antiderivative(self, x):
-        return np.asarray(x, dtype=float)
-
-
-@dataclass(frozen=True)
 class Polynomial(WeightFunction):
     coefficients: tuple[float, ...]
 
@@ -67,6 +57,13 @@ class Polynomial(WeightFunction):
              / np.arange(1, len(self.coefficients) + 1))
         )
         return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs)
+
+
+@dataclass(frozen=True)
+class ConstantOne(Polynomial):
+    """f = 1, the degree-0 polynomial, which the f = 1 fast paths select by type."""
+
+    coefficients: tuple[float, ...] = (1.0,)
 
 
 @dataclass(frozen=True)

@@ -456,6 +456,24 @@ def test_bad_output_path_exits_two_before_drawing(capsys, monkeypatch, tmp_path,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json"]
 
 
+@pytest.mark.parametrize("argv, first, second", [
+    (("--out", "r.txt", "--csv", "r.txt"), "--out", "--csv"),
+    (("--out", "r.txt", "--plot-data", "./r.txt"), "--out", "--plot-data"),
+    (("--csv", "r.csv", "--plot-data", "sub/../r.csv"), "--csv", "--plot-data"),
+    (("--out", "r.json", "--csv", "r.csv", "--plot-data", "r.json"), "--out", "--plot-data"),
+], ids=["out-csv", "out-plot-data", "csv-plot-data", "out-plot-data-of-three"])
+def test_two_output_flags_naming_one_file_exit_one(capsys, monkeypatch, tmp_path,
+                                                  argv, first, second):
+    monkeypatch.setattr(fbm, "sample_increments_circulant", _no_draw)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    code, out, err = run_cli(capsys, "experiment", "--id", "clt", "--H", "0.6", "--q", "2",
+                             "--levels", "6", "--replicates", "100", *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {first} and {second} name one file, {argv[-1]}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
+
 def test_failed_run_leaves_output_files_as_they_were(capsys, monkeypatch, tmp_path):
     def fail(*args, **kwargs):
         raise ConfigError("no draw")

@@ -223,6 +223,24 @@ class TestEngine:
         assert 1 <= size < 300
         assert drawn == [(13, s, min(size, 300 - s)) for s in range(0, 300, size)]
 
+    def test_fine_offset_zero_refused_before_any_block(self, monkeypatch):
+        # at offset 0, Z is built on the variation's own grid, where the two
+        # sides agree to rounding for every weight; other runners ignore it
+        def refuse(*args, **kwargs):
+            raise AssertionError("a block was drawn")
+
+        values_block = experiments._values_block
+        monkeypatch.setattr(experiments, "_values_block", refuse)
+        for exp_id in ("noncentral", "corollary"):  # corollary item 6 at H = 0.9
+            cfg = ExperimentConfig(exp_id, hurst=0.9, order=2, weight="cos:1.0",
+                                   levels=(4, 5, 6, 7), replicates=100, fine_offset=0)
+            with pytest.raises(ConfigError, match=r"^fine_offset must be an integer >= 1, got 0$"):
+                run_experiment(cfg)
+        monkeypatch.setattr(experiments, "_values_block", values_block)
+        rep = run_experiment(ExperimentConfig("clt", hurst=0.6, order=2, levels=(6,),
+                                              replicates=100, fine_offset=0))
+        assert rep.config["fine_offset"] == 0
+
     def test_block_budget_does_not_change_reports(self, monkeypatch):
         # rows are independent, so every report is byte-identical whether a
         # block holds 2^22 normals, the default budget or a single replicate
@@ -514,6 +532,61 @@ class TestTrapezoid:
         )
         assert rep.summary["arm"] == "counterexample"
         assert rep.verdict == "PASS"
+
+
+    @pytest.mark.parametrize("weight", ["poly:0,0,1", "poly:0,1", "poly:1,2,3"])
+    def test_counterexample_arm_fails_on_exact_sums(self, weight):
+        # f' is linear, so sum (f'(B_k) + f'(B_(k-1))) dB_k / 2 = f(B_1) - f(0)
+        # on every path: the errors are rounding noise, which grows with n
+        rep = run_trapezoid(
+            ExperimentConfig(
+                "trapezoid", hurst=0.1, order=2, weight=weight,
+                levels=(6, 8, 10), replicates=200, master_seed=0,
+            )
+        )
+        assert rep.summary["arm"] == "counterexample"
+        assert rep.summary["final"] < 1e-12
+        assert rep.flags == ["symmetric sums are exact for a polynomial weight of degree <= 2"]
+        assert rep.verdict == "FAIL"
+
+
+class TestConstantWeights:
+    """At a constant weight c the two sides of noncentral (any q), of
+    corollary item 6 at q = 2 and of item 1 at q = 1 agree by construction,
+    so only the identity check decides, with the bound 1e-24 c^2."""
+
+    @staticmethod
+    def cfg(exp_id, order, weight, seed=0):
+        return ExperimentConfig(exp_id, hurst=0.9, order=order, weight=weight,
+                                levels=(4, 5, 6, 7), replicates=100, master_seed=seed,
+                                fine_offset=2)
+
+    @pytest.mark.parametrize("exp_id, order, weight, item", [
+        ("noncentral", 2, "poly:2", None),
+        ("noncentral", 2, "poly:2,0", None),
+        ("noncentral", 3, "poly:-0.5", None),
+        ("noncentral", 2, "poly:1000", None),
+        ("corollary", 2, "poly:3", 6),
+        ("corollary", 1, "one", 1),
+        ("corollary", 1, "poly:2,0", 1),
+    ])
+    def test_constant_weight_passes_by_identity(self, exp_id, order, weight, item):
+        rep = run_experiment(self.cfg(exp_id, order, weight))
+        c = parse_weight(weight).coefficients[0]
+        assert rep.summary.get("item") == item
+        assert rep.summary["identity_max_sq"] <= 1e-24 * c * c
+        assert rep.verdict == "PASS"
+
+    def test_identity_bound_scales_with_c_squared(self):
+        # rounding noise scales with the weight: an absolute 1e-24 would fail it
+        rep = run_noncentral(self.cfg("noncentral", 2, "poly:1000", seed=1))
+        assert 1e-24 < rep.summary["identity_max_sq"] <= 1e-18
+        assert rep.verdict == "PASS"
+
+    def test_other_weights_keep_their_rules(self):
+        for cfg in (self.cfg("corollary", 1, "poly:0,1"), self.cfg("corollary", 3, "one"),
+                    self.cfg("noncentral", 2, "cos:1.0")):
+            assert "identity_max_sq" not in run_experiment(cfg).summary
 
 
 class TestNoncentral:

@@ -1,4 +1,5 @@
-"""The package runs on numpy and the standard library alone."""
+"""The package runs on numpy and the standard library alone, and its tests
+import the sources that PYTHONPATH names."""
 
 import os
 import subprocess
@@ -25,3 +26,24 @@ def test_import_loads_no_module_beyond_numpy_and_the_standard_library():
     ).stdout.split()
     assert "fbmvar" in loaded
     assert [m for m in loaded if m != "fbmvar" and m not in sys.stdlib_module_names] == []
+
+
+def test_pytest_imports_the_sources_that_pythonpath_names(tmp_path):
+    # pytest adds no path of its own, so another tree's sources named by
+    # PYTHONPATH are the ones a test run imports
+    other = tmp_path / "src" / "fbmvar"
+    other.mkdir(parents=True)
+    (other / "__init__.py").write_text("")
+    probe = tmp_path / "test_probe.py"
+    probe.write_text(
+        "import fbmvar\n\n\ndef test_probe():\n"
+        f"    assert fbmvar.__file__ == {str(other / '__init__.py')!r}\n"
+    )
+    root = SRC.parent
+    env = dict(os.environ, PYTHONPATH=str(other.parent))
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(root / "pyproject.toml"), "--rootdir", str(root), str(probe)],
+        env=env, cwd=root, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stdout

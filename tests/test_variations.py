@@ -172,7 +172,7 @@ class TestHermiteVariation:
             with pytest.raises(GridAlignmentError):
                 V.weighted_rows(V.scaled_hermite(inc, 0.6, 6, 3), wrong)
             with pytest.raises(GridAlignmentError):
-                V.power_variation_rows(inc, 0.6, 6, wrong, 3, centered=True)
+                V.power_variation_rows(inc, 0.6, 6, wrong, 3)
 
 
 class TestRenormalize:
@@ -209,7 +209,7 @@ class TestSecondMoments:
     def test_centered_power_second_moment_vs_monte_carlo(self):
         hurst, q, n, reps = 0.6, 4, 7, 6000
         inc = fbm.sample_increments_circulant(hurst, n, 4, 0, reps)
-        s = V.power_variation_rows(inc, hurst, n, None, q, centered=True)
+        s = V.power_variation_rows(inc, hurst, n, None, q)
         exact = V.centered_power_second_moment(hurst, q, n)
         se = np.std(s**2) / math.sqrt(reps)
         assert abs(np.mean(s**2) - exact) < 3 * se

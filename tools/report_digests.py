@@ -52,7 +52,9 @@ from fbmvar.cli import main
 from fbmvar.experiments import ExperimentConfig, run_experiment
 
 # (experiment id, H, q, weight, levels, replicates, seed, fine_offset); the
-# weights cos:0, poly:1 and poly:1,0 spell f = 1 another way
+# weights cos:0, poly:1 and poly:1,0 spell f = 1 another way, and the last
+# four configs are the constant weights judged by the identity check and a
+# trapezoid counterexample whose symmetric sums are exact
 RUNNER_CONFIGS = (
     ("small_h", 0.2, 2, "cos:1.0", (6, 7, 8, 9), 200, 1, 6),
     ("small_h", 0.1, 3, "poly:0.5,-1,0.25", (6, 8), 100, 2, 6),
@@ -78,6 +80,10 @@ RUNNER_CONFIGS = (
     ("trapezoid", 1 / 6, 2, "poly:0,0,0,1", (6, 8, 10), 200, 21, 6),
     ("conjecture_quarter", 0.25, 2, "cos:1.0", (8, 10), 200, 22, 6),
     ("conjecture_quarter", 1 / 6, 3, "one", (8, 10), 200, 23, 6),
+    ("noncentral", 0.9, 2, "poly:2", (4, 5, 6, 7), 100, 0, 2),
+    ("corollary", 0.9, 2, "poly:3", (4, 5, 6, 7), 100, 0, 2),
+    ("corollary", 0.9, 1, "one", (4, 5, 6, 7), 100, 0, 2),
+    ("trapezoid", 0.1, 2, "poly:0,0,1", (6, 8, 10), 200, 0, 6),
 )
 
 WEIGHTS = ("one", "poly:0.5,-1,0.25", "cos:1.0", "sin:0.5", "exp:0.5")
@@ -159,6 +165,14 @@ REJECTED = {
     "experiment-csv-missing-dir": ("experiment", "--id", "clt", "--H", "0.6", "--q", "2",
                                    "--levels", "6", "--replicates", "100",
                                    "--csv", "{dir}/missing/r.csv"),
+    # a Young-sum runner on the variation's own grid, and two output flags
+    # that name one file
+    "experiment-fine-offset-0": ("experiment", "--id", "noncentral", "--H", "0.9",
+                                 "--q", "2", "--weight", "cos:1.0", "--levels", "4,5,6,7",
+                                 "--replicates", "100", "--fine-offset", "0"),
+    "experiment-out-csv-one-file": ("experiment", "--id", "clt", "--H", "0.6", "--q", "2",
+                                    "--levels", "6", "--replicates", "100",
+                                    "--out", "{dir}/r.txt", "--csv", "{dir}/r.txt"),
 }
 # requests rejected for an environment variable: name: (variables, argv)
 REJECTED_ENV = {
