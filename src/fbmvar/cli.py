@@ -179,7 +179,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_constants)
     p.add_argument("--H", type=_real, required=True)
     p.add_argument("--q", type=int, required=True, help="order q, an integer in [2, 150]")
-    p.add_argument("--rel-tol", type=float, default=1e-8)
     p.add_argument("--seed", type=_key_word("seed"), default=0,
                    help="echoed (no randomness)")
 
@@ -285,14 +284,14 @@ def _cmd_constants(args) -> int:
     payload.update(dict.fromkeys(
         ("sigma", "sigma_tilde", "c_qH", "truncation_radius", "tail_bound")))
     try:
-        s = sigma_clt(args.H, args.q, rel_tol=args.rel_tol)
+        s = sigma_clt(args.H, args.q)
         payload.update(
             sigma=s.value, truncation_radius=s.radius, tail_bound=s.tail_bound
         )
     except SeriesDivergenceError:
         pass
     try:
-        st = sigma_tilde(args.H, args.q, rel_tol=args.rel_tol)
+        st = sigma_tilde(args.H, args.q)
         payload["sigma_tilde"] = st.value
     except SeriesDivergenceError:
         pass
@@ -403,8 +402,8 @@ def _cmd_report(args) -> int:
         with open(name) as fh:
             try:
                 rep = json.load(fh)
-                # a lone surrogate such as \ud800 is JSON, but no output file can encode it
-                json.dumps(rep, ensure_ascii=False).encode()
+                # NaN, Infinity and a lone surrogate such as \ud800 load, but no output holds them
+                json.dumps(rep, ensure_ascii=False, allow_nan=False).encode()
             except (ValueError, RecursionError) as exc:  # not JSON text, or nested too deep
                 raise FbmvarError(f"{name}: not a JSON report ({exc})") from None
         if not isinstance(rep, dict) or not isinstance(rep.get("config", {}), dict):

@@ -30,8 +30,8 @@ The design-level integral bound on the *raw* omitted mass,
     sum_{|r|>R} |rho|**p <= 2 (2H|2H-1|)**p (R-1)**(1-s) / (s - 1),
 
 is exposed as ``rho_tail_mass_bound`` and used by the monotonicity test;
-it certifies the partial sums but is far too weak as a stopping rule at
-rel_tol = 1e-8, which is why the corrected value is the reported one.
+it certifies the partial sums but is far too weak to meet REL_TOL = 1e-8
+at radius 1024, which is why the corrected value is the reported one.
 
 Critical-case constants are implemented exactly as printed, with
 ``*_corrected`` companions (square root inserted; for the power-variation
@@ -52,8 +52,9 @@ from .errors import DomainError, RegimeError, SeriesDivergenceError, check_int, 
 from .fbm import _check_h, check_level, rho
 from .hermite import gaussian_moment, monomial_in_hermite
 
-DEFAULT_REL_TOL = 1e-8
-_START_RADIUS = 1 << 10
+# the one series tolerance, and the radius summed when none is pinned
+REL_TOL = 1e-8
+_DEFAULT_RADIUS = 1 << 10
 _MAX_RADIUS = 1 << 22
 
 
@@ -224,25 +225,25 @@ def _rho_powers_stable(hurst: float, p: int, radius: int) -> float:
 def rho_power_sum(
     hurst: float,
     p: int,
-    rel_tol: float = DEFAULT_REL_TOL,
     radius: int | None = None,
 ) -> TruncatedSeries:
     """sum over all integer lags of rho_H(r)**p, signed, with tail control.
 
-    Pass `radius`, an integer in [32, 2**22], to pin the truncation radius
-    (the tail estimate is still applied); otherwise the radius doubles from
-    1024, up to 2**22, until the certified residual bound drops below
-    rel_tol * |value|; rel_tol must lie in (0, 1e-3].  Two cases are exact
-    and sum no lags: H = 1/2, where S_p = 2**p, and p = 1 with H < 1/2, where
-    S_1 = 0 (the partial sums telescope to 2((R+1)**(2H) - R**(2H)), so a
-    relative stop could never pass on them).
+    The lags run to `radius`, an integer in [32, 2**22], or to 1024 when
+    none is given, and the tail estimate is added either way; the series is
+    converged when the certified residual bound is at most REL_TOL * |value|.
+    Radius 1024 is enough for every convergent series with p <= 150: there
+    s > 1, and |c_p| <= |value| (c_p < 2**p < value for H > 1/2; below,
+    |c_p| <= 4**-p and |value| >= 2**(p-1)), so the bound is at most about
+    K(p) R**-4 / 2 of |value|, 1.4e-9 at K(150) = 3069, plus the float
+    allowance of 3e-13.  Two cases are exact and sum no lags: H = 1/2,
+    where S_p = 2**p, and p = 1 with H < 1/2, where S_1 = 0 (the partial
+    sums telescope to 2((R+1)**(2H) - R**(2H)), so a relative bound could
+    never pass on them).
     """
-    if not 0.0 < rel_tol <= 1e-3:
-        raise DomainError(f"rel_tol must be in (0, 1e-3], got {rel_tol}")
     _check_h(hurst)
     check_int(p, "power", 1)
-    fixed = radius is not None
-    r_cur = check_int(radius, "radius", 32, _MAX_RADIUS) if fixed else _START_RADIUS
+    radius = _DEFAULT_RADIUS if radius is None else check_int(radius, "radius", 32, _MAX_RADIUS)
     if hurst == 0.5:
         return TruncatedSeries(value=2.0**p, radius=1, tail_bound=0.0, converged=True)
     if p == 1 and hurst < 0.5:
@@ -258,31 +259,23 @@ def rho_power_sum(
     c_p = (a * (a - 1.0)) ** p
     e1 = (a - 2.0) * (a - 3.0) / 12.0
     k_exp = 0.34 * p + 0.27 * math.comb(p, 2) + 1.0
-
-    while True:
-        one_sided = _rho_powers_stable(hurst, p, r_cur)
-        partial = 2.0**p + 2.0 * one_sided
-        z_s, rem_s = _zeta_tail_em(s, r_cur)
-        z_s2, rem_s2 = _zeta_tail_em(s + 2.0, r_cur)
-        tail = 2.0 * c_p * (z_s + p * e1 * z_s2)
-        # analytic residual plus a float-noise allowance for the partial sum
-        # (stable evaluation keeps per-term relative error below ~1e-14; each
-        # rho_H(r), r >= 1, has the sign of 2H - 1, so |one_sided| is the sum
-        # of the terms' magnitudes)
-        bound = 2.0 * abs(c_p) * (
-            rem_s + p * abs(e1) * rem_s2 + k_exp * _zeta_tail_upper(s + 4.0, r_cur)
-        ) + 1e-13 * (2.0**p + 2.0 * abs(one_sided))
-        value = partial + tail
-        converged = bound <= rel_tol * abs(value)
-        if converged or fixed or r_cur >= _MAX_RADIUS:
-            return TruncatedSeries(value, r_cur, bound, converged)
-        r_cur *= 2
+    one_sided = _rho_powers_stable(hurst, p, radius)
+    z_s, rem_s = _zeta_tail_em(s, radius)
+    z_s2, rem_s2 = _zeta_tail_em(s + 2.0, radius)
+    value = 2.0**p + 2.0 * one_sided + 2.0 * c_p * (z_s + p * e1 * z_s2)
+    # analytic residual plus a float-noise allowance for the partial sum
+    # (stable evaluation keeps per-term relative error below ~1e-14; each
+    # rho_H(r), r >= 1, has the sign of 2H - 1, so |one_sided| is the sum
+    # of the terms' magnitudes)
+    bound = 2.0 * abs(c_p) * (
+        rem_s + p * abs(e1) * rem_s2 + k_exp * _zeta_tail_upper(s + 4.0, radius)
+    ) + 1e-13 * (2.0**p + 2.0 * abs(one_sided))
+    return TruncatedSeries(value, radius, bound, bound <= REL_TOL * abs(value))
 
 
 def sigma_clt(
     hurst: float,
     q: int,
-    rel_tol: float = DEFAULT_REL_TOL,
     radius: int | None = None,
 ) -> TruncatedSeries:
     """CLT constant sigma_{H,q} = sqrt( S_q(H) / (2**q q!) ).
@@ -291,7 +284,7 @@ def sigma_clt(
     low-H regimes, where the constant still appears (e.g. at H = 1/(2q)).
     """
     _check_order(q)
-    series = rho_power_sum(hurst, q, rel_tol=rel_tol, radius=radius)
+    series = rho_power_sum(hurst, q, radius=radius)
     scale = 2.0**q * math.factorial(q)
     value = math.sqrt(series.value / scale)
     tail = series.tail_bound / scale / (2.0 * value)
@@ -320,7 +313,6 @@ def sigma_critical_high_corrected(q: int) -> float:
 def sigma_tilde(
     hurst: float,
     q: int,
-    rel_tol: float = DEFAULT_REL_TOL,
     radius: int | None = None,
 ) -> TruncatedSeries:
     """Power-variation constant sigma~_{H,q}.
@@ -343,7 +335,7 @@ def sigma_tilde(
         if p == 0 or c == 0:
             continue
         coef = c * c // math.factorial(p) * 2.0**-p
-        series = rho_power_sum(hurst, p, rel_tol=rel_tol, radius=radius)
+        series = rho_power_sum(hurst, p, radius=radius)
         var += coef * series.value
         tail += coef * series.tail_bound
         max_radius = max(max_radius, series.radius)

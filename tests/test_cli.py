@@ -24,7 +24,7 @@ EXPECTED_FLAGS = {
                "--out", "--precision"},
     "variation": {"--H", "--n", "--q", "--weight", "--seed", "--stream",
                   "--power", "--centered", "--renormalize", "--out", "--precision"},
-    "constants": {"--H", "--q", "--rel-tol", "--seed", "--out", "--precision"},
+    "constants": {"--H", "--q", "--seed", "--out", "--precision"},
     "hermite-process": {"--q", "--H", "--m", "--n-out", "--seed", "--stream",
                         "--export", "--out", "--precision"},
     "experiment": {"--id", "--config", "--H", "--q", "--weight", "--levels",
@@ -390,6 +390,9 @@ def test_report_merge(tmp_path, capsys):
     (b'{"config": {"levels": "abc"}}', "config.levels is not a list"),
     # json.load gives up on this nesting with RecursionError, not ValueError
     pytest.param(b"[" * 100_000 + b"]" * 100_000, "not a JSON report", id="nested-too-deep"),
+    # json.load reads NaN and Infinity, which are not JSON
+    (b'{"config": {"hurst": NaN, "levels": [6]}}', "not a JSON report"),
+    (b'{"config": {"levels": [6]}, "verdict": -Infinity}', "not a JSON report"),
 ])
 def test_report_merge_bad_input_exits_one(tmp_path, capsys, content, names):
     bad = tmp_path / "bad.json"
@@ -399,6 +402,19 @@ def test_report_merge_bad_input_exits_one(tmp_path, capsys, content, names):
         assert code == 1 and out == ""
         assert err.startswith("error: ") and names in err
         assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_report_value_json_cannot_spell_exits_one(tmp_path, capsys):
+    # diff^2 near 1e200 overflows when the reducer squares it, so every
+    # stat_se is inf: no report is written, and numpy prints no warning
+    report = tmp_path / "r.json"
+    code, out, err = run_cli(capsys, "experiment", "--id", "noncentral", "--H", "0.9",
+                             "--q", "2", "--weight", "poly:1e100,1", "--levels", "4,5,6,7",
+                             "--replicates", "100", "--fine-offset", "2", "--out", str(report))
+    assert code == 1 and out == ""
+    assert err.startswith("error: an output value is not finite") and err.count("\n") == 1
+    assert not report.exists()
 
 
 def test_unknown_subcommand_exits_one(capsys):
@@ -694,15 +710,6 @@ def test_precision_below_one_exits_one(capsys, argv, value):
     assert code == 1
     assert out == ""
     assert "error: argument --precision" in err
-
-
-def test_constants_bad_rel_tol_exits_one(capsys):
-    # a rejected tolerance is an error, not a constant that does not exist
-    code, out, err = run_cli(capsys, "constants", "--H", "0.6", "--q", "2",
-                             "--rel-tol", "0.5")
-    assert code == 1
-    assert out == ""
-    assert "error: rel_tol" in err
 
 
 def test_hermite_process_csv(capsys):

@@ -200,6 +200,22 @@ class TestDeterminism:
         payload = json.loads(rep.to_json())
         assert payload["schema"] == "fbmvar-report/1"
 
+    def test_numpy_integers_give_the_same_report(self):
+        # integer_in accepts numpy integers, which the JSON writer turns into
+        # Python ints through its default hook
+        plain = run_experiment(ExperimentConfig(
+            "clt", hurst=0.6, order=2, levels=(8,), replicates=100, master_seed=3))
+        numpy = run_experiment(ExperimentConfig(
+            "clt", hurst=0.6, order=np.int64(2), levels=tuple(np.array([8])),
+            replicates=np.int64(100), master_seed=np.uint64(3)))
+        assert isinstance(numpy.config["master_seed"], np.uint64)
+        assert numpy.to_json() == plain.to_json()
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64("inf")])
+    def test_json_text_refuses_a_number_json_cannot_spell(self, value):
+        with pytest.raises(DomainError, match="^an output value is not finite"):
+            experiments.json_text({"levels": [{"stat": 1.0, "stat_se": value}]})
+
 
 class TestEngine:
     def nc_cfg(self, **kw):
@@ -533,6 +549,23 @@ class TestTrapezoid:
         assert rep.summary["arm"] == "counterexample"
         assert rep.verdict == "PASS"
 
+
+    @pytest.mark.parametrize("weight", ["poly:0,0,1e6", "poly:3,-2,1e4", "poly:0,1e8",
+                                        "poly:0,0,1"])
+    def test_convergence_arm_passes_exact_sums(self, weight):
+        # the errors are rounding noise that grows with n (up to 6e-8 at
+        # poly:0,1e8), so the sequence need not decrease: the weight decides
+        for seed in range(3):
+            rep = run_trapezoid(
+                ExperimentConfig(
+                    "trapezoid", hurst=0.5, order=2, weight=weight,
+                    levels=(6, 8, 10), replicates=200, master_seed=seed,
+                )
+            )
+            assert rep.summary["arm"] == "convergence"
+            assert rep.summary["inversions"] >= 1
+            assert rep.flags == ["symmetric sums are exact for a polynomial weight of degree <= 2"]
+            assert rep.verdict == "PASS"
 
     @pytest.mark.parametrize("weight", ["poly:0,0,1", "poly:0,1", "poly:1,2,3"])
     def test_counterexample_arm_fails_on_exact_sums(self, weight):

@@ -18,7 +18,8 @@ Each line is ``<sha256>  <name>``.  The outputs covered are:
   of frequency pairs;
 * ``variation`` for five weights, each as Hermite, power, centred power
   and renormalised Hermite variation;
-* ``constants`` at the benchmark's five (H, q) pairs and at q = 4, 6, 12;
+* ``constants`` at the benchmark's five (H, q) pairs, at q = 4, 6, 12 and
+  at H = 0.7499, q = 2, just inside the edge of the CLT window;
 * ``hermite-process`` as json and csv, at partial-sum strides 32, 64, 2
   and 4;
 * ``experiment`` through the CLI: one request given by flags, and one by a
@@ -28,7 +29,8 @@ Each line is ``<sha256>  <name>``.  The outputs covered are:
 * ``--precision`` 1, 4 and 17 JSON from ``sample``, ``variation``,
   ``constants`` and ``hermite-process``;
 * ``report --merge`` of two runner reports, as table and as JSON;
-* a few requests the CLI rejects, as exit code, stdout and stderr.
+* a few requests the CLI rejects, as exit code, stdout and stderr,
+  among them a report that would hold inf and a merged file holding NaN.
 
 A CLI digest covers the exit code, stdout, stderr and any file written
 with --out, --csv or --plot-data.  This is a script, not a test: FFT bits
@@ -53,8 +55,8 @@ from fbmvar.experiments import ExperimentConfig, run_experiment
 
 # (experiment id, H, q, weight, levels, replicates, seed, fine_offset); the
 # weights cos:0, poly:1 and poly:1,0 spell f = 1 another way, and the last
-# four configs are the constant weights judged by the identity check and a
-# trapezoid counterexample whose symmetric sums are exact
+# five configs are the constant weights judged by the identity check and the
+# two trapezoid arms at a weight whose symmetric sums are exact
 RUNNER_CONFIGS = (
     ("small_h", 0.2, 2, "cos:1.0", (6, 7, 8, 9), 200, 1, 6),
     ("small_h", 0.1, 3, "poly:0.5,-1,0.25", (6, 8), 100, 2, 6),
@@ -84,6 +86,7 @@ RUNNER_CONFIGS = (
     ("corollary", 0.9, 2, "poly:3", (4, 5, 6, 7), 100, 0, 2),
     ("corollary", 0.9, 1, "one", (4, 5, 6, 7), 100, 0, 2),
     ("trapezoid", 0.1, 2, "poly:0,0,1", (6, 8, 10), 200, 0, 6),
+    ("trapezoid", 0.5, 2, "poly:0,0,1e6", (6, 8, 10), 200, 0, 6),
 )
 
 WEIGHTS = ("one", "poly:0.5,-1,0.25", "cos:1.0", "sin:0.5", "exp:0.5")
@@ -95,7 +98,7 @@ VARIATION_MODES = {
 }
 CONSTANT_PAIRS = (
     (0.2, 2), (0.6, 2), (0.75, 2), (0.9, 2), (0.3, 3),
-    (0.3, 4), (0.6, 4), (0.3, 6), (0.6, 6), (0.3, 12), (0.6, 12),
+    (0.3, 4), (0.6, 4), (0.3, 6), (0.6, 6), (0.3, 12), (0.6, 12), (0.7499, 2),
 )
 # name: (q, H, m, n_out); the last two sum 2 and 4 terms per output interval
 HERMITE_PROCESS = {
@@ -118,6 +121,7 @@ CONFIG_FILES = {
                "q = 2\nweight = cos:1.0\nlevels = 5,6\nreplicates = 100\nseed = 10\n"
                "fine-offset = 4\n",
     "twice.cfg": "H = 0.6\nq = 2\nhurst = 0.7\nlevels = 6\nreplicates = 100\n",
+    "nan.json": '{"config": {"hurst": NaN, "levels": [6]}, "experiment": "clt"}\n',
 }
 EXPERIMENT_REQUESTS = {
     "flags": ("experiment", "--id", "clt", "--H", "0.6", "--q", "2", "--weight", "cos:1.0",
@@ -173,6 +177,13 @@ REJECTED = {
     "experiment-out-csv-one-file": ("experiment", "--id", "clt", "--H", "0.6", "--q", "2",
                                     "--levels", "6", "--replicates", "100",
                                     "--out", "{dir}/r.txt", "--csv", "{dir}/r.txt"),
+    # a report whose standard errors overflow to inf, a report file holding
+    # NaN, and the series tolerance, which is not an option
+    "experiment-stat-se-inf": ("experiment", "--id", "noncentral", "--H", "0.9", "--q", "2",
+                               "--weight", "poly:1e100,1", "--levels", "4,5,6,7",
+                               "--replicates", "100", "--fine-offset", "2"),
+    "report-merge-nan": ("report", "--merge", "{dir}/nan.json"),
+    "constants-rel-tol": ("constants", "--H", "0.6", "--q", "2", "--rel-tol", "1e-9"),
 }
 # requests rejected for an environment variable: name: (variables, argv)
 REJECTED_ENV = {
