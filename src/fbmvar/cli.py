@@ -21,22 +21,13 @@ from dataclasses import fields
 
 import numpy as np
 
+# A request is one process: each subcommand imports the engine modules it
+# runs when it is called, so start-up loads no more than the request needs.
 from . import fbm
-from .constants import (
-    _check_order,
-    classify_regime,
-    hermite_process_variance_const,
-    sigma_clt,
-    sigma_tilde,
-)
 from .errors import (
-    ConfigError, DomainError, FbmvarError, SeriesDivergenceError, check_int,
+    ConfigError, DomainError, FbmvarError, SeriesDivergenceError, check_int, json_text,
 )
-from .experiments import EXPERIMENT_IDS, ExperimentConfig, json_text, run_experiment
-from .hermite_process import _check_request, simulate_hermite
 from .rng import check_key
-from .variations import renormalize, weighted_hermite_variation, weighted_power_variation
-from .weights import parse_weight
 
 
 class _Parser(argparse.ArgumentParser):
@@ -194,7 +185,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("experiment",
                        help="run a seeded Monte Carlo experiment")
     p.set_defaults(func=_cmd_experiment)
-    p.add_argument("--id", required=True, choices=EXPERIMENT_IDS, dest="experiment_id")
+    p.add_argument("--id", required=True, dest="experiment_id", metavar="ID",
+                   help="experiment to run (README.md's CLI section lists the seven "
+                   "ids, and so does the error for an unknown one)")
     p.add_argument("--config", help="key = value config file (flags override)")
     p.add_argument("--H", type=_real)
     p.add_argument("--q", type=int, help="order q, an integer in [1, 150]; "
@@ -247,6 +240,10 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_variation(args) -> int:
+    from .constants import _check_order, classify_regime
+    from .variations import renormalize, weighted_hermite_variation, weighted_power_variation
+    from .weights import parse_weight
+
     # every check that needs no path runs before the path is drawn
     if args.centered and not args.power:
         raise FbmvarError("--centered subtracts mu_q from the power variation: add --power")
@@ -276,6 +273,10 @@ def _cmd_variation(args) -> int:
 
 
 def _cmd_constants(args) -> int:
+    from .constants import (
+        classify_regime, hermite_process_variance_const, sigma_clt, sigma_tilde,
+    )
+
     regime = classify_regime(args.H, args.q)
     payload: dict = {"H": args.H, "q": args.q, "seed": args.seed,
                      "regime": regime.case_id.value,
@@ -304,6 +305,8 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_hermite_process(args) -> int:
+    from .hermite_process import _check_request, simulate_hermite
+
     _check_json_precision(args.precision, args.export)
     _check_request(args.H, args.q, args.m, args.n_out)
     path = fbm.sample_fbm_circulant(args.H, args.m, args.seed, args.stream)
@@ -347,7 +350,9 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-def _build_experiment_config(args) -> ExperimentConfig:
+def _build_experiment_config(args):
+    from .experiments import ExperimentConfig
+
     raw: dict = {}
     if args.config:
         raw.update(_parse_config_file(args.config))
@@ -382,6 +387,8 @@ def _build_experiment_config(args) -> ExperimentConfig:
 
 
 def _cmd_experiment(args) -> int:
+    from .experiments import run_experiment
+
     cfg = _build_experiment_config(args)
     report = run_experiment(cfg)
     _write_text(report.to_json(), args.out)

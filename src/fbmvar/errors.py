@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and its one integer rule."""
+"""Exception types shared across the package, its one integer rule and its
+one JSON writer (``json_text``), which every JSON output goes through."""
+
+import json
 
 import numpy as np
 
@@ -51,3 +54,19 @@ def check_int(value, name: str, low: int, high: int | None = None, error=DomainE
         span = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise error(f"{name} must be an integer {span}, got {value!r}")
     return value
+
+
+def _plain(obj):
+    # json.dumps hook for the numpy values json cannot encode itself
+    # (np.float64 subclasses float and is encoded as one)
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj.item()
+
+
+def json_text(payload) -> str:
+    """Canonical JSON text: sorted keys, indent 2, each float its shortest repr.
+    A number that is not finite has no JSON spelling and raises DomainError."""
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2, default=_plain,
+                          allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DomainError(f"an output value is not finite ({exc})") from None

@@ -45,11 +45,9 @@ byte-reproducible); it is exposed separately on the report object.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
 from types import MappingProxyType
@@ -72,7 +70,9 @@ from .constants import (
     sigma_tilde_critical,
     sigma_tilde_critical_corrected,
 )
-from .errors import ConfigError, DomainError, RegimeError, SizeLimitError, check_int
+from .errors import (
+    ConfigError, DomainError, RegimeError, SizeLimitError, check_int, json_text,
+)
 from .hermite import monomial_in_hermite
 from .hermite_process import hermite_partial_sums, young_integral_rows
 from .rng import check_key
@@ -121,6 +121,7 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
+        # the one check of the id: the CLI passes --id through as given
         if self.experiment_id not in EXPERIMENT_IDS:
             raise ConfigError(
                 f"unknown experiment {self.experiment_id!r}; "
@@ -181,22 +182,6 @@ class ExperimentReport:
 
 def _csv_cell(v) -> str:
     return "" if v is None else repr(v) if isinstance(v, float) else str(v)
-
-
-def _plain(obj):
-    # json.dumps hook for the numpy values json cannot encode itself
-    # (np.float64 subclasses float and is encoded as one)
-    return obj.tolist() if isinstance(obj, np.ndarray) else obj.item()
-
-
-def json_text(payload) -> str:
-    """Canonical JSON text: sorted keys, indent 2, each float its shortest repr.
-    A number that is not finite has no JSON spelling and raises DomainError."""
-    try:
-        return json.dumps(payload, sort_keys=True, indent=2, default=_plain,
-                          allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise DomainError(f"an output value is not finite ({exc})") from None
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -337,6 +322,9 @@ def _collect(
         # not a pool thread, which allocates from its own glibc arena (+7-8% peak RSS)
         parts = [block(s, c) for s, c in blocks]
     else:
+        # imported here, so a one-thread run loads no thread pool
+        from concurrent.futures import ThreadPoolExecutor
+
         # lru_cache does not lock a miss, so build the spectrum once up front
         fbm._circulant_sqrt_eigs(cfg.hurst, fine_level)
         with ThreadPoolExecutor(max_workers=workers) as ex:

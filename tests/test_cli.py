@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fbmvar import cli as cli_module
 from fbmvar import experiments, fbm
 from fbmvar.cli import _emit, build_parser, main
 from fbmvar.constants import classify_regime, sigma_clt
@@ -152,7 +151,7 @@ def test_rational_hurst_hits_the_critical_case(capsys, monkeypatch, tmp_path, ra
         seen.append(cfg.hurst)
         raise ConfigError("recorded")
 
-    monkeypatch.setattr(cli_module, "run_experiment", record)
+    monkeypatch.setattr(experiments, "run_experiment", record)
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(f"hurst = {ratio}\nq = {q}\n")
     for given in (("--H", ratio, "--q", str(q)), ("--config", str(cfg_file))):
@@ -540,7 +539,7 @@ def test_bad_fbmvar_threads_is_named(capsys, monkeypatch, value, shown):
         seen.append(cfg.threads)
         raise ConfigError("recorded")
 
-    monkeypatch.setattr(cli_module, "run_experiment", record)
+    monkeypatch.setattr(experiments, "run_experiment", record)
     assert run_cli(capsys, *argv, "--threads", "2")[:2] == (1, "")
     assert seen == [2]
 
@@ -672,6 +671,23 @@ def test_bad_request_exits_before_sampling(capsys, monkeypatch, argv, message):
     monkeypatch.setattr(fbm, "sample_fbm_cholesky", no_path)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_unknown_experiment_id_exits_one_before_sampling(capsys, monkeypatch, tmp_path):
+    # ExperimentConfig alone checks the id, so its one error line names all seven
+    monkeypatch.setattr(fbm, "sample_increments_circulant", _no_draw)
+    monkeypatch.setattr(fbm, "sample_fbm_circulant", _no_draw)
+    argv = ("experiment", "--id", "bogus", "--H", "0.6", "--q", "2")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: unknown experiment 'bogus'; choose from {EXPERIMENT_IDS}\n"
+    assert len(EXPERIMENT_IDS) == 7
+    # every output path is checked before the request is, so an unwritable
+    # --out wins: exit 2, and the id is never judged
+    bad = tmp_path / "missing" / "r.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"io error: [Errno 2] No such file or directory: '{bad}'\n"
 
 
 def test_runtime_imports_numpy_only(tmp_path):

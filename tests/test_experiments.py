@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -333,7 +334,7 @@ class TestEngine:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         serial = run_noncentral(self.nc_cfg()).to_json()
         assert sizes == []
         blocks = -(-300 // experiments._block_rows(13))

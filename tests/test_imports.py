@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 PROBE = """
@@ -47,3 +49,35 @@ def test_pytest_imports_the_sources_that_pythonpath_names(tmp_path):
         env=env, cwd=root, capture_output=True, text=True,
     )
     assert run.returncode == 0, run.stdout
+
+
+REQUEST = """
+import sys
+from fbmvar.cli import main
+assert main(sys.argv[1:]) == 0
+print(" ".join(sorted(sys.modules)))
+"""
+# what a constants, sample or variation request never runs
+ENGINE = {"fbmvar.experiments", "fbmvar.stats", "concurrent.futures"}
+
+
+@pytest.mark.parametrize("argv, runs, absent", [
+    (("constants", "--H", "0.6", "--q", "2"), "fbmvar.constants", ENGINE),
+    (("sample", "--H", "0.6", "--n", "6", "--format", "bin", "--out", "{dir}/p.fbm"),
+     "fbmvar.fbm",
+     ENGINE | {"fbmvar.constants", "fbmvar.variations", "fbmvar.hermite_process"}),
+    (("variation", "--H", "0.6", "--n", "6", "--q", "2"), "fbmvar.variations", ENGINE),
+    (("experiment", "--id", "clt", "--H", "0.6", "--q", "2", "--levels", "6",
+      "--replicates", "100", "--threads", "1", "--out", "{dir}/r.json"),
+     "fbmvar.experiments", {"concurrent.futures"}),
+], ids=["constants", "sample-bin", "variation", "experiment-one-thread"])
+def test_a_request_loads_only_the_modules_it_runs(tmp_path, argv, runs, absent):
+    # a fresh interpreter per request, as the console script starts one
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+    loaded = set(subprocess.run(
+        [sys.executable, "-c", REQUEST, *argv], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    ).stdout.split())
+    assert runs in loaded
+    assert loaded & absent == set()

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fbmvar import cli, fbm
+from fbmvar import cli, experiments, fbm
 from fbmvar.constants import exact_sum
 from fbmvar.errors import DomainError
 from fbmvar.variations import finite_fsum
@@ -142,7 +142,7 @@ def _no_run(cfg):
 @given(data=config_bytes)
 def test_experiment_config_of_any_text_exits_cleanly(data):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "run_experiment", _no_run)
+        mp.setattr(experiments, "run_experiment", _no_run)
         cfg = Path(tmp) / "exp.cfg"
         cfg.write_bytes(data)
         _assert_clean_exit(*_run(["experiment", "--id", "clt", "--config", str(cfg),

@@ -184,6 +184,8 @@ REJECTED = {
                                "--replicates", "100", "--fine-offset", "2"),
     "report-merge-nan": ("report", "--merge", "{dir}/nan.json"),
     "constants-rel-tol": ("constants", "--H", "0.6", "--q", "2", "--rel-tol", "1e-9"),
+    # an experiment id that names no runner
+    "experiment-id-bogus": ("experiment", "--id", "bogus", "--H", "0.6", "--q", "2"),
 }
 # requests rejected for an environment variable: name: (variables, argv)
 REJECTED_ENV = {
