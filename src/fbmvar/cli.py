@@ -314,10 +314,10 @@ def _cmd_hermite_process(args) -> int:
     if args.export == "csv":
         with _text_out(args.out) as fh:
             fh.write("j,t,Z\n")
-            fh.writelines(fbm.csv_rows(z.times, z.values))
+            fh.writelines(fbm.csv_rows(fbm.grid_times(args.n_out), z))
         return 0
     payload = {"q": args.q, "H": args.H, "m": args.m, "n_out": args.n_out,
-               "seed": args.seed, "stream": args.stream, "values": z.values.tolist()}
+               "seed": args.seed, "stream": args.stream, "values": z.tolist()}
     _emit(payload, args.out, args.precision)
     return 0
 
@@ -404,6 +404,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .experiments import REPORT_SCHEMA
+
     reports = []
     for name in args.merge:
         with open(name) as fh:
@@ -419,6 +421,9 @@ def _cmd_report(args) -> int:
             raise FbmvarError(
                 f"{name}: not an experiment report (config.levels is not a list)"
             )
+        if rep.get("schema") != REPORT_SCHEMA:
+            raise FbmvarError(f"{name}: not an experiment report "
+                              f"(schema {rep.get('schema')!r}, want {REPORT_SCHEMA!r})")
         reports.append(rep)
     if args.format == "json":
         merged = {"schema": "fbmvar-report-merge/1", "seed": args.seed, "reports": reports}

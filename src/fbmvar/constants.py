@@ -24,14 +24,6 @@ and the expansion remainder uses |psi(x)**p - 1 - p e1 x**2| <= K(p) x**4
 for x <= 1/32, with K(p) = 0.34 p + 0.27 C(p,2) + 1 (the coefficients of
 psi satisfy |e_k| <= 1/(k+1) for a in (0,2), giving
 |psi - 1 - e1 x**2| <= x**4 / (3 (1 - x**2)) and |psi - 1| <= 0.51 x**2).
-The design-level integral bound on the *raw* omitted mass,
-|rho_H(r)| <= 2H|2H-1| (|r|-1)**(2H-2) for |r| >= 2, hence
-
-    sum_{|r|>R} |rho|**p <= 2 (2H|2H-1|)**p (R-1)**(1-s) / (s - 1),
-
-is exposed as ``rho_tail_mass_bound`` and used by the monotonicity test;
-it certifies the partial sums but is far too weak to meet REL_TOL = 1e-8
-at radius 1024, which is why the corrected value is the reported one.
 
 Critical-case constants are implemented exactly as printed, with
 ``*_corrected`` companions (square root inserted; for the power-variation
@@ -163,17 +155,6 @@ def _zeta_tail_em(sigma: float, radius: int) -> tuple[float, float]:
 
 def _zeta_tail_upper(sigma: float, radius: int) -> float:
     return radius ** (1.0 - sigma) / (sigma - 1.0)
-
-
-def rho_tail_mass_bound(hurst: float, p: int, radius: int) -> float:
-    """Certified bound on sum_{|r|>R} |rho_H(r)|**p via the integral test."""
-    s = (2.0 - 2.0 * hurst) * p
-    if s <= 1.0:
-        raise SeriesDivergenceError(
-            f"sum of |rho|^{p} diverges for H={hurst} (need (2-2H)p > 1)"
-        )
-    c = (2.0 * hurst * abs(2.0 * hurst - 1.0)) ** p
-    return 2.0 * c * (radius - 1.0) ** (1.0 - s) / (s - 1.0)
 
 
 # extraction rounds of exact_sum before the residual goes to math.fsum; with

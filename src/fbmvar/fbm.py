@@ -103,11 +103,16 @@ class FbmPath:
 
     @property
     def times(self) -> np.ndarray:
-        return np.arange(2**self.level + 1) * 2.0**-self.level
+        return grid_times(self.level)
 
     @property
     def increments(self) -> np.ndarray:
         return np.diff(self.values)
+
+
+def grid_times(level: int) -> np.ndarray:
+    """The grid t_k = k 2**-level, k = 0 .. 2**level, of a path or of Z."""
+    return np.arange(2**level + 1) * 2.0**-level
 
 
 def _check_h(hurst: float) -> None:
@@ -120,15 +125,6 @@ def check_level(level: int, top=CIRCULANT_MAX_LEVEL, name="level", error=SizeLim
     when `top` is None), else `error` naming `name` and the range.  The default
     top, the circulant sampler's, bounds every path, path file and level-n sum."""
     return check_int(level, name, 1, top, error)
-
-
-def fbm_covariance(t: float, s: float, hurst: float) -> float:
-    """Covariance R_H(t, s) of fBm on [0, 1]."""
-    _check_h(hurst)
-    if not (0.0 <= t <= 1.0 and 0.0 <= s <= 1.0):
-        raise DomainError(f"t, s must lie in [0,1], got t={t}, s={s}")
-    h2 = 2.0 * hurst
-    return 0.5 * (abs(s) ** h2 + abs(t) ** h2 - abs(t - s) ** h2)
 
 
 def rho(r, hurst: float):
@@ -410,13 +406,6 @@ def _cholesky_factor(hurst: float, level: int) -> np.ndarray:
         ) from exc
     chol.flags.writeable = False
     return chol
-
-
-def coarsen(path: FbmPath, level: int) -> FbmPath:
-    """Restriction of a path to a coarser dyadic grid (still exact fBm)."""
-    check_level(level, path.level, "target level")
-    step = 2 ** (path.level - level)
-    return FbmPath(path.hurst, level, path.values[::step], path.seed, path.stream_index)
 
 
 def csv_rows(times: np.ndarray, values: np.ndarray) -> Iterator[str]:

@@ -19,13 +19,12 @@ length 2^m is built.  The rounding error of Z_m(t) is about
 against (2^m - 1) u sum |H_q| for one running sum over all 2^m terms.
 At n = m the two orders coincide bit for bit.
 
-Integrals of the form int f(B) dZ are left-endpoint Riemann-Young sums
-on an aligned coarse grid.
+``simulate_hermite`` returns Z's values on that grid, a plain array whose
+times are ``fbm.grid_times(n)``.  Integrals of the form int f(B) dZ are
+left-endpoint Riemann-Young sums of those values on an aligned coarse grid.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,18 +33,6 @@ from .errors import GridAlignmentError
 from .fbm import FbmPath, check_level
 from .variations import _weighted, finite_fsum, left_weights, scaled_hermite, weighted_rows
 from .weights import WeightFunction
-
-
-@dataclass(frozen=True)
-class HermiteApprox:
-    """Discrete Hermite-process approximation on a coarse dyadic grid."""
-
-    out_level: int
-    values: np.ndarray  # Z at t_j = j 2^-out_level, values[0] == 0
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(2**self.out_level + 1) * 2.0**-self.out_level
 
 
 def hermite_partial_sums(
@@ -83,32 +70,29 @@ def _check_request(hurst: float, q: int, level: int, out_level: int) -> None:
     check_level(out_level, level, "out_level")
 
 
-def simulate_hermite(path: FbmPath, q: int, out_level: int) -> HermiteApprox:
-    """Approximate Z^(q) from a fine fBm path, sampled on a coarser grid.
+def simulate_hermite(path: FbmPath, q: int, out_level: int) -> np.ndarray:
+    """Approximate Z^(q) from a fine fBm path, sampled on a coarser grid: the
+    2^out_level + 1 values of Z at t_j = j 2^-out_level, the first 0.
 
     Requires the non-central regime H > 1 - 1/(2q) and out_level <= the
     path's level.  Deterministic given the path: same seed, same Z.
     """
     _check_request(path.hurst, q, path.level, out_level)
     terms = scaled_hermite(path.increments, path.hurst, path.level, q)
-    return HermiteApprox(
-        out_level, hermite_partial_sums(terms, path.hurst, path.level, q, out_level)
-    )
+    return hermite_partial_sums(terms, path.hurst, path.level, q, out_level)
 
 
-def young_integral(
-    f: WeightFunction, coarse_values: np.ndarray, z: HermiteApprox
-) -> float:
-    """Left-endpoint Riemann-Young sum sum_j f(B_(j-1)h) (Z_jh - Z_(j-1)h),
-    exactly accumulated; DomainError when it overflows a double."""
+def young_integral(f: WeightFunction, coarse_values: np.ndarray, z: np.ndarray) -> float:
+    """Left-endpoint Riemann-Young sum sum_j f(B_(j-1)h) (Z_jh - Z_(j-1)h) of
+    the values `z` of Z on the grid of `coarse_values`, exactly accumulated;
+    DomainError when it overflows a double."""
     coarse_values = np.asarray(coarse_values, dtype=float)
-    if coarse_values.shape != z.values.shape:
+    if coarse_values.shape != z.shape:
         raise GridAlignmentError(
-            f"grid mismatch: {len(coarse_values)} path points vs "
-            f"{len(z.values)} Z points"
+            f"grid mismatch: {len(coarse_values)} path points vs {len(z)} Z points"
         )
     with np.errstate(over="ignore", invalid="ignore"):  # finite_fsum reports it
-        terms = _weighted(np.diff(z.values), left_weights(f, coarse_values))
+        terms = _weighted(np.diff(z), left_weights(f, coarse_values))
     return finite_fsum(terms, "Young integral")
 
 

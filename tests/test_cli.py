@@ -111,7 +111,7 @@ def test_hermite_process_json(capsys):
     assert (payload["q"], payload["H"], payload["m"], payload["n_out"], payload["seed"],
             payload["stream"]) == (2, 0.9, 8, 4, 2, 1)
     z = simulate_hermite(fbm.sample_fbm_circulant(0.9, 8, 2, 1), 2, 4)
-    assert payload["values"] == z.values.tolist()
+    assert payload["values"] == z.tolist()
 
 
 def test_variation_power_centered(capsys):
@@ -392,6 +392,10 @@ def test_report_merge(tmp_path, capsys):
     # json.load reads NaN and Infinity, which are not JSON
     (b'{"config": {"hurst": NaN, "levels": [6]}}', "not a JSON report"),
     (b'{"config": {"levels": [6]}, "verdict": -Infinity}', "not a JSON report"),
+    # shaped like a report, but no runner wrote it
+    (b"{}", "not an experiment report (schema None, want 'fbmvar-report/1')"),
+    (b'{"schema": "other/9", "config": {"levels": [6]}}',
+     "not an experiment report (schema 'other/9', want 'fbmvar-report/1')"),
 ])
 def test_report_merge_bad_input_exits_one(tmp_path, capsys, content, names):
     bad = tmp_path / "bad.json"
@@ -739,7 +743,8 @@ def test_hermite_process_csv(capsys):
     assert len(lines) == 1 + 17
     assert lines[1].split(",")[2] == "0.0"
     z = simulate_hermite(fbm.sample_fbm_circulant(0.9, 8, 2), 2, 4)
-    rows = [f"{j},{float(t)!r},{float(v)!r}" for j, (t, v) in enumerate(zip(z.times, z.values))]
+    times = np.arange(17) / 16
+    rows = [f"{j},{float(t)!r},{float(v)!r}" for j, (t, v) in enumerate(zip(times, z))]
     assert out == "\n".join(["j,t,Z", *rows]) + "\n"
 
 

@@ -12,6 +12,7 @@ from fbmvar import variations as V
 from fbmvar.errors import DomainError, RegimeError, SeriesDivergenceError
 from fbmvar.hermite import gaussian_moment, monomial_in_hermite
 from fbmvar.weights import parse_weight
+from oracles import rho_tail_mass_bound
 
 
 def test_classifier_examples():
@@ -220,10 +221,10 @@ def test_raw_tail_mass_bound():
     for hurst, p in ((0.6, 2), (0.3, 2)):
         lags = np.arange(1001, 2_000_000)
         actual = 2.0 * float(np.sum(np.abs(rho(lags, hurst)) ** p))
-        assert actual < C.rho_tail_mass_bound(hurst, p, 1000)
+        assert actual < rho_tail_mass_bound(hurst, p, 1000)
     # (2 - 2H) p = 0.2 <= 1: the tail is infinite
     with pytest.raises(SeriesDivergenceError):
-        C.rho_tail_mass_bound(0.9, 1, 100)
+        rho_tail_mass_bound(0.9, 1, 100)
 
 
 def test_sigma_critical_high_printed():

@@ -23,7 +23,7 @@ def test_regime_contract():
     with pytest.raises(RegimeError):
         simulate_hermite(path, 2, 4)
     ok = fbm.sample_fbm_circulant(0.76, 6, seed=0)
-    assert simulate_hermite(ok, 2, 4).values.shape == (17,)
+    assert simulate_hermite(ok, 2, 4).shape == (17,)
 
 
 def test_out_level_contract():
@@ -97,7 +97,7 @@ def test_partial_sums_equal_the_reshape_sum(stride, rows):
 def test_simulate_hermite_equals_the_definition(hurst, q, m, n):
     path = fbm.sample_fbm_circulant(hurst, m, seed=6)
     z = simulate_hermite(path, q, n)
-    assert z.values.tobytes() == interval_order_oracle(path.values, hurst, m, q, n).tobytes()
+    assert z.tobytes() == interval_order_oracle(path.values, hurst, m, q, n).tobytes()
     # each order of summation is within (2^m - 1) u sum |H_q| of the exact
     # partial sum, so the two are within twice that, times the prefactor
     definition = partial_sums_oracle(path.values, hurst, m, q, n)
@@ -105,9 +105,9 @@ def test_simulate_hermite_equals_the_definition(hurst, q, m, n):
     prefactor = 2.0 ** (m * (q * (1.0 - hurst) - 1.0))
     u = np.finfo(float).eps / 2  # unit roundoff
     bound = 2 * 2**m * u * np.sum(np.abs(hq)) * prefactor
-    assert np.all(np.abs(z.values - definition) <= bound)
+    assert np.all(np.abs(z - definition) <= bound)
     if n == m:  # one term per interval: the two orders coincide
-        assert z.values.tobytes() == definition.tobytes()
+        assert z.tobytes() == definition.tobytes()
 
 
 def test_identity_with_renormalized_variation():
@@ -117,14 +117,14 @@ def test_identity_with_renormalized_variation():
     z = simulate_hermite(path, 2, 10)
     raw = weighted_hermite_variation(path, ONE, 2)
     target = renormalize(raw, 0.9, 2, 10).renormalized_value
-    assert abs(z.values[-1] - target) <= 1e-12 * max(1.0, abs(target))
-    assert z.values[0] == 0.0
+    assert abs(z[-1] - target) <= 1e-12 * max(1.0, abs(target))
+    assert z[0] == 0.0
 
 
 def test_measurable_function_of_path():
     a = simulate_hermite(fbm.sample_fbm_circulant(0.85, 9, seed=3), 3, 5)
     b = simulate_hermite(fbm.sample_fbm_circulant(0.85, 9, seed=3), 3, 5)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 def test_variance_matches_constant():
@@ -162,11 +162,11 @@ def test_stationary_increments_ks():
 def test_young_integral_linearity():
     path = fbm.sample_fbm_circulant(0.9, 10, seed=5)
     z = simulate_hermite(path, 2, 6)
-    coarse = fbm.coarsen(path, 6).values
-    assert young_integral(ONE, coarse, z) == pytest.approx(z.values[-1], rel=1e-12)
+    coarse = path.values[:: 2 ** (path.level - 6)]
+    assert young_integral(ONE, coarse, z) == pytest.approx(z[-1], rel=1e-12)
     c = 3.5
     assert young_integral(Polynomial((c,)), coarse, z) == pytest.approx(
-        c * z.values[-1], rel=1e-12
+        c * z[-1], rel=1e-12
     )
 
 
@@ -174,18 +174,18 @@ def test_young_integral_grid_mismatch():
     path = fbm.sample_fbm_circulant(0.9, 10, seed=5)
     z = simulate_hermite(path, 2, 6)
     with pytest.raises(GridAlignmentError):
-        young_integral(ONE, fbm.coarsen(path, 5).values, z)
+        young_integral(ONE, path.values[:: 2 ** (path.level - 5)], z)
 
 
 def test_young_integral_rows_match_single_and_check_the_weight_grid():
     path = fbm.sample_fbm_circulant(0.9, 10, seed=5)
     z = simulate_hermite(path, 2, 6)
-    coarse = fbm.coarsen(path, 6).values
+    coarse = path.values[:: 2 ** (path.level - 6)]
     f = Cosine(1.0)
-    rows = young_integral_rows(f(coarse)[None, :-1], z.values[None, :])
+    rows = young_integral_rows(f(coarse)[None, :-1], z[None, :])
     assert rows[0] == pytest.approx(young_integral(f, coarse, z), rel=1e-12)
     with pytest.raises(GridAlignmentError):
-        young_integral_rows(f(coarse)[None, :], z.values[None, :])
+        young_integral_rows(f(coarse)[None, :], z[None, :])
 
 
 def test_young_cauchy_refinement():
@@ -199,7 +199,7 @@ def test_young_cauchy_refinement():
         vals = []
         for n_out in (4, 5, 6, 7):
             z = simulate_hermite(path, 2, n_out)
-            coarse = fbm.coarsen(path, n_out).values
+            coarse = path.values[:: 2 ** (path.level - n_out)]
             vals.append(young_integral(f, coarse, z))
         diffs += [abs(b - a) for a, b in zip(vals, vals[1:])]
     diffs /= n_paths
@@ -210,7 +210,7 @@ def test_young_cauchy_refinement():
 def test_young_integral_rejects_an_overflowing_sum():
     path = fbm.sample_fbm_circulant(0.9, 10, seed=5)
     z = simulate_hermite(path, 2, 6)
-    coarse = fbm.coarsen(path, 6).values
+    coarse = path.values[:: 2 ** (path.level - 6)]
     with pytest.raises(DomainError, match="Young integral"):
         young_integral(Polynomial((1e308,)), coarse, z)
     with pytest.raises(DomainError, match="Young integral"):

@@ -30,7 +30,8 @@ Each line is ``<sha256>  <name>``.  The outputs covered are:
   ``constants`` and ``hermite-process``;
 * ``report --merge`` of two runner reports, as table and as JSON;
 * a few requests the CLI rejects, as exit code, stdout and stderr,
-  among them a report that would hold inf and a merged file holding NaN.
+  among them a report that would hold inf, and merged files holding NaN,
+  an empty object or another schema.
 
 A CLI digest covers the exit code, stdout, stderr and any file written
 with --out, --csv or --plot-data.  This is a script, not a test: FFT bits
@@ -122,6 +123,8 @@ CONFIG_FILES = {
                "fine-offset = 4\n",
     "twice.cfg": "H = 0.6\nq = 2\nhurst = 0.7\nlevels = 6\nreplicates = 100\n",
     "nan.json": '{"config": {"hurst": NaN, "levels": [6]}, "experiment": "clt"}\n',
+    "empty.json": "{}\n",
+    "other.json": '{"schema": "other/9", "config": {"levels": [6]}, "experiment": "clt"}\n',
 }
 EXPERIMENT_REQUESTS = {
     "flags": ("experiment", "--id", "clt", "--H", "0.6", "--q", "2", "--weight", "cos:1.0",
@@ -177,12 +180,15 @@ REJECTED = {
     "experiment-out-csv-one-file": ("experiment", "--id", "clt", "--H", "0.6", "--q", "2",
                                     "--levels", "6", "--replicates", "100",
                                     "--out", "{dir}/r.txt", "--csv", "{dir}/r.txt"),
-    # a report whose standard errors overflow to inf, a report file holding
-    # NaN, and the series tolerance, which is not an option
+    # a report whose standard errors overflow to inf, report files holding
+    # NaN, an empty object and another schema, and the series tolerance,
+    # which is not an option
     "experiment-stat-se-inf": ("experiment", "--id", "noncentral", "--H", "0.9", "--q", "2",
                                "--weight", "poly:1e100,1", "--levels", "4,5,6,7",
                                "--replicates", "100", "--fine-offset", "2"),
     "report-merge-nan": ("report", "--merge", "{dir}/nan.json"),
+    "report-merge-empty-object": ("report", "--merge", "{dir}/empty.json"),
+    "report-merge-schema-other": ("report", "--merge", "{dir}/other.json"),
     "constants-rel-tol": ("constants", "--H", "0.6", "--q", "2", "--rel-tol", "1e-9"),
     # an experiment id that names no runner
     "experiment-id-bogus": ("experiment", "--id", "bogus", "--H", "0.6", "--q", "2"),
