@@ -253,8 +253,7 @@ def _cmd_variation(args) -> int:
         raise FbmvarError("--renormalize applies to the Hermite variation, not to --power")
     f = parse_weight(args.weight)
     _check_order(args.q, minimum=1)
-    if args.renormalize:
-        classify_regime(args.H, args.q)
+    regime = classify_regime(args.H, args.q) if args.renormalize else None
     path = fbm.sample_fbm_circulant(args.H, args.n, args.seed, args.stream)
     if args.power:
         raw = weighted_power_variation(path, f, args.q, centered=args.centered)
@@ -265,9 +264,8 @@ def _cmd_variation(args) -> int:
                "kind": "power" if args.power else "hermite",
                "centered": bool(args.centered), "raw_value": raw}
     if args.renormalize:
-        stat = renormalize(raw, args.H, args.q, args.n)
-        payload["renormalized_value"] = stat.renormalized_value
-        payload["regime"] = stat.regime.case_id.value
+        payload["renormalized_value"] = renormalize(raw, args.H, args.q, args.n)
+        payload["regime"] = regime.case_id.value
     _emit(payload, args.out, args.precision)
     return 0
 

@@ -312,7 +312,7 @@ def sigma_tilde(
     tail = 0.0
     max_radius = 1
     converged = True
-    for p, c in enumerate(monomial_in_hermite(q).coeffs):
+    for p, c in enumerate(monomial_in_hermite(q)):
         if p == 0 or c == 0:
             continue
         coef = c * c // math.factorial(p) * 2.0**-p
@@ -358,7 +358,7 @@ def sigma_tilde_critical_corrected(q: int) -> float:
     _check_order(q)
     if q % 2 == 1:
         raise DomainError(f"sigma_tilde_critical addresses even q, got {q}")
-    return monomial_in_hermite(q).coeffs[2] * math.sqrt(sigma_critical_high(2))
+    return monomial_in_hermite(q)[2] * math.sqrt(sigma_critical_high(2))
 
 
 def hermite_process_variance_const(q: int, hurst: float) -> float:

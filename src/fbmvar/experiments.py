@@ -303,10 +303,12 @@ def _collect(
         check_int(cfg.fine_offset, "fine_offset", 1, error=ConfigError)
     fine_level = fbm.check_level(
         max(cfg.levels) + (cfg.fine_offset if fine else 0), name="finest sampled level")
-    # the outputs alone hold a double per replicate and level; a count whose
-    # outputs cannot fit in memory is refused before its blocks are listed
+    # a kernel keeps up to three doubles per replicate and level (y, fsq,
+    # drift), and joining the blocks holds each twice: 48 bytes per replicate
+    # and level.  A count whose outputs cannot fit in memory is refused
+    # before its blocks are listed
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if 8 * cfg.replicates * len(cfg.levels) > memory:
+    if 48 * cfg.replicates * len(cfg.levels) > memory:
         raise SizeLimitError(
             f"{cfg.replicates} replicates at {len(cfg.levels)} levels need more than "
             f"the {memory} bytes of physical memory"
@@ -359,7 +361,7 @@ def _drift(paths: _LevelPaths, q: int, power=False) -> np.ndarray:
     `power`, c_2/8 * Riemann sum of f''(B), c_2 = 2 C(q,2) mu_{q-2}, the
     even-q drift of the centred power variation."""
     if power:
-        return 0.125 * monomial_in_hermite(q).coeffs[2] * riemann_sum_rows(paths.left(2))
+        return 0.125 * monomial_in_hermite(q)[2] * riemann_sum_rows(paths.left(2))
     const = (-1.0) ** q / (2.0**q * math.factorial(q))
     return const * riemann_sum_rows(paths.left(q))
 
@@ -370,7 +372,7 @@ def _pathwise_kernel(cfg, paths, m, n, item=None):
     q, hurst = cfg.order, cfg.hurst
     if item == 1:
         stat = 2.0 ** (-n * hurst) * _variation(cfg, paths, n, power=True)
-        c_1 = monomial_in_hermite(q).coeffs[1]  # q mu_{q-1}
+        c_1 = monomial_in_hermite(q)[1]  # q mu_{q-1}
         f = paths.f
         limit = c_1 * (f.antiderivative(paths.values[:, -1]) - f.antiderivative(0.0))
     else:
@@ -409,7 +411,7 @@ def _young_kernel(cfg, paths, m, n, power=False):
     z_vals = hermite_partial_sums(terms, hurst, m, order, n)
     if power:
         stat = 2.0 ** (m - 2.0 * hurst * m) * _variation(cfg, paths, m, power=True)
-        const = monomial_in_hermite(q).coeffs[2]
+        const = monomial_in_hermite(q)[2]
     else:
         # the one H_q pass of the level feeds both Z and, weighted in place
         # once Z is built, V_m^(q)(f)
@@ -686,7 +688,9 @@ def run_critical_high(cfg: ExperimentConfig) -> ExperimentReport:
     q = cfg.order
     require_regime(cfg.hurst, cfg.order, RegimeCase.CRITICAL_HIGH, "critical_high")
     printed = sigma_critical_high(q)
-    corrected_var = sigma_critical_high_corrected(q) ** 2  # == printed
+    # printed to within an ulp: the square of the square root differs from
+    # it in the last bit at q = 2, 4, 5, 7, 9 and 10
+    corrected_var = sigma_critical_high_corrected(q) ** 2
     printed_var = printed**2
     data = _collect(cfg, _normalised_kernel)
     readings = {"printed_as_sigma": printed_var / corrected_var, "sqrt_corrected": 1.0}

@@ -20,7 +20,6 @@ writes into its argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,47 +63,18 @@ def _double_factorial_odd(k: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class HermiteCoefficients:
-    """Expansion x**degree = sum_p coeffs[p] * H_p(x).
+def monomial_in_hermite(m: int) -> tuple[int, ...]:
+    """Expand x**m in the basis {H_0, ..., H_m}: the tuple (c_0, ..., c_m)
+    with x**m = sum_p c_p H_p(x).
 
-    The coefficients p! * C(degree, p) * mu_{degree-p} are exact integers
-    for every degree (mu is a double factorial), so they are stored as
-    Python ints with no precision loss.
-    """
-
-    degree: int
-    coeffs: tuple[int, ...]
-
-    def as_dict(self) -> dict[int, int]:
-        return {p: c for p, c in enumerate(self.coeffs) if c != 0}
-
-    def evaluate(self, x):
-        """Reconstruct x**degree from the Hermite basis (for testing)."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for p, c in enumerate(self.coeffs):
-            if c:
-                out = out + c * hermite_eval(p, x)
-        return out
-
-
-def monomial_in_hermite(m: int) -> HermiteCoefficients:
-    """Expand x**m in the basis {H_0, ..., H_m}.
-
-    The p-th coefficient is p! * C(m, p) * mu_{m-p}; it vanishes when p
-    and m have different parity, the leading coefficient is m!, and the
-    H_0 coefficient equals mu_m (so x**m - mu_m has no constant part).
+    The p-th coefficient is p! * C(m, p) * mu_{m-p}, an exact Python int for
+    every degree (mu is a double factorial); it vanishes when p and m have
+    different parity, the leading coefficient is m!, and the H_0 coefficient
+    equals mu_m (so x**m - mu_m has no constant part).
     """
     check_int(m, "monomial degree", 1)
-    coeffs = []
-    for p in range(m + 1):
-        if (m - p) % 2 == 1:
-            coeffs.append(0)
-        else:
-            coeffs.append(
-                math.factorial(p)
-                * math.comb(m, p)
-                * _double_factorial_odd(m - p - 1)
-            )
-    return HermiteCoefficients(degree=m, coeffs=tuple(coeffs))
+    return tuple(
+        math.factorial(p) * math.comb(m, p) * _double_factorial_odd(m - p - 1)
+        if (m - p) % 2 == 0 else 0
+        for p in range(m + 1)
+    )

@@ -30,24 +30,14 @@ three times faster at 2**20 terms.  The exact second moments
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ScalingRegime, _check_order, classify_regime, exact_sum, renorm_factor
+from .constants import _check_order, exact_sum, renorm_factor
 from .errors import DomainError, GridAlignmentError
 from .fbm import FbmPath, check_level, rho
 from .hermite import gaussian_moment, hermite_eval, monomial_in_hermite
 from .weights import ConstantOne, WeightFunction
-
-
-@dataclass(frozen=True)
-class VariationStatistic:
-    order: int
-    level: int
-    raw_value: float
-    renormalized_value: float
-    regime: ScalingRegime
 
 
 def scaled_hermite(increments, hurst, level, q) -> np.ndarray:
@@ -115,17 +105,9 @@ def weighted_power_variation(
     return finite_fsum(terms, "weighted power variation")
 
 
-def renormalize(raw_value: float, hurst: float, q: int, level: int) -> VariationStatistic:
-    """Apply the regime prefactor of (H, q) to a raw variation value."""
-    regime = classify_regime(hurst, q)
-    factor = renorm_factor(hurst, q, level)
-    return VariationStatistic(
-        order=q,
-        level=level,
-        raw_value=raw_value,
-        renormalized_value=factor * raw_value,
-        regime=regime,
-    )
+def renormalize(raw_value: float, hurst: float, q: int, level: int) -> float:
+    """A raw variation value times the regime prefactor of (H, q) at `level`."""
+    return renorm_factor(hurst, q, level) * raw_value
 
 
 def weighted_rows(terms: np.ndarray, left) -> np.ndarray:
@@ -185,7 +167,7 @@ def centered_power_second_moment(hurst: float, q: int, level: int) -> float:
     E[S_n^2] = sum_{k,l} sum_p c_p^2 (rho(k-l)/2)^p / p!.
     """
     total = 0.0
-    for p, c in enumerate(monomial_in_hermite(q).coeffs):
+    for p, c in enumerate(monomial_in_hermite(q)):
         if p >= 1 and c != 0:
             total += c * c // math.factorial(p) * _corr_power_sum(hurst, level, p)
     return total

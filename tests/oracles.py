@@ -1,6 +1,7 @@
 """Reference code that only the tests call: the fBm covariance, a certified
-bound on the raw tail of the rho_H series, and the paper's proof
-diagnostics alpha_n, beta_{r,n} and gamma_n.
+bound on the raw tail of the rho_H series, the paper's proof diagnostics
+alpha_n, beta_{r,n} and gamma_n, and the Hermite expansion that rebuilds a
+monomial from its coefficients.
 
 Tests import it as ``from oracles import ...`` (pytest puts ``tests/`` on
 ``sys.path``).  The arithmetic is the library's own where these used to sit
@@ -17,6 +18,7 @@ import numpy as np
 
 from fbmvar.errors import DomainError, SeriesDivergenceError
 from fbmvar.fbm import _check_h, rho
+from fbmvar.hermite import hermite_eval
 
 
 def fbm_covariance(t: float, s: float, hurst: float) -> float:
@@ -46,6 +48,22 @@ def rho_tail_mass_bound(hurst: float, p: int, radius: int) -> float:
         )
     c = (2.0 * hurst * abs(2.0 * hurst - 1.0)) ** p
     return 2.0 * c * (radius - 1.0) ** (1.0 - s) / (s - 1.0)
+
+
+def hermite_expansion(coeffs, x):
+    """sum_p coeffs[p] * H_p(x): x**m again for the coefficients
+    ``hermite.monomial_in_hermite(m)`` returns."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for p, c in enumerate(coeffs):
+        if c:
+            out = out + c * hermite_eval(p, x)
+    return out
+
+
+def nonzero_coefficients(coeffs) -> dict[int, int]:
+    """{p: c_p} for the nonzero entries of a coefficient tuple."""
+    return {p: c for p, c in enumerate(coeffs) if c != 0}
 
 
 @dataclass(frozen=True)

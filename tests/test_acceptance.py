@@ -28,6 +28,7 @@ from fbmvar.experiments import (
 from fbmvar.hermite_process import hermite_partial_sums
 from fbmvar.constants import hermite_process_variance_const
 from fbmvar.stats import ks_2samp, least_squares_slope
+from oracles import nonzero_coefficients
 from fbmvar.variations import hermite_variation_rows, scaled_hermite
 from fbmvar.weights import parse_weight
 
@@ -113,11 +114,12 @@ def test_criterion_02_hermite_algebra():
         se = prod.std() / 1000.0
         mc_ok = mc_ok and abs(prod.mean() - target) <= 3 * se
 
+    table = {m: nonzero_coefficients(hermite.monomial_in_hermite(m)) for m in (2, 3, 4, 5)}
     table_ok = (
-        hermite.monomial_in_hermite(2).as_dict() == {2: 2, 0: 1}
-        and hermite.monomial_in_hermite(3).as_dict() == {3: 6, 1: 3}
-        and hermite.monomial_in_hermite(4).as_dict() == {4: 24, 2: 12, 0: 3}
-        and hermite.monomial_in_hermite(5).as_dict() == {5: 120, 3: 60, 1: 15}
+        table[2] == {2: 2, 0: 1}
+        and table[3] == {3: 6, 1: 3}
+        and table[4] == {4: 24, 2: 12, 0: 3}
+        and table[5] == {5: 120, 3: 60, 1: 15}
     )
     ok = quad_ok and mc_ok and table_ok
     assert report(2, ok, f"hermite algebra: quadrature {quad_ok}, "

@@ -402,7 +402,7 @@ def test_coefficient_constants_match_reference_bits():
     x = rng.standard_normal(64)
     paths = E._LevelPaths(parse_weight("cos:1.0"), rng.standard_normal((3, 16)), {}, 1)
     for q in range(2, 35):
-        c = monomial_in_hermite(q).coeffs
+        c = monomial_in_hermite(q)
         mu1, mu2 = gaussian_moment(q - 1), gaussian_moment(q - 2)
         # corollary item 1's limit, the even-q drift and item 6's constant
         assert (c[1] * x).tobytes() == (q * mu1 * x).tobytes()

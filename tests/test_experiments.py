@@ -310,6 +310,21 @@ class TestEngine:
         with pytest.raises(SizeLimitError, match="physical memory"):
             experiments._collect(cfg, experiments._normalised_kernel)
 
+    def test_replicate_count_refused_by_all_its_outputs(self, monkeypatch):
+        # up to three outputs per replicate and level, each held twice while
+        # the blocks are joined: 48 bytes, so a memory that fits 8 bytes per
+        # replicate and level but not 48 refuses the run before any block
+        def no_block(*args):
+            raise AssertionError("a block was drawn")
+
+        cfg = small_cfg(levels=(10, 11), replicates=10**6)
+        memory = 20 * cfg.replicates * len(cfg.levels)
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
+        monkeypatch.setattr(experiments.os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(experiments, "_replicate_block", no_block)
+        with pytest.raises(SizeLimitError, match=f"the {memory} bytes of physical memory"):
+            experiments._collect(cfg, experiments._normalised_kernel)
+
     def test_block_rows_by_fine_level(self):
         # 2^18 normals while a block holds two rows or more; from fine level
         # 17 on up to 2^22 normals, so the inverse FFT still batches rows

@@ -116,7 +116,7 @@ def test_identity_with_renormalized_variation():
     path = fbm.sample_fbm_circulant(0.9, 10, seed=5)
     z = simulate_hermite(path, 2, 10)
     raw = weighted_hermite_variation(path, ONE, 2)
-    target = renormalize(raw, 0.9, 2, 10).renormalized_value
+    target = renormalize(raw, 0.9, 2, 10)
     assert abs(z[-1] - target) <= 1e-12 * max(1.0, abs(target))
     assert z[0] == 0.0
 

@@ -1,5 +1,6 @@
 """The library holds what a request runs: every public top-level function or
-class of ``src/fbmvar`` is used by library code outside its own definition.
+class of ``src/fbmvar``, and every public method and annotated field of a
+public class, is used by library code outside its own definition.
 
 A name only tests call belongs beside them, in ``tests/oracles.py``.
 """
@@ -23,6 +24,11 @@ ALLOWED = {
 }
 
 
+def _modules(package: Path) -> list[ast.Module]:
+    return [ast.parse(source.read_text(encoding="utf-8"), str(source))
+            for source in sorted(package.glob("*.py"))]
+
+
 def _used_names(node: ast.AST) -> set[str]:
     """Names and attribute names that `node`'s code reads or writes."""
     used = set()
@@ -34,14 +40,29 @@ def _used_names(node: ast.AST) -> set[str]:
     return used
 
 
+def _strings(nodes) -> set[str]:
+    """The string constants in the code of `nodes`."""
+    return {sub.value for node in nodes for sub in ast.walk(node)
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str)}
+
+
+def _member_name(node: ast.stmt) -> str | None:
+    """The name a class-body statement defines as a method or an annotated
+    field, or None."""
+    if isinstance(node, ast.FunctionDef):
+        return node.name
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return node.target.id
+    return None
+
+
 def unreferenced_public_names(package: Path = PACKAGE) -> set[str]:
     """Public top-level functions and classes that no code of the package
     references outside their own definition; docstrings and comments are
     not code, and an import alone is not a use."""
     defined = {}  # name -> its definition node
     used = set()
-    for source in sorted(package.glob("*.py")):
-        tree = ast.parse(source.read_text(encoding="utf-8"), str(source))
+    for tree in _modules(package):
         for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")):
@@ -52,5 +73,34 @@ def unreferenced_public_names(package: Path = PACKAGE) -> set[str]:
     return set(defined) - used
 
 
+def unreferenced_public_members(package: Path = PACKAGE) -> set[str]:
+    """``Class.member`` for each public method or annotated field of a public
+    top-level class that no code of the package references outside the
+    member's own definition.  A name or an attribute anywhere is a use, and
+    so is a string constant elsewhere in the class's own body, as the keys
+    that ``ExperimentReport.to_json`` reads with getattr."""
+    members = {}  # "Class.member" -> (member name, strings of the rest of its class)
+    used = set()
+    for tree in _modules(package):
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                used |= _used_names(node)
+                continue
+            for stmt in node.body:
+                name = _member_name(stmt)
+                if name is None or name.startswith("_"):
+                    used |= _used_names(stmt)
+                    continue
+                used |= _used_names(stmt) - {name}
+                rest = [other for other in node.body if other is not stmt]
+                members[f"{node.name}.{name}"] = (name, _strings(rest))
+    return {qualified for qualified, (name, strings) in members.items()
+            if name not in used and name not in strings}
+
+
 def test_every_public_name_has_a_caller_in_the_library():
     assert unreferenced_public_names() == set(ALLOWED)
+
+
+def test_every_public_member_has_a_caller_in_the_library():
+    assert unreferenced_public_members() == set()

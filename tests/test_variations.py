@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbmvar import fbm, variations as V
-from fbmvar.constants import RegimeCase
+from fbmvar.constants import RegimeCase, classify_regime
 from fbmvar.errors import DomainError, GridAlignmentError
 from fbmvar.hermite import monomial_in_hermite
 from fbmvar.weights import (
@@ -153,8 +153,8 @@ class TestHermiteVariation:
             pv = V.weighted_power_variation(path, weight, q, centered=True)
             combo = math.fsum(
                 c * V.weighted_hermite_variation(path, weight, p)
-                for p, c in monomial_in_hermite(q).as_dict().items()
-                if p >= 1
+                for p, c in enumerate(monomial_in_hermite(q))
+                if p >= 1 and c != 0
             )
             assert combo == pytest.approx(pv, rel=1e-10, abs=1e-9)
 
@@ -184,13 +184,11 @@ class TestHermiteVariation:
 
 class TestRenormalize:
     def test_prefactors(self):
-        assert V.renormalize(1.0, 0.1, 3, 10).renormalized_value == 2.0**-7
-        assert V.renormalize(1.0, 0.5, 2, 10).renormalized_value == 2.0**-5
-        assert V.renormalize(1.0, 0.9, 2, 10).renormalized_value == 2.0**-8
-        stat = V.renormalize(3.0, 0.75, 2, 16)
-        assert stat.regime.case_id is RegimeCase.CRITICAL_HIGH
-        assert stat.renormalized_value == pytest.approx(3.0 * 2.0**-8 / 4.0)
-        assert stat.raw_value == 3.0
+        assert V.renormalize(1.0, 0.1, 3, 10) == 2.0**-7
+        assert V.renormalize(1.0, 0.5, 2, 10) == 2.0**-5
+        assert V.renormalize(1.0, 0.9, 2, 10) == 2.0**-8
+        assert classify_regime(0.75, 2).case_id is RegimeCase.CRITICAL_HIGH
+        assert V.renormalize(3.0, 0.75, 2, 16) == pytest.approx(3.0 * 2.0**-8 / 4.0)
 
 
 class TestSecondMoments:
