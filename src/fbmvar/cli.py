@@ -265,21 +265,20 @@ def _cmd_variation(args) -> int:
                "centered": bool(args.centered), "raw_value": raw}
     if args.renormalize:
         payload["renormalized_value"] = renormalize(raw, args.H, args.q, args.n)
-        payload["regime"] = regime.case_id.value
+        payload["regime"] = regime.value
     _emit(payload, args.out, args.precision)
     return 0
 
 
 def _cmd_constants(args) -> int:
     from .constants import (
-        classify_regime, hermite_process_variance_const, sigma_clt, sigma_tilde,
+        RegimeCase, classify_regime, hermite_process_variance_const, sigma_clt, sigma_tilde,
     )
 
     regime = classify_regime(args.H, args.q)
-    payload: dict = {"H": args.H, "q": args.q, "seed": args.seed,
-                     "regime": regime.case_id.value,
+    payload: dict = {"H": args.H, "q": args.q, "seed": args.seed, "regime": regime.value,
                      "renorm_exponent": regime.renorm_exponent,
-                     "conjectural": regime.conjectural}
+                     "conjectural": regime is RegimeCase.CRITICAL_LOW}
     payload.update(dict.fromkeys(
         ("sigma", "sigma_tilde", "c_qH", "truncation_radius", "tail_bound")))
     try:

@@ -57,6 +57,11 @@ class RegimeCase(Enum):
     CRITICAL_HIGH = "CRITICAL_HIGH"
     NONCENTRAL = "NONCENTRAL"
 
+    @property
+    def renorm_exponent(self) -> str:
+        """The case's renormalisation prefactor at level n, as text."""
+        return _CASES[self][0]
+
 
 # renormalisation exponent, window and prefactor at level n of each case: the
 # one statement of where (H, q) sits against lo = 1/(2q) and hi = 1 - 1/(2q)
@@ -72,15 +77,6 @@ _CASES = {
     RegimeCase.NONCENTRAL: ("2^(n(q(1-H)-1))", "H > 1 - 1/(2q) = {hi}",
                             lambda h, q, n: 2.0 ** (n * (q * (1.0 - h) - 1.0))),
 }
-
-
-@dataclass(frozen=True)
-class ScalingRegime:
-    """Convergence case of (H, q) with its renormalisation prefactor."""
-
-    case_id: RegimeCase
-    renorm_exponent: str
-    conjectural: bool = False
 
 
 @dataclass(frozen=True)
@@ -104,30 +100,26 @@ def _check_order(q: int, minimum: int = 2) -> None:
         )
 
 
-def classify_regime(hurst: float, q: int) -> ScalingRegime:
-    """Assign (H, q) to the convergence case with exact boundary handling."""
+def classify_regime(hurst: float, q: int) -> RegimeCase:
+    """The convergence case of (H, q), with exact boundary handling."""
     _check_order(q)
     _check_h(hurst)
     lo = 1.0 / (2 * q)
     hi = 1.0 - lo
     if hurst < lo:
-        case = RegimeCase.SMALL_H
-    elif hurst == lo:
-        case = RegimeCase.CRITICAL_LOW
-    elif hurst < hi:
-        case = RegimeCase.CLT
-    elif hurst == hi:
-        case = RegimeCase.CRITICAL_HIGH
-    else:
-        case = RegimeCase.NONCENTRAL
-    return ScalingRegime(
-        case, _CASES[case][0], conjectural=case is RegimeCase.CRITICAL_LOW
-    )
+        return RegimeCase.SMALL_H
+    if hurst == lo:
+        return RegimeCase.CRITICAL_LOW
+    if hurst < hi:
+        return RegimeCase.CLT
+    if hurst == hi:
+        return RegimeCase.CRITICAL_HIGH
+    return RegimeCase.NONCENTRAL
 
 
 def require_regime(hurst: float, q: int, case: RegimeCase, who: str) -> None:
     """Raise RegimeError naming `who` unless (H, q) lies in `case`."""
-    if classify_regime(hurst, q).case_id is not case:
+    if classify_regime(hurst, q) is not case:
         lo = 1.0 / (2 * q)
         window = _CASES[case][1].format(lo=lo, hi=1.0 - lo)
         raise RegimeError(f"{who} needs {window}, got H={hurst}, q={q}")
@@ -136,7 +128,7 @@ def require_regime(hurst: float, q: int, case: RegimeCase, who: str) -> None:
 def renorm_factor(hurst: float, q: int, level: int) -> float:
     """Numeric renormalisation prefactor for the regime of (H, q) at `level`."""
     check_level(level)
-    return _CASES[classify_regime(hurst, q).case_id][2](hurst, q, level)
+    return _CASES[classify_regime(hurst, q)][2](hurst, q, level)
 
 
 def _zeta_tail_em(sigma: float, radius: int) -> tuple[float, float]:

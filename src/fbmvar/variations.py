@@ -37,7 +37,7 @@ from .constants import _check_order, exact_sum, renorm_factor
 from .errors import DomainError, GridAlignmentError
 from .fbm import FbmPath, check_level, rho
 from .hermite import gaussian_moment, hermite_eval, monomial_in_hermite
-from .weights import ConstantOne, WeightFunction
+from .weights import ONE, WeightFunction
 
 
 def scaled_hermite(increments, hurst, level, q) -> np.ndarray:
@@ -50,7 +50,7 @@ def scaled_hermite(increments, hurst, level, q) -> np.ndarray:
 def left_weights(f: WeightFunction, values: np.ndarray) -> np.ndarray | None:
     """f at the left endpoint of each increment of the path `values`, or None
     for f = 1, which weights nothing."""
-    return None if isinstance(f, ConstantOne) else f(values)[:-1]
+    return None if f == ONE else f(values)[:-1]
 
 
 def _weighted(terms: np.ndarray, left) -> np.ndarray:

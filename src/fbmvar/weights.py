@@ -60,13 +60,6 @@ class Polynomial(WeightFunction):
 
 
 @dataclass(frozen=True)
-class ConstantOne(Polynomial):
-    """f = 1, the degree-0 polynomial, which the f = 1 fast paths select by type."""
-
-    coefficients: tuple[float, ...] = (1.0,)
-
-
-@dataclass(frozen=True)
 class Cosine(WeightFunction):
     frequency: float = 1.0
 
@@ -129,19 +122,21 @@ def _parameter(text: str) -> float:
     return value
 
 
-# the one weight that is identically zero
+# the one weight that is identically zero, and the one that is identically
+# 1, which weights nothing: the f = 1 fast paths compare a weight with ONE
 ZERO = Polynomial((0.0,))
+ONE = Polynomial((1.0,))
 
 
 def parse_weight(spec: str) -> WeightFunction:
     """Parse the CLI weight grammar: one | poly:c0,c1,... | cos:a | sin:a | exp:a.
 
     Every spelling of f = 1 (one, poly:1,0,..., cos:0, exp:0) gives
-    ``ConstantOne``, so a caller decides f = 1 by type alone; every
+    ``ONE``, so a caller decides f = 1 by ``f == ONE`` alone; every
     spelling of f = 0 (poly:0,0,..., sin:0) gives ``ZERO``."""
     spec = spec.strip()
     if spec == "one":
-        return ConstantOne()
+        return ONE
     if ":" not in spec:
         raise DomainError(f"cannot parse weight spec {spec!r}")
     kind, _, args = spec.partition(":")
@@ -149,10 +144,10 @@ def parse_weight(spec: str) -> WeightFunction:
         if kind == "poly":
             coefficients = tuple(_parameter(c) for c in args.split(","))
             if coefficients[0] == 1.0 and not any(coefficients[1:]):
-                return ConstantOne()
+                return ONE
             return Polynomial(coefficients) if any(coefficients) else ZERO
         if kind in ("cos", "exp") and _parameter(args) == 0.0:
-            return ConstantOne()
+            return ONE
         if kind == "sin" and _parameter(args) == 0.0:
             return ZERO
         if kind == "cos":

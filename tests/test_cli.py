@@ -9,7 +9,7 @@ import pytest
 
 from fbmvar import experiments, fbm
 from fbmvar.cli import _emit, build_parser, main
-from fbmvar.constants import classify_regime, sigma_clt
+from fbmvar.constants import RegimeCase, classify_regime, sigma_clt
 from fbmvar.errors import ConfigError
 from fbmvar.experiments import EXPERIMENT_IDS
 from fbmvar.hermite_process import simulate_hermite
@@ -144,6 +144,8 @@ def test_rational_hurst_hits_the_critical_case(capsys, monkeypatch, tmp_path, ra
                                                regime):
     code, out, _ = run_cli(capsys, "constants", "--H", ratio, "--q", str(q))
     assert code == 0 and json.loads(out)["regime"] == regime
+    # the mixed limit at H = 1/(2q) is proven only for q = 2 (README)
+    assert json.loads(out)["conjectural"] is (regime == "CRITICAL_LOW")
     # --H and the config key hurst give the experiment the same double
     seen = []
 
@@ -158,7 +160,7 @@ def test_rational_hurst_hits_the_critical_case(capsys, monkeypatch, tmp_path, ra
         assert run_cli(capsys, "experiment", "--id", "clt", *given)[0] == 1
     p, _, d = ratio.partition("/")
     assert seen == [int(p) / int(d)] * 2
-    assert classify_regime(seen[0], q).case_id.name == regime
+    assert classify_regime(seen[0], q) is RegimeCase[regime]
 
 
 def test_decimal_hurst_keeps_its_bytes_and_bad_ratios_exit_one(capsys, tmp_path):

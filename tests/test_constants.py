@@ -16,22 +16,21 @@ from oracles import rho_tail_mass_bound
 
 
 def test_classifier_examples():
-    assert C.classify_regime(0.1, 3).case_id is C.RegimeCase.SMALL_H
-    assert C.classify_regime(0.5, 2).case_id is C.RegimeCase.CLT
-    assert C.classify_regime(0.75, 2).case_id is C.RegimeCase.CRITICAL_HIGH
-    assert C.classify_regime(0.9, 2).case_id is C.RegimeCase.NONCENTRAL
-    low = C.classify_regime(0.25, 2)
-    assert low.case_id is C.RegimeCase.CRITICAL_LOW
-    assert low.conjectural
+    assert C.classify_regime(0.1, 3) is C.RegimeCase.SMALL_H
+    assert C.classify_regime(0.5, 2) is C.RegimeCase.CLT
+    assert C.classify_regime(0.75, 2) is C.RegimeCase.CRITICAL_HIGH
+    assert C.classify_regime(0.9, 2) is C.RegimeCase.NONCENTRAL
+    assert C.classify_regime(0.25, 2) is C.RegimeCase.CRITICAL_LOW
+    # each case reads its prefactor's text from the one table of cases
+    assert [case.renorm_exponent for case in C.RegimeCase] == [
+        "2^(n(qH-1))", "2^(-n/2)", "2^(-n/2)", "n^(-1/2) 2^(-n/2)", "2^(n(q(1-H)-1))",
+    ]
 
 
 def test_classifier_boundaries_and_domain():
     for q in (2, 3, 4, 5):
-        assert C.classify_regime(1.0 / (2 * q), q).case_id is C.RegimeCase.CRITICAL_LOW
-        assert (
-            C.classify_regime(1.0 - 1.0 / (2 * q), q).case_id
-            is C.RegimeCase.CRITICAL_HIGH
-        )
+        assert C.classify_regime(1.0 / (2 * q), q) is C.RegimeCase.CRITICAL_LOW
+        assert C.classify_regime(1.0 - 1.0 / (2 * q), q) is C.RegimeCase.CRITICAL_HIGH
     with pytest.raises(DomainError):
         C.classify_regime(0.0, 2)
     with pytest.raises(DomainError):
@@ -67,7 +66,7 @@ def _expected_case(hurst, q):
 )
 def test_classifier_partitions(hurst, q):
     # exactly one case fires for every (H, q)
-    assert C.classify_regime(hurst, q).case_id is _expected_case(hurst, q)
+    assert C.classify_regime(hurst, q) is _expected_case(hurst, q)
 
 
 def test_classifier_partitions_bulk():
@@ -77,7 +76,7 @@ def test_classifier_partitions_bulk():
     hs = rng.uniform(1e-9, 1.0, 10_000)
     qs = rng.integers(2, 11, 10_000)
     for hurst, q in zip(hs, qs):
-        assert C.classify_regime(float(hurst), int(q)).case_id is _expected_case(
+        assert C.classify_regime(float(hurst), int(q)) is _expected_case(
             float(hurst), int(q)
         )
 

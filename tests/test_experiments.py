@@ -32,7 +32,7 @@ from fbmvar.hermite import hermite_eval
 from fbmvar.hermite_process import simulate_hermite, young_integral_rows
 from fbmvar.stats import through_origin_slope
 from fbmvar.variations import hermite_variation_rows, scaled_hermite, weighted_rows
-from fbmvar.weights import ConstantOne, parse_weight
+from fbmvar.weights import ONE, Polynomial, parse_weight
 
 
 def small_cfg(**kw):
@@ -107,7 +107,7 @@ class TestConfig:
             "master_seed", "fine_offset", "threads",
         ]
         rep = run_experiment(small_cfg())
-        assert rep.thresholds == dict(experiments.THRESHOLDS)
+        assert json.loads(rep.to_json())["thresholds"] == dict(experiments.THRESHOLDS)
         with pytest.raises(TypeError):  # the policy cannot be loosened in place
             experiments.THRESHOLDS["slope_rtol"] = 0.5
 
@@ -165,7 +165,7 @@ def test_guards_match_classify_regime_at_boundaries(monkeypatch, q):
     monkeypatch.setattr(experiments, "sigma_clt", _stop)
     for edge in (1.0 / (2 * q), 1.0 - 1.0 / (2 * q)):
         for hurst in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)):
-            case = classify_regime(hurst, q).case_id
+            case = classify_regime(hurst, q)
             for experiment_id, (runner, wants) in _GUARDS.items():
                 cfg = small_cfg(experiment_id=experiment_id, hurst=hurst, order=q)
                 with pytest.raises(_GuardPassed if case is wants else RegimeError):
@@ -301,7 +301,7 @@ class TestEngine:
             assert run_all() == (default, [per_run] * len(configs))
 
     def test_huge_replicate_count_refused_before_any_block(self, monkeypatch):
-        # 10^20 replicates would take 8 * 10^20 bytes of outputs alone
+        # 10^20 replicates would take 48 * 10^20 bytes of outputs alone
         def no_block(*args):
             raise AssertionError("a block was drawn")
 
@@ -323,6 +323,29 @@ class TestEngine:
         monkeypatch.setattr(experiments.os, "sysconf", pages.__getitem__)
         monkeypatch.setattr(experiments, "_replicate_block", no_block)
         with pytest.raises(SizeLimitError, match=f"the {memory} bytes of physical memory"):
+            experiments._collect(cfg, experiments._normalised_kernel)
+
+    def test_workers_refused_when_their_blocks_cannot_fit(self, monkeypatch):
+        # from fine level 20 on a block holds one or two paths, so the blocks
+        # of many workers, not the outputs, fill memory: at level 20 a worker
+        # takes 32 bytes for each of 2 * 2^21 normals, 128 MiB.  A memory that
+        # fits one worker's block refuses 64 workers before any block
+        class Drawn(Exception):
+            pass
+
+        def drawn(*args):
+            raise Drawn
+
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(experiments, "_replicate_block", drawn)
+        memory = 1 << 30
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
+        monkeypatch.setattr(experiments.os, "sysconf", pages.__getitem__)
+        cfg = small_cfg(hurst=0.6, order=2, levels=(20,), replicates=100)
+        with pytest.raises(SizeLimitError, match=f"the {memory} bytes of physical memory"):
+            experiments._collect(dataclasses.replace(cfg, threads=64),
+                                 experiments._normalised_kernel)
+        with pytest.raises(Drawn):
             experiments._collect(cfg, experiments._normalised_kernel)
 
     def test_block_rows_by_fine_level(self):
@@ -429,7 +452,8 @@ class TestIncrementKernels:
             raise AssertionError("an unweighted block built path values or a weight")
 
         monkeypatch.setattr(fbm, "values_from_increments", refuse)
-        monkeypatch.setattr(ConstantOne, "derivative", refuse)
+        # f = 1 is the polynomial ONE, and the run holds no other weight
+        monkeypatch.setattr(Polynomial, "derivative", refuse)
         cfg = ExperimentConfig(exp_id, hurst=hurst, order=2, levels=(level,),
                                replicates=100, master_seed=7)
         data = experiments._collect(cfg, experiments._normalised_kernel)
@@ -444,7 +468,7 @@ class TestIncrementKernels:
         vals = fbm.values_from_increments(
             fbm.sample_increments_circulant(hurst, level, 7, 0, 100))
         ref = renorm_factor(hurst, 2, level) * hermite_variation_rows(
-            vals, hurst, level, ConstantOne(), 2)
+            vals, hurst, level, ONE, 2)
         # the sum over the drawn increments against the sum over the
         # differences of their running sum: rounding only, on the scale of
         # the statistic (a row near 0 has no meaningful relative error)

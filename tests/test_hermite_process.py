@@ -13,9 +13,7 @@ from fbmvar.hermite_process import (
     young_integral_rows,
 )
 from fbmvar.variations import renormalize, scaled_hermite, weighted_hermite_variation
-from fbmvar.weights import ConstantOne, Cosine, Polynomial
-
-ONE = ConstantOne()
+from fbmvar.weights import ONE, Cosine, Polynomial
 
 
 def test_regime_contract():

@@ -40,12 +40,6 @@ def _used_names(node: ast.AST) -> set[str]:
     return used
 
 
-def _strings(nodes) -> set[str]:
-    """The string constants in the code of `nodes`."""
-    return {sub.value for node in nodes for sub in ast.walk(node)
-            if isinstance(sub, ast.Constant) and isinstance(sub.value, str)}
-
-
 def _member_name(node: ast.stmt) -> str | None:
     """The name a class-body statement defines as a method or an annotated
     field, or None."""
@@ -76,10 +70,9 @@ def unreferenced_public_names(package: Path = PACKAGE) -> set[str]:
 def unreferenced_public_members(package: Path = PACKAGE) -> set[str]:
     """``Class.member`` for each public method or annotated field of a public
     top-level class that no code of the package references outside the
-    member's own definition.  A name or an attribute anywhere is a use, and
-    so is a string constant elsewhere in the class's own body, as the keys
-    that ``ExperimentReport.to_json`` reads with getattr."""
-    members = {}  # "Class.member" -> (member name, strings of the rest of its class)
+    member's own definition.  A name or an attribute anywhere is a use; a
+    string, such as a key read with getattr, is not."""
+    members = {}  # "Class.member" -> member name
     used = set()
     for tree in _modules(package):
         for node in tree.body:
@@ -92,10 +85,8 @@ def unreferenced_public_members(package: Path = PACKAGE) -> set[str]:
                     used |= _used_names(stmt)
                     continue
                 used |= _used_names(stmt) - {name}
-                rest = [other for other in node.body if other is not stmt]
-                members[f"{node.name}.{name}"] = (name, _strings(rest))
-    return {qualified for qualified, (name, strings) in members.items()
-            if name not in used and name not in strings}
+                members[f"{node.name}.{name}"] = name
+    return {qualified for qualified, name in members.items() if name not in used}
 
 
 def test_every_public_name_has_a_caller_in_the_library():

@@ -134,8 +134,7 @@ config_bytes = st.binary(max_size=40) | st.builds(
 
 
 def _no_run(cfg):
-    return ExperimentReport(cfg.experiment_id, cfg.canonical_dict(), [], {}, {}, [], "PASS",
-                            wall_clock_seconds=0.0)
+    return ExperimentReport(cfg.canonical_dict(), [], {}, [], "PASS", wall_clock_seconds=0.0)
 
 
 @settings(max_examples=200, deadline=None)

@@ -11,7 +11,7 @@ from fbmvar.constants import RegimeCase, classify_regime
 from fbmvar.errors import DomainError, GridAlignmentError
 from fbmvar.hermite import monomial_in_hermite
 from fbmvar.weights import (
-    ConstantOne,
+    ONE,
     Cosine,
     Exponential,
     Polynomial,
@@ -22,9 +22,6 @@ from fbmvar.weights import (
 import oracles
 from oracles import beta_sums, diagnostic_sums, fbm_covariance
 
-ONE = ConstantOne()
-
-
 def synthetic_path():
     return fbm.FbmPath(
         hurst=0.5, level=2, values=np.array([0.0, 0.5, 1.0, 0.5, 0.0]), seed=0
@@ -34,7 +31,7 @@ def synthetic_path():
 class TestWeights:
     def test_parse(self):
         for spec in ("one", "poly:1", "poly:1.0,0,-0", "cos:0", "exp:-0.0"):
-            assert isinstance(parse_weight(spec), ConstantOne)  # every f = 1
+            assert parse_weight(spec) is ONE  # every f = 1
         for spec in ("poly:0", "poly:0,0,0", "poly:-0.0,0", "sin:0", "sin:-0.0"):
             assert parse_weight(spec) == ZERO  # every f = 0
         assert parse_weight("poly:0,1").coefficients == (0.0, 1.0)
@@ -111,7 +108,7 @@ class TestWeights:
         x = np.array([-1.5, -0.0, 0.0, 0.3, 2.0])
         for spec, expected in (("cos:0", x), ("sin:0", np.zeros_like(x)), ("exp:0", x)):
             assert np.array_equal(parse_weight(spec).antiderivative(x), expected), spec
-        # those specs parse to ConstantOne and ZERO, so the classes' own a = 0
+        # those specs parse to ONE and ZERO, so the classes' own a = 0
         # branches are pinned apart, bit for bit: x keeps -0.0, and 0 is +0.0
         for w, expected in ((Cosine(0.0), x), (Sine(0.0), np.zeros_like(x)),
                             (Exponential(0.0), x)):
@@ -141,6 +138,19 @@ class TestHermiteVariation:
         assert V.weighted_hermite_variation(path, parse_weight("poly:0,0,1"), 2) == 0.0
         # power variation of order 3: 1 + 1 - 1 - 1 = 0
         assert V.weighted_power_variation(path, ONE, 3) == 0.0
+
+    def test_only_one_weights_nothing(self):
+        # ONE is the one weight the row functions skip: f = 0 and every other
+        # constant c weight each term, so V(0) = 0 and V(c) = c V(1)
+        path = fbm.sample_fbm_circulant(0.6, 8, seed=2)
+        assert V.left_weights(ONE, path.values) is None
+        assert V.weighted_hermite_variation(path, ZERO, 2) == 0.0
+        assert V.weighted_power_variation(path, ZERO, 3) == 0.0
+        assert V.weighted_hermite_variation(path, ONE, 2) != 0.0
+        for c in (2.0, 0.5):
+            for variation in (V.weighted_hermite_variation, V.weighted_power_variation):
+                assert variation(path, Polynomial((c,)), 2) == pytest.approx(
+                    c * variation(path, ONE, 2), rel=1e-13)
 
     def test_power_variation_nonnegative(self):
         path = fbm.sample_fbm_circulant(0.4, 7, seed=5)
@@ -187,7 +197,7 @@ class TestRenormalize:
         assert V.renormalize(1.0, 0.1, 3, 10) == 2.0**-7
         assert V.renormalize(1.0, 0.5, 2, 10) == 2.0**-5
         assert V.renormalize(1.0, 0.9, 2, 10) == 2.0**-8
-        assert classify_regime(0.75, 2).case_id is RegimeCase.CRITICAL_HIGH
+        assert classify_regime(0.75, 2) is RegimeCase.CRITICAL_HIGH
         assert V.renormalize(3.0, 0.75, 2, 16) == pytest.approx(3.0 * 2.0**-8 / 4.0)
 
 

@@ -12,14 +12,18 @@ differ can be compared number by number.
 Each line is ``<sha256>  <name>``.  The outputs covered are:
 
 * every experiment runner (corollary items 1-6 each), at threads 1 and 2,
-  as report JSON, per-level CSV and plot TSV;
+  as report JSON, per-level CSV and plot TSV; among them corollary item 5
+  at q = 2, where its two readings coincide, item 1 under the sin and exp
+  weights (at q = 3 and q = 1), and clt at fine level 17, where a block
+  takes 16 rows of the engine's large-block tier;
 * ``sample`` as json, csv and bin (the FBM1 bytes), and as bin at n = 17,
   where the eigenvalues take a split round and the synthesis two chunks
   of frequency pairs;
 * ``variation`` for five weights, each as Hermite, power, centred power
-  and renormalised Hermite variation;
-* ``constants`` at the benchmark's five (H, q) pairs, at q = 4, 6, 12 and
-  at H = 0.7499, q = 2, just inside the edge of the CLT window;
+  and renormalised Hermite variation, and the Hermite variation at q = 1;
+* ``constants`` at the benchmark's five (H, q) pairs, at q = 4, 6, 12, at
+  H = 0.7499, q = 2, just inside the edge of the CLT window, and at
+  H = 0.25, q = 2, the conjectural critical point;
 * ``hermite-process`` as json and csv, at partial-sum strides 32, 64, 2
   and 4;
 * ``experiment`` through the CLI: one request given by flags, and one by a
@@ -55,9 +59,12 @@ from fbmvar.cli import main
 from fbmvar.experiments import ExperimentConfig, run_experiment
 
 # (experiment id, H, q, weight, levels, replicates, seed, fine_offset); the
-# weights cos:0, poly:1 and poly:1,0 spell f = 1 another way, and the last
-# five configs are the constant weights judged by the identity check and the
-# two trapezoid arms at a weight whose symmetric sums are exact
+# weights cos:0, poly:1 and poly:1,0 spell f = 1 another way.  Then come the
+# constant weights judged by the identity check and the two trapezoid arms
+# at a weight whose symmetric sums are exact; last corollary item 5 at
+# q = 2, where the two readings coincide, item 1 under the sin and exp
+# antiderivatives (at q = 3 and 1), and clt at fine level 17, whose blocks
+# of 16 rows take the large-block tier of the engine
 RUNNER_CONFIGS = (
     ("small_h", 0.2, 2, "cos:1.0", (6, 7, 8, 9), 200, 1, 6),
     ("small_h", 0.1, 3, "poly:0.5,-1,0.25", (6, 8), 100, 2, 6),
@@ -88,6 +95,10 @@ RUNNER_CONFIGS = (
     ("corollary", 0.9, 1, "one", (4, 5, 6, 7), 100, 0, 2),
     ("trapezoid", 0.1, 2, "poly:0,0,1", (6, 8, 10), 200, 0, 6),
     ("trapezoid", 0.5, 2, "poly:0,0,1e6", (6, 8, 10), 200, 0, 6),
+    ("corollary", 0.75, 2, "one", (8, 10), 200, 24, 6),
+    ("corollary", 0.7, 3, "sin:0.5", (6, 8, 10), 200, 26, 6),
+    ("corollary", 0.7, 1, "exp:0.5", (6, 8, 10), 200, 27, 6),
+    ("clt", 0.6, 2, "one", (15, 17), 100, 28, 6),
 )
 
 WEIGHTS = ("one", "poly:0.5,-1,0.25", "cos:1.0", "sin:0.5", "exp:0.5")
@@ -99,8 +110,11 @@ VARIATION_MODES = {
 }
 CONSTANT_PAIRS = (
     (0.2, 2), (0.6, 2), (0.75, 2), (0.9, 2), (0.3, 3),
-    (0.3, 4), (0.6, 4), (0.3, 6), (0.6, 6), (0.3, 12), (0.6, 12), (0.7499, 2),
+    (0.3, 4), (0.6, 4), (0.3, 6), (0.6, 6), (0.3, 12), (0.6, 12), (0.7499, 2), (0.25, 2),
 )
+# the Hermite variation of order 1, where H_1(x) = x is a copy of x
+VARIATION_ORDER_1 = ("variation", "--H", "0.6", "--n", "10", "--q", "1", "--weight",
+                     "exp:0.5", "--seed", "4")
 # name: (q, H, m, n_out); the last two sum 2 and 4 terms per output interval
 HERMITE_PROCESS = {
     "q=2": ("2", "0.9", "10", "5"),
@@ -225,6 +239,7 @@ def outputs(workdir: Path):
     for name, text in CONFIG_FILES.items():
         (workdir / name).write_text(text, encoding="utf-8")
     merged = []  # the report files of the first two configs, for report --merge
+    names = set()  # a name that repeats an earlier config's also gives the levels
     for exp_id, hurst, q, weight, levels, reps, seed, offset in RUNNER_CONFIGS:
         for threads in (1, 2):
             rep = run_experiment(ExperimentConfig(
@@ -234,6 +249,9 @@ def outputs(workdir: Path):
             name = f"experiment {exp_id} H={hurst} q={q} {weight} threads={threads}"
             if exp_id == "corollary":
                 name += f" item={rep.summary['item']}"
+            if name in names:
+                name += " levels=" + ",".join(map(str, levels))
+            names.add(name)
             if threads == 1 and len(merged) < 2:
                 merged.append(str(workdir / f"report{len(merged)}.json"))
                 Path(merged[-1]).write_text(rep.to_json())
@@ -258,6 +276,7 @@ def outputs(workdir: Path):
                 argv = ("variation", "--H", "0.6", "--n", "10", "--q", str(q),
                         "--weight", weight, "--seed", "4", *flags)
                 yield f"variation {weight} q={q} {mode}", _cli(workdir, argv)
+    yield "variation exp:0.5 q=1 hermite", _cli(workdir, VARIATION_ORDER_1)
 
     for hurst, q in CONSTANT_PAIRS:
         argv = ("constants", "--H", str(hurst), "--q", str(q), "--seed", "5")
