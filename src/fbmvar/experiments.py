@@ -8,8 +8,10 @@ byte-identical for any worker count.  Coupled (same-path) L2 checks are
 used where the underlying convergence is in L2; distributional checks
 (variance, KS, conditional-variance regression) where it is in law.
 
-One engine (``_collect``) owns sampling, coarsening, blocking and the
-worker threads; runners only reduce.  Each replicate draws one path, at
+``run_experiment`` is the one entry: it checks the id's regime, runs
+the id's runner and builds the report.  One engine (``_collect``) owns
+sampling, coarsening, blocking and the worker threads; runners only
+reduce, to (levels, summary, flags, ok).  Each replicate draws one path, at
 the finest level the run needs: max(levels), plus fine_offset for a
 ``fine`` kernel.  A runner passes a kernel, any callable mapping
 (cfg, paths, m, n) to named per-replicate arrays for level n, where paths
@@ -41,8 +43,8 @@ library's one tolerance, ``constants.REL_TOL``.  A configuration sets
 only what a run varies; no threshold is configurable.
 Every per-level statistic carries a Monte Carlo standard error.
 
-The report's wall-clock time, taken once in ``run_experiment``, is
-deliberately not part of the canonical JSON (reports must be
+The report's wall-clock time, taken in ``run_experiment`` around the
+runner, is deliberately not part of the canonical JSON (reports must be
 byte-reproducible); it is exposed separately on the report object.
 """
 
@@ -141,10 +143,15 @@ class ExperimentConfig:
         for name, low in (("replicates", 100), ("fine_offset", 0), ("threads", 1)):
             check_int(getattr(self, name), name, low, error=ConfigError)
         check_key(self.master_seed, "master_seed")
-        if parse_weight(self.weight) == ZERO:
+        if self.f == ZERO:
             raise ConfigError(
                 f"weight {self.weight!r} is identically zero: every statistic is 0"
             )
+
+    @cached_property
+    def f(self) -> WeightFunction:
+        """The parsed weight, not a field: equality and the report ignore it."""
+        return parse_weight(self.weight)
 
     def canonical_dict(self) -> dict:
         # threads is an execution detail, not part of the result's identity
@@ -161,7 +168,7 @@ class ExperimentReport:
     summary: dict
     flags: list[str]
     verdict: str
-    wall_clock_seconds: float | None = field(default=None, compare=False)
+    wall_clock_seconds: float = field(compare=False)
 
     def to_json(self) -> str:
         """Canonical, byte-reproducible JSON (wall clock excluded)."""
@@ -187,14 +194,17 @@ def _csv_cell(v) -> str:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Dispatch to the experiment named in the config."""
-    runner = _EXPERIMENTS[config.experiment_id][0]
+    """Run the experiment named in the config: RegimeError, before any draw,
+    when (H, q) lies outside the id's regime; else its report and verdict."""
+    runner, _, case = _EXPERIMENTS[config.experiment_id]
+    if case is not None:
+        require_regime(config.hurst, config.order, case, config.experiment_id)
     t0 = time.perf_counter()
     # a reduction that overflows leaves a value json_text refuses, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        report = runner(config)
-    report.wall_clock_seconds = time.perf_counter() - t0
-    return report
+        levels, summary, flags, ok = runner(config)
+    return ExperimentReport(config.canonical_dict(), levels, summary, flags,
+                            "PASS" if ok else "FAIL", time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +271,6 @@ def _replicate_block(
     cfg: ExperimentConfig, kernel: Callable, fine_level: int, start: int, count: int
 ) -> dict[str, np.ndarray]:
     """Kernel outputs for replicates start .. start+count-1, every level."""
-    f = parse_weight(cfg.weight)
     offset = fine_level - max(cfg.levels)
     inc = _values_block(cfg.hurst, fine_level, cfg.master_seed, start, count)
     shared: dict = {}
@@ -270,7 +279,7 @@ def _replicate_block(
     with np.errstate(over="ignore", invalid="ignore"):
         for n in cfg.levels:
             m = n + offset
-            paths = _LevelPaths(f, inc, shared, 2 ** (fine_level - m))
+            paths = _LevelPaths(cfg.f, inc, shared, 2 ** (fine_level - m))
             out.update(kernel(cfg, paths, m, n))
     return out
 
@@ -456,32 +465,26 @@ def _level_entries(
     return entries
 
 
-def _unweighted(cfg: ExperimentConfig) -> bool:
-    """f = 1, in any spelling of the weight grammar."""
-    return parse_weight(cfg.weight) == ONE
-
-
 def _degree(cfg: ExperimentConfig) -> float:
     """The degree of a polynomial weight (0 for a constant c, as in poly:2,0),
     inf for any other weight."""
-    f = parse_weight(cfg.weight)
-    if not isinstance(f, Polynomial):
+    if not isinstance(cfg.f, Polynomial):
         return math.inf
-    return max((k for k, c in enumerate(f.coefficients) if c), default=0)
+    return max((k for k, c in enumerate(cfg.f.coefficients) if c), default=0)
 
 
 def _identity_ok(cfg: ExperimentConfig, data: dict, summary: dict) -> bool:
     """Where the two sides agree by construction at a constant weight c, the
     distances are rounding noise in any order, so the verdict rests on the
     largest diff^2 of any replicate and level (identity_max_sq) <= 1e-24 c^2."""
-    c = parse_weight(cfg.weight).coefficients[0]
+    c = cfg.f.coefficients[0]
     summary["identity_max_sq"] = float(max(np.max(data[f"diff_sq_{n}"]) for n in cfg.levels))
     return summary["identity_max_sq"] <= 1e-24 * c * c
 
 
 def _variance(cfg: ExperimentConfig) -> Callable:
     # an unweighted variation is exactly centred, so its mean is known
-    return partial(variance_and_se, known_mean=0.0 if _unweighted(cfg) else None)
+    return partial(variance_and_se, known_mean=0.0 if cfg.f == ONE else None)
 
 
 def _decreasing(values: list[float]) -> tuple[bool, dict]:
@@ -595,16 +598,12 @@ def _unconverged(name: str, series: TruncatedSeries) -> list[str]:
     return [] if series.converged else [flag]
 
 
-def _report(cfg, levels, summary, flags, ok: bool) -> ExperimentReport:
-    return ExperimentReport(cfg.canonical_dict(), levels, summary, flags,
-                            "PASS" if ok else "FAIL")
-
-
 # ---------------------------------------------------------------------------
-# runners, one per experiment id
+# runners, one per experiment id: each reduces its kernel's outputs to
+# (levels, summary, flags, ok), and run_experiment builds the report
 
 
-def run_small_h(cfg: ExperimentConfig) -> ExperimentReport:
+def _run_small_h(cfg: ExperimentConfig) -> tuple:
     """L2 distance of 2^(n(qH-1)) V_n^(q)(f) to its derivative-integral
     limit, estimated on the same path, per level (H < 1/(2q)).
 
@@ -615,16 +614,15 @@ def run_small_h(cfg: ExperimentConfig) -> ExperimentReport:
     levels 6..12 reaches about 2^(-1.2) ~ 0.435 at best and reports FAIL
     against the fixed 1/4.
     """
-    require_regime(cfg.hurst, cfg.order, RegimeCase.SMALL_H, "small_h")
     data = _collect(cfg, _pathwise_kernel)
     levels = _level_entries(cfg, data, "diff_sq", mean_and_se, "mean_sq_distance")
     ok, summary = _decreasing([e["stat"] for e in levels])
     ok = ok and summary["final_over_initial"] < THRESHOLDS["final_ratio"]
     summary["limit"] = "((-1)^q / (2^q q!)) * integral of f^(q)(B_s) ds"
-    return _report(cfg, levels, summary, [], ok)
+    return levels, summary, [], ok
 
 
-def run_clt(cfg: ExperimentConfig) -> ExperimentReport:
+def _run_clt(cfg: ExperimentConfig) -> tuple:
     """Breuer-Major window 1/(2q) < H < 1-1/(2q).
 
     f == 1: empirical Var(2^(-n/2) V_n) against sigma_{H,q}^2 plus a KS
@@ -632,10 +630,9 @@ def run_clt(cfg: ExperimentConfig) -> ExperimentReport:
     of (2^(-n/2) V_n)^2 on the Riemann sum of f(B)^2; the slope estimates
     sigma_{H,q}^2 (the mixed-Gaussian conditional variance).
     """
-    require_regime(cfg.hurst, cfg.order, RegimeCase.CLT, "clt")
     sigma = sigma_clt(cfg.hurst, cfg.order)
     sigma2 = sigma.value**2
-    unweighted = _unweighted(cfg)
+    unweighted = cfg.f == ONE
     data = _collect(cfg, _normalised_kernel)
     levels = []
     for n in cfg.levels:
@@ -672,10 +669,10 @@ def run_clt(cfg: ExperimentConfig) -> ExperimentReport:
             summary["slope_rel_err"] <= THRESHOLDS["slope_rtol"]
             and summary["variance_rel_err"] <= THRESHOLDS["slope_rtol"]
         )
-    return _report(cfg, levels, summary, flags, ok)
+    return levels, summary, flags, ok
 
 
-def run_critical_high(cfg: ExperimentConfig) -> ExperimentReport:
+def _run_critical_high(cfg: ExperimentConfig) -> tuple:
     """Variance of n^(-1/2) 2^(-n/2) V_n at H = 1 - 1/(2q), matched against
     both readings of the printed critical constant.
 
@@ -687,7 +684,6 @@ def run_critical_high(cfg: ExperimentConfig) -> ExperimentReport:
     between the variants while removing the shared finite-size factor.
     """
     q = cfg.order
-    require_regime(cfg.hurst, cfg.order, RegimeCase.CRITICAL_HIGH, "critical_high")
     printed = sigma_critical_high(q)
     # printed to within an ulp: the square of the square root differs from
     # it in the last bit at q = 2, 4, 5, 7, 9 and 10
@@ -707,7 +703,7 @@ def run_critical_high(cfg: ExperimentConfig) -> ExperimentReport:
         **arbitration,
     }
     flags = ["arbitrates the printed/corrected critical-constant ambiguity"]
-    if _unweighted(cfg):
+    if cfg.f == ONE:
         # informational: convergence to normality is only logarithmic at the
         # critical point, so a large-sample KS still rejects at desk scale
         y_top = data[f"y_{max(cfg.levels)}"]
@@ -715,36 +711,31 @@ def run_critical_high(cfg: ExperimentConfig) -> ExperimentReport:
         summary.update(ks_stat=ks_d, ks_p=ks_p)
         flags.append("ks check reported, not gated (critical-case slow normality)")
     ok = arbitration["matched_variant"] is not None
-    return _report(cfg, levels, summary, flags, ok)
+    return levels, summary, flags, ok
 
 
-def run_noncentral(cfg: ExperimentConfig) -> ExperimentReport:
+def _run_noncentral(cfg: ExperimentConfig) -> tuple:
     """Coupled check of 2^(n q(1-H) - n) V_n^(q)(f) against the Young sum
     of f(B) against the Hermite process built from the same fine path
     (m = n + fine_offset).  At a constant weight the two sides agree
     identically, so the verdict rests on the identity check alone."""
-    require_regime(cfg.hurst, cfg.order, RegimeCase.NONCENTRAL, "noncentral")
     data = _collect(cfg, _young_kernel, fine=True)
     levels, ok, summary = _relative_l2(cfg, data, identity=_degree(cfg) == 0)
-    return _report(cfg, levels, summary, [], ok)
+    return levels, summary, [], ok
 
 
-def _corollary_item(cfg: ExperimentConfig) -> int:
-    """The item (parity of q, range of H) selects; RegimeError for odd q
-    at H <= 1/2, which no item covers."""
-    if cfg.order % 2 == 1:
-        if cfg.hurst <= 0.5:
-            raise RegimeError("corollary item 1 (odd q) requires H > 1/2")
-        return 1
-    # an even-q centred power variation is led by its second chaos, so
-    # items 2-6 follow the q = 2 regime of H (boundaries 1/4 and 3/4)
-    return {
-        RegimeCase.SMALL_H: 2, RegimeCase.CRITICAL_LOW: 3, RegimeCase.CLT: 4,
-        RegimeCase.CRITICAL_HIGH: 5, RegimeCase.NONCENTRAL: 6,
-    }[classify_regime(cfg.hurst, 2)]
+# an even-q centred power variation is led by its second chaos, so items
+# 2-6 follow the q = 2 regime of H (boundaries 1/4 and 3/4): (item, kernel)
+_COROLLARY = {
+    RegimeCase.SMALL_H: (2, partial(_pathwise_kernel, item=2)),
+    RegimeCase.CRITICAL_LOW: (3, partial(_normalised_kernel, power=True, drift=True)),
+    RegimeCase.CLT: (4, partial(_normalised_kernel, power=True)),
+    RegimeCase.CRITICAL_HIGH: (5, partial(_normalised_kernel, power=True)),
+    RegimeCase.NONCENTRAL: (6, partial(_young_kernel, power=True)),
+}
 
 
-def run_corollary(cfg: ExperimentConfig) -> ExperimentReport:
+def _run_corollary(cfg: ExperimentConfig) -> tuple:
     """Weighted power variations, dispatched on (parity of q, range of H):
 
     1. odd q, H > 1/2: coupled L2 to q mu_{q-1} int_0^{B_1} f(x) dx
@@ -755,15 +746,12 @@ def run_corollary(cfg: ExperimentConfig) -> ExperimentReport:
     6. even q, H > 3/4: coupled L2 to 2 mu_{q-2} C(q,2) int f(B) dZ^(2)
     """
     q = cfg.order
-    item = _corollary_item(cfg)
-    kernel = {
-        1: partial(_pathwise_kernel, item=1),
-        2: partial(_pathwise_kernel, item=2),
-        3: partial(_normalised_kernel, power=True, drift=True),
-        4: partial(_normalised_kernel, power=True),
-        5: partial(_normalised_kernel, power=True),
-        6: partial(_young_kernel, power=True),
-    }[item]
+    if q % 2 == 1:
+        if cfg.hurst <= 0.5:
+            raise RegimeError("corollary item 1 (odd q) requires H > 1/2")
+        item, kernel = 1, partial(_pathwise_kernel, item=1)
+    else:
+        item, kernel = _COROLLARY[classify_regime(cfg.hurst, 2)]
     data = _collect(cfg, kernel, fine=item == 6)
     flags: list[str] = []
 
@@ -823,10 +811,10 @@ def run_corollary(cfg: ExperimentConfig) -> ExperimentReport:
         flags += _unconverged("sigma_tilde", st)
         levels, ok, summary = _drift_excess(cfg, data, st.value)
     summary["item"] = item
-    return _report(cfg, levels, summary, flags, ok)
+    return levels, summary, flags, ok
 
 
-def run_trapezoid(cfg: ExperimentConfig) -> ExperimentReport:
+def _run_trapezoid(cfg: ExperimentConfig) -> tuple:
     """Median error of the symmetric Riemann sums toward f(B_1) - f(0).
 
     H > 1/6 is the convergence arm (error must shrink); H <= 1/6 is the
@@ -855,16 +843,15 @@ def run_trapezoid(cfg: ExperimentConfig) -> ExperimentReport:
         ok = exact or (monotone and summary["final_over_initial"] < THRESHOLDS["final_ratio"])
     else:
         ok = not exact and summary["final_over_initial"] >= 0.5
-    return _report(cfg, levels, summary, flags, ok)
+    return levels, summary, flags, ok
 
 
-def run_conjecture_quarter(cfg: ExperimentConfig) -> ExperimentReport:
+def _run_conjecture_quarter(cfg: ExperimentConfig) -> tuple:
     """Exploratory check of the conjectured mixed limit at H = 1/(2q):
     mean of 2^(-n/2) V_n -> ((-1)^q/(2^q q!)) E int f^(q)(B) ds and the
     variance in excess of the drift part -> sigma_{1/(2q),q}^2 E int f^2.
     Proven only for q = 2 (H = 1/4); flagged UNPROVEN for q >= 3."""
     q = cfg.order
-    require_regime(cfg.hurst, cfg.order, RegimeCase.CRITICAL_LOW, "conjecture_quarter")
     flags = ["EXPLORATORY"]
     if q >= 3:
         flags.append("UNPROVEN")
@@ -873,18 +860,19 @@ def run_conjecture_quarter(cfg: ExperimentConfig) -> ExperimentReport:
     data = _collect(cfg, partial(_normalised_kernel, drift=True))
     levels, ok, summary = _drift_excess(cfg, data, sigma.value)
     summary["sigma2"] = sigma.value**2
-    return _report(cfg, levels, summary, flags, ok)
+    return levels, summary, flags, ok
 
 
-# each experiment id with its runner and its default levels
+# each experiment id with its runner, its default levels and the regime
+# run_experiment requires of (H, q) (None: the runner reads H itself)
 _EXPERIMENTS = {
-    "small_h": (run_small_h, (6, 7, 8, 9, 10, 11, 12)),
-    "clt": (run_clt, (10, 12, 14)),
-    "critical_high": (run_critical_high, (12, 14, 16)),
-    "noncentral": (run_noncentral, (6, 7, 8, 9, 10)),
-    "corollary": (run_corollary, (8, 10, 12)),
-    "trapezoid": (run_trapezoid, (6, 8, 10, 12, 14)),
-    "conjecture_quarter": (run_conjecture_quarter, (10, 12, 14)),
+    "small_h": (_run_small_h, (6, 7, 8, 9, 10, 11, 12), RegimeCase.SMALL_H),
+    "clt": (_run_clt, (10, 12, 14), RegimeCase.CLT),
+    "critical_high": (_run_critical_high, (12, 14, 16), RegimeCase.CRITICAL_HIGH),
+    "noncentral": (_run_noncentral, (6, 7, 8, 9, 10), RegimeCase.NONCENTRAL),
+    "corollary": (_run_corollary, (8, 10, 12), None),
+    "trapezoid": (_run_trapezoid, (6, 8, 10, 12, 14), None),
+    "conjecture_quarter": (_run_conjecture_quarter, (10, 12, 14), RegimeCase.CRITICAL_LOW),
 }
 EXPERIMENT_IDS = tuple(_EXPERIMENTS)
 

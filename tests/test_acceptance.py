@@ -17,12 +17,7 @@ from fbmvar import fbm, hermite
 from fbmvar.constants import sigma_clt, sigma_tilde
 from fbmvar.experiments import (
     ExperimentConfig,
-    run_clt,
-    run_critical_high,
     run_experiment,
-    run_noncentral,
-    run_small_h,
-    run_trapezoid,
     variance_order_audit,
 )
 from fbmvar.hermite_process import hermite_partial_sums
@@ -147,8 +142,8 @@ def test_criterion_03_constants_sanity():
 
 
 def test_criterion_04_breuer_major_clt():
-    rep = run_clt(ExperimentConfig("clt", hurst=0.6, order=2, weight="one",
-                                   levels=(14,), replicates=10_000, master_seed=4))
+    rep = run_experiment(ExperimentConfig("clt", hurst=0.6, order=2, weight="one",
+                                          levels=(14,), replicates=10_000, master_seed=4))
     ok = rep.verdict == "PASS"
     assert report(4, ok, "Breuer-Major CLT f=1, H=0.6, q=2, n=14: "
                          f"var rel err {rep.summary['variance_rel_err']:.4f} (<=0.05), "
@@ -156,15 +151,15 @@ def test_criterion_04_breuer_major_clt():
 
 
 def test_criterion_05_weighted_clt_variance():
-    rep = run_clt(ExperimentConfig("clt", hurst=0.35, order=2, weight="cos:1.0",
-                                   levels=(14,), replicates=10_000, master_seed=5))
+    rep = run_experiment(ExperimentConfig("clt", hurst=0.35, order=2, weight="cos:1.0",
+                                          levels=(14,), replicates=10_000, master_seed=5))
     ok = rep.verdict == "PASS"
     assert report(5, ok, "weighted CLT H=0.35, q=2, f=cos: conditional-variance "
                          f"slope rel err {rep.summary['slope_rel_err']:.4f} (<=0.10)")
 
 
 def test_criterion_06_small_h_l2_limit():
-    rep = run_small_h(
+    rep = run_experiment(
         ExperimentConfig("small_h", hurst=0.2, order=2, weight="cos:1.0",
                          levels=tuple(range(6, 13)), replicates=2000, master_seed=2024)
     )
@@ -183,12 +178,12 @@ def test_criterion_06_small_h_l2_limit():
 
 
 def test_criterion_07_noncentral_coupling():
-    rep = run_noncentral(
+    rep = run_experiment(
         ExperimentConfig("noncentral", hurst=0.9, order=2, weight="cos:1.0",
                          levels=(6, 7, 8, 9, 10), replicates=500, master_seed=7)
     )
     ok = rep.verdict == "PASS"
-    ident = run_noncentral(
+    ident = run_experiment(
         ExperimentConfig("noncentral", hurst=0.9, order=2, weight="one",
                          levels=(8,), replicates=500, master_seed=7)
     )
@@ -238,7 +233,7 @@ def test_criterion_09_variance_order_audit():
 
 
 def test_criterion_10_critical_arbitration():
-    rep = run_critical_high(
+    rep = run_experiment(
         ExperimentConfig("critical_high", hurst=0.75, order=2, weight="one",
                          levels=(16,), replicates=10_000, master_seed=10)
     )
@@ -250,7 +245,7 @@ def test_criterion_10_critical_arbitration():
 
 
 def test_criterion_11_symmetric_riemann_sums():
-    conv = run_trapezoid(
+    conv = run_experiment(
         ExperimentConfig("trapezoid", hurst=0.3, order=2, weight="sin:1.0",
                          levels=tuple(range(6, 15)), replicates=1000, master_seed=11)
     )
@@ -260,7 +255,7 @@ def test_criterion_11_symmetric_riemann_sums():
     slope = decay_exponent(conv)
     conv_ok = (conv.summary["inversions"] <= 1
                and abs(slope - theory) <= EXPONENT_BAND)
-    counter = run_trapezoid(
+    counter = run_experiment(
         ExperimentConfig("trapezoid", hurst=1 / 6, order=2, weight="poly:0,0,0,1",
                          levels=tuple(range(6, 15)), replicates=1000, master_seed=11)
     )

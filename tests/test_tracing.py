@@ -9,7 +9,7 @@ from pathlib import Path
 from time import perf_counter
 
 from fbmvar import cli, fbm
-from fbmvar.experiments import ExperimentConfig, run_noncentral
+from fbmvar.experiments import ExperimentConfig, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -27,7 +27,7 @@ def test_tracer_hooks_every_layer_of_a_noncentral_run(monkeypatch):
     try:
         tracer.begin_op()
         start = perf_counter()
-        run_noncentral(cfg)
+        run_experiment(cfg)
         tracer.end_op(perf_counter() - start)
     finally:
         tracer.uninstall()

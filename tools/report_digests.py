@@ -34,8 +34,10 @@ Each line is ``<sha256>  <name>``.  The outputs covered are:
   ``constants`` and ``hermite-process``;
 * ``report --merge`` of two runner reports, as table and as JSON;
 * a few requests the CLI rejects, as exit code, stdout and stderr,
-  among them a report that would hold inf, and merged files holding NaN,
-  an empty object or another schema.
+  among them a report that would hold inf, merged files holding NaN,
+  an empty object or another schema, and the regime refusals: each
+  guarded experiment id outside its window, corollary at odd q with
+  H <= 1/2 and at H = nan, and clt at q = 1.
 
 A CLI digest covers the exit code, stdout, stderr and any file written
 with --out, --csv or --plot-data.  This is a script, not a test: FFT bits
@@ -206,6 +208,18 @@ REJECTED = {
     "constants-rel-tol": ("constants", "--H", "0.6", "--q", "2", "--rel-tol", "1e-9"),
     # an experiment id that names no runner
     "experiment-id-bogus": ("experiment", "--id", "bogus", "--H", "0.6", "--q", "2"),
+    # the regime refusals: each guarded id outside its window, corollary at
+    # odd q with H <= 1/2 and at H = nan, and clt at an order below 2
+    **{
+        f"experiment-{exp_id}-H={hurst}-q={q}": (
+            "experiment", "--id", exp_id, "--H", hurst, "--q", q, "--levels", "6",
+            "--replicates", "100")
+        for exp_id, hurst, q in (
+            ("small_h", "0.6", "2"), ("critical_high", "0.6", "2"), ("clt", "0.9", "2"),
+            ("noncentral", "0.6", "2"), ("conjecture_quarter", "0.6", "2"),
+            ("corollary", "0.4", "3"), ("corollary", "nan", "3"), ("clt", "0.6", "1"),
+        )
+    },
 }
 # requests rejected for an environment variable: name: (variables, argv)
 REJECTED_ENV = {
