@@ -24,9 +24,7 @@ import numpy as np
 # A request is one process: each subcommand imports the engine modules it
 # runs when it is called, so start-up loads no more than the request needs.
 from . import fbm
-from .errors import (
-    ConfigError, DomainError, FbmvarError, SeriesDivergenceError, check_int, json_text,
-)
+from .errors import DomainError, FbmvarError, SeriesDivergenceError, check_int, json_text
 from .rng import check_key
 
 
@@ -331,7 +329,7 @@ def _parse_config_file(path: str) -> dict:
         with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file {path} is not UTF-8 text ({exc})") from None
+        raise FbmvarError(f"config file {path} is not UTF-8 text ({exc})") from None
     for raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -342,7 +340,7 @@ def _parse_config_file(path: str) -> dict:
         key = key.strip().lower().replace("-", "_")
         key = _CONFIG_ALIASES.get(key, key)
         if key in values:
-            raise ConfigError(f"config key {key!r} given twice in {path}")
+            raise FbmvarError(f"config key {key!r} given twice in {path}")
         values[key] = val.strip()
     return values
 
@@ -365,7 +363,7 @@ def _build_experiment_config(args):
             threads = int(env)
         except ValueError:
             threads = env
-        raw["threads"] = check_int(threads, "FBMVAR_THREADS", 1, error=ConfigError)
+        raw["threads"] = check_int(threads, "FBMVAR_THREADS", 1)
     convert = {"str": str, "float": _real, "int": int}
     converted: dict = {}
     for key, val in raw.items():
@@ -377,7 +375,7 @@ def _build_experiment_config(args):
             else:
                 converted[key] = convert[field_types[key]](val)
         except (ValueError, argparse.ArgumentTypeError):
-            raise ConfigError(f"bad value {val!r} for config key {key!r}") from None
+            raise FbmvarError(f"bad value {val!r} for config key {key!r}") from None
     if "hurst" not in converted or "order" not in converted:
         raise FbmvarError("experiment needs --H and --q (or a config file)")
     return ExperimentConfig(**converted)

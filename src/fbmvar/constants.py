@@ -40,7 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, RegimeError, SeriesDivergenceError, check_int, integer_in
+from .errors import DomainError, SeriesDivergenceError, check_int, integer_in
 from .fbm import _check_h, check_level, rho
 from .hermite import gaussian_moment, monomial_in_hermite
 
@@ -118,11 +118,11 @@ def classify_regime(hurst: float, q: int) -> RegimeCase:
 
 
 def require_regime(hurst: float, q: int, case: RegimeCase, who: str) -> None:
-    """Raise RegimeError naming `who` unless (H, q) lies in `case`."""
+    """Raise DomainError naming `who` unless (H, q) lies in `case`."""
     if classify_regime(hurst, q) is not case:
         lo = 1.0 / (2 * q)
         window = _CASES[case][1].format(lo=lo, hi=1.0 - lo)
-        raise RegimeError(f"{who} needs {window}, got H={hurst}, q={q}")
+        raise DomainError(f"{who} needs {window}, got H={hurst}, q={q}")
 
 
 def renorm_factor(hurst: float, q: int, level: int) -> float:

@@ -1,5 +1,7 @@
 """Exception types shared across the package, its one integer rule and its
-one JSON writer (``json_text``), which every JSON output goes through."""
+one JSON writer (``json_text``), which every JSON output goes through.  Every
+refused input raises DomainError; a class stays apart from it only if library
+code catches it apart or the failure is not the input's fault."""
 
 import json
 
@@ -11,11 +13,8 @@ class FbmvarError(Exception):
 
 
 class DomainError(FbmvarError, ValueError):
-    """A parameter lies outside the mathematical domain of an operation."""
-
-
-class RegimeError(FbmvarError, ValueError):
-    """The (H, q) pair is not in the regime an operation requires."""
+    """A refused input, outside an operation's domain, (H, q) regime, size or
+    memory ceiling, or grid: the one class for every input's fault."""
 
 
 class SeriesDivergenceError(FbmvarError, ValueError):
@@ -26,19 +25,6 @@ class CirculantEmbeddingError(FbmvarError, RuntimeError):
     """The circulant embedding produced a negative eigenvalue."""
 
 
-class SizeLimitError(DomainError):
-    """A level lies outside the range an algorithm supports, or a run needs more
-    memory than the machine has: a ceiling is part of an operation's domain."""
-
-
-class GridAlignmentError(FbmvarError, ValueError):
-    """Two dyadic grids that must coincide do not."""
-
-
-class ConfigError(FbmvarError, ValueError):
-    """An experiment configuration is malformed."""
-
-
 def integer_in(value, low: int, high: int | None = None) -> bool:
     """The one integer rule, for every level, order, degree, count, radius and
     key: an int or a numpy integer, never a bool, in [low, high] (no ceiling
@@ -47,12 +33,12 @@ def integer_in(value, low: int, high: int | None = None) -> bool:
             and low <= value and (high is None or value <= high))
 
 
-def check_int(value, name: str, low: int, high: int | None = None, error=DomainError):
-    """`value` if ``integer_in(value, low, high)``, else `error` in the one
+def check_int(value, name: str, low: int, high: int | None = None):
+    """`value` if ``integer_in(value, low, high)``, else DomainError in the one
     wording, which names the input and its range."""
     if not integer_in(value, low, high):
         span = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise error(f"{name} must be an integer {span}, got {value!r}")
+        raise DomainError(f"{name} must be an integer {span}, got {value!r}")
     return value
 
 

@@ -75,9 +75,7 @@ from .constants import (
     sigma_tilde_critical,
     sigma_tilde_critical_corrected,
 )
-from .errors import (
-    ConfigError, DomainError, RegimeError, SizeLimitError, check_int, json_text,
-)
+from .errors import DomainError, check_int, json_text
 from .hermite import monomial_in_hermite
 from .hermite_process import hermite_partial_sums, young_integral_rows
 from .rng import check_key
@@ -128,7 +126,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         # the one check of the id: the CLI passes --id through as given
         if self.experiment_id not in EXPERIMENT_IDS:
-            raise ConfigError(
+            raise DomainError(
                 f"unknown experiment {self.experiment_id!r}; "
                 f"choose from {EXPERIMENT_IDS}"
             )
@@ -137,14 +135,14 @@ class ExperimentConfig:
         object.__setattr__(self, "levels", levels)
         # the ceiling applies to the finest sampled level, which _collect checks
         for level in levels:
-            fbm.check_level(level, None, "levels", ConfigError)
+            fbm.check_level(level, None, "levels")
         if any(b <= a for a, b in zip(levels, levels[1:])):
-            raise ConfigError(f"levels must be strictly increasing, got {levels}")
+            raise DomainError(f"levels must be strictly increasing, got {levels}")
         for name, low in (("replicates", 100), ("fine_offset", 0), ("threads", 1)):
-            check_int(getattr(self, name), name, low, error=ConfigError)
+            check_int(getattr(self, name), name, low)
         check_key(self.master_seed, "master_seed")
         if self.f == ZERO:
-            raise ConfigError(
+            raise DomainError(
                 f"weight {self.weight!r} is identically zero: every statistic is 0"
             )
 
@@ -194,7 +192,7 @@ def _csv_cell(v) -> str:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run the experiment named in the config: RegimeError, before any draw,
+    """Run the experiment named in the config: DomainError, before any draw,
     when (H, q) lies outside the id's regime; else its report and verdict."""
     runner, _, case = _EXPERIMENTS[config.experiment_id]
     if case is not None:
@@ -311,7 +309,7 @@ def _collect(
     if fine:
         # at offset 0, Z is built on the variation's own grid, where the two
         # sides agree to rounding for every weight
-        check_int(cfg.fine_offset, "fine_offset", 1, error=ConfigError)
+        check_int(cfg.fine_offset, "fine_offset", 1)
     fine_level = fbm.check_level(
         max(cfg.levels) + (cfg.fine_offset if fine else 0), name="finest sampled level")
     size = _block_rows(fine_level)
@@ -327,7 +325,7 @@ def _collect(
             + workers * 32 * min(size, cfg.replicates) * 2 ** (fine_level + 1)
             + 8 * (2**fine_level + 1))
     if need > memory:
-        raise SizeLimitError(
+        raise DomainError(
             f"{cfg.replicates} replicates at {len(cfg.levels)} levels, fine level "
             f"{fine_level}, on {workers} workers need more than the {memory} bytes "
             "of physical memory"
@@ -748,7 +746,7 @@ def _run_corollary(cfg: ExperimentConfig) -> tuple:
     q = cfg.order
     if q % 2 == 1:
         if cfg.hurst <= 0.5:
-            raise RegimeError("corollary item 1 (odd q) requires H > 1/2")
+            raise DomainError("corollary item 1 (odd q) requires H > 1/2")
         item, kernel = 1, partial(_pathwise_kernel, item=1)
     else:
         item, kernel = _COROLLARY[classify_regime(cfg.hurst, 2)]

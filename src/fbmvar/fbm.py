@@ -61,7 +61,7 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .errors import CirculantEmbeddingError, DomainError, SizeLimitError, check_int
+from .errors import CirculantEmbeddingError, DomainError, check_int
 from .rng import check_key, stream
 
 CHOLESKY_MAX_LEVEL = 12
@@ -120,11 +120,11 @@ def _check_h(hurst: float) -> None:
         raise DomainError(f"hurst must be in (0,1), got {hurst}")
 
 
-def check_level(level: int, top=CIRCULANT_MAX_LEVEL, name="level", error=SizeLimitError) -> int:
-    """The one level check: `level` if it is an integer in [1, top] (no ceiling
-    when `top` is None), else `error` naming `name` and the range.  The default
+def check_level(level: int, top=CIRCULANT_MAX_LEVEL, name="level") -> int:
+    """The one level check: `level` if an integer in [1, top] (no ceiling when
+    `top` is None), else DomainError naming `name` and the range.  The default
     top, the circulant sampler's, bounds every path, path file and level-n sum."""
-    return check_int(level, name, 1, top, error)
+    return check_int(level, name, 1, top)
 
 
 def rho(r, hurst: float):

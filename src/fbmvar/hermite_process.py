@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .constants import RegimeCase, require_regime
-from .errors import GridAlignmentError
+from .errors import DomainError
 from .fbm import FbmPath, check_level
 from .variations import _weighted, finite_fsum, left_weights, scaled_hermite, weighted_rows
 from .weights import WeightFunction
@@ -47,7 +47,7 @@ def hermite_partial_sums(
     """
     check_level(out_level, check_level(fine_level, name="fine_level"), "out_level")
     if terms.shape[-1] != 2**fine_level:
-        raise GridAlignmentError(
+        raise DomainError(
             f"grid mismatch: {terms.shape[-1]} H_q terms per path vs "
             f"2^{fine_level} increments at fine level {fine_level}"
         )
@@ -88,7 +88,7 @@ def young_integral(f: WeightFunction, coarse_values: np.ndarray, z: np.ndarray) 
     DomainError when it overflows a double."""
     coarse_values = np.asarray(coarse_values, dtype=float)
     if coarse_values.shape != z.shape:
-        raise GridAlignmentError(
+        raise DomainError(
             f"grid mismatch: {len(coarse_values)} path points vs {len(z)} Z points"
         )
     with np.errstate(over="ignore", invalid="ignore"):  # finite_fsum reports it

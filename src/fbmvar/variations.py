@@ -34,7 +34,7 @@ import math
 import numpy as np
 
 from .constants import _check_order, exact_sum, renorm_factor
-from .errors import DomainError, GridAlignmentError
+from .errors import DomainError
 from .fbm import FbmPath, check_level, rho
 from .hermite import gaussian_moment, hermite_eval, monomial_in_hermite
 from .weights import ONE, WeightFunction
@@ -58,7 +58,7 @@ def _weighted(terms: np.ndarray, left) -> np.ndarray:
     f = 1 (`left` None) the terms themselves."""
     if left is not None:
         if left.shape != terms.shape:
-            raise GridAlignmentError(
+            raise DomainError(
                 f"grid mismatch: weight {left.shape} vs increments {terms.shape}"
             )
         terms *= left

@@ -44,18 +44,13 @@ class Polynomial(WeightFunction):
     coefficients: tuple[float, ...]
 
     def derivative(self, order: int, x):
-        coeffs = np.asarray(self.coefficients, dtype=float)
-        for _ in range(order):
-            coeffs = coeffs[1:] * np.arange(1, len(coeffs))
-            if len(coeffs) == 0:
-                coeffs = np.zeros(1)
+        # past the degree polyder gives c_0 * 0, which is -0.0 for c_0 < 0
+        coeffs = (np.polynomial.polynomial.polyder(self.coefficients, order)
+                  if order < len(self.coefficients) else (0.0,))
         return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs)
 
     def antiderivative(self, x):
-        coeffs = np.concatenate(
-            ([0.0], np.asarray(self.coefficients, dtype=float)
-             / np.arange(1, len(self.coefficients) + 1))
-        )
+        coeffs = np.polynomial.polynomial.polyint(self.coefficients)
         return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs)
 
 

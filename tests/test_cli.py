@@ -10,7 +10,7 @@ import pytest
 from fbmvar import experiments, fbm
 from fbmvar.cli import _emit, build_parser, main
 from fbmvar.constants import RegimeCase, classify_regime, sigma_clt
-from fbmvar.errors import ConfigError
+from fbmvar.errors import FbmvarError
 from fbmvar.experiments import EXPERIMENT_IDS
 from fbmvar.hermite_process import simulate_hermite
 from fbmvar.variations import weighted_power_variation
@@ -151,7 +151,7 @@ def test_rational_hurst_hits_the_critical_case(capsys, monkeypatch, tmp_path, ra
 
     def record(cfg):
         seen.append(cfg.hurst)
-        raise ConfigError("recorded")
+        raise FbmvarError("recorded")
 
     monkeypatch.setattr(experiments, "run_experiment", record)
     cfg_file = tmp_path / "exp.cfg"
@@ -497,7 +497,7 @@ def test_two_output_flags_naming_one_file_exit_one(capsys, monkeypatch, tmp_path
 
 def test_failed_run_leaves_output_files_as_they_were(capsys, monkeypatch, tmp_path):
     def fail(*args, **kwargs):
-        raise ConfigError("no draw")
+        raise FbmvarError("no draw")
 
     monkeypatch.setattr(fbm, "sample_increments_circulant", fail)
     kept = tmp_path / "kept.json"
@@ -543,7 +543,7 @@ def test_bad_fbmvar_threads_is_named(capsys, monkeypatch, value, shown):
 
     def record(cfg):
         seen.append(cfg.threads)
-        raise ConfigError("recorded")
+        raise FbmvarError("recorded")
 
     monkeypatch.setattr(experiments, "run_experiment", record)
     assert run_cli(capsys, *argv, "--threads", "2")[:2] == (1, "")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from fbmvar import constants as C
 from fbmvar import experiments as E
 from fbmvar import variations as V
-from fbmvar.errors import DomainError, RegimeError, SeriesDivergenceError
+from fbmvar.errors import DomainError, SeriesDivergenceError
 from fbmvar.hermite import gaussian_moment, monomial_in_hermite
 from fbmvar.weights import parse_weight
 from oracles import rho_tail_mass_bound
@@ -40,7 +40,7 @@ def test_classifier_boundaries_and_domain():
 def test_require_regime_names_the_window():
     C.require_regime(0.6, 2, C.RegimeCase.CLT, "clt")
     with pytest.raises(
-        RegimeError,
+        DomainError,
         match=r"^clt needs 1/\(2q\) = 0\.25 < H < 1 - 1/\(2q\) = 0\.75, got H=0\.75, q=2$",
     ):
         C.require_regime(0.75, 2, C.RegimeCase.CLT, "clt")

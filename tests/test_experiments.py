@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -15,7 +16,7 @@ from fbmvar.constants import (
     hermite_process_variance_const,
     renorm_factor,
 )
-from fbmvar.errors import ConfigError, DomainError, RegimeError, SizeLimitError
+from fbmvar.errors import DomainError
 from fbmvar.experiments import (
     ExperimentConfig,
     run_experiment,
@@ -44,26 +45,30 @@ def small_cfg(**kw):
 
 class TestConfig:
     def test_validation(self, monkeypatch):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError, match=r"^replicates must be an integer >= 100, got 50$"):
             small_cfg(replicates=50)
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError,
+                           match=r"^levels must be strictly increasing, got \(10, 8\)$"):
             small_cfg(levels=(10, 8))
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError, match="^" + re.escape(
+                "unknown experiment 'bogus'; choose from ('small_h', 'clt', 'critical_high', "
+                "'noncentral', 'corollary', 'trapezoid', 'conjecture_quarter')") + "$"):
             small_cfg(experiment_id="bogus")
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError, match=r"^levels must be an integer >= 1, got 0$"):
             small_cfg(experiment_id="noncentral", hurst=0.9, order=2, levels=(0, 1))
         for threads in (0, -3):  # rejected before any worker starts
-            with pytest.raises(ConfigError):
+            with pytest.raises(DomainError,
+                               match=rf"^threads must be an integer >= 1, got {threads}$"):
                 small_cfg(threads=threads)
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError, match=r"^fine_offset must be an integer >= 0, got -2$"):
             small_cfg(fine_offset=-2)
         # the config's own integer fields: an int, never a float or a bool
         for levels in ((8.5, 10), (True, 4)):
-            with pytest.raises(ConfigError, match=r"^levels must be an integer >= 1, got "):
+            with pytest.raises(DomainError, match=r"^levels must be an integer >= 1, got "):
                 small_cfg(levels=levels)
         for name, value, low in (("replicates", 150.5, 100), ("fine_offset", 2.5, 0),
                                  ("threads", 1.5, 1)):
-            with pytest.raises(ConfigError,
+            with pytest.raises(DomainError,
                                match=rf"^{name} must be an integer >= {low}, got {value}$"):
                 small_cfg(**{name: value})
         # every runner takes an integer order in [1, 150]; trapezoid reads no q
@@ -81,10 +86,11 @@ class TestConfig:
             raise AssertionError("a block was drawn")
 
         monkeypatch.setattr(experiments, "_values_block", no_sampling)
-        with pytest.raises(SizeLimitError):
+        ceiling = r"^finest sampled level must be an integer in \[1, 24\], got 25$"
+        with pytest.raises(DomainError, match=ceiling):
             run_experiment(small_cfg(experiment_id="noncentral", hurst=0.9, order=2,
                                      levels=(6, 19), fine_offset=6))
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(DomainError, match=ceiling):
             run_experiment(small_cfg(levels=(8, 25)))
 
     def test_default_levels(self):
@@ -107,29 +113,35 @@ class TestConfig:
 
 class TestRegimeContracts:
     def test_small_h_mismatch(self):
-        with pytest.raises(RegimeError):
+        with pytest.raises(DomainError,
+                           match=r"^small_h needs H < 1/\(2q\) = 0\.25, got H=0\.3, q=2$"):
             run_experiment(small_cfg(experiment_id="small_h", hurst=0.3, order=2))
 
     def test_clt_mismatch_at_critical(self):
-        with pytest.raises(RegimeError):
+        with pytest.raises(DomainError, match=r"^clt needs 1/\(2q\) = 0\.25 < H < "
+                           r"1 - 1/\(2q\) = 0\.75, got H=0\.75, q=2$"):
             run_experiment(small_cfg(hurst=0.75, order=2))
 
     def test_critical_high_mismatch(self):
-        with pytest.raises(RegimeError):
+        with pytest.raises(DomainError, match=r"^critical_high needs H = 1 - 1/\(2q\) = "
+                           r"0\.75, got H=0\.74, q=2$"):
             run_experiment(small_cfg(experiment_id="critical_high", hurst=0.74, order=2))
 
     def test_noncentral_mismatch(self):
-        with pytest.raises(RegimeError):
+        with pytest.raises(DomainError, match=r"^noncentral needs H > 1 - 1/\(2q\) = "
+                           r"0\.75, got H=0\.75, q=2$"):
             run_experiment(small_cfg(experiment_id="noncentral", hurst=0.75, order=2))
 
     def test_conjecture_mismatch(self):
-        with pytest.raises(RegimeError):
+        with pytest.raises(DomainError, match=r"^conjecture_quarter needs H = 1/\(2q\) = "
+                           r"0\.25, got H=0\.3, q=2$"):
             run_experiment(
                 small_cfg(experiment_id="conjecture_quarter", hurst=0.3, order=2)
             )
 
     def test_corollary_parity(self):
-        with pytest.raises(RegimeError):
+        with pytest.raises(DomainError,
+                           match=r"^corollary item 1 \(odd q\) requires H > 1/2$"):
             run_experiment(small_cfg(experiment_id="corollary", hurst=0.4, order=3))
 
     def test_run_experiment_is_the_only_entry(self, monkeypatch):
@@ -144,7 +156,7 @@ class TestRegimeContracts:
         for experiment_id in _GUARDS:
             hurst = 0.9 if experiment_id == "clt" else 0.6
             cfg = small_cfg(experiment_id=experiment_id, hurst=hurst, order=2)
-            with pytest.raises(RegimeError, match=f"^{experiment_id} needs "):
+            with pytest.raises(DomainError, match=f"^{experiment_id} needs "):
                 run_experiment(cfg)
 
 
@@ -176,9 +188,11 @@ def test_guards_match_classify_regime_at_boundaries(monkeypatch, q):
     for edge in (1.0 / (2 * q), 1.0 - 1.0 / (2 * q)):
         for hurst in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)):
             case = classify_regime(hurst, q)
+            got = rf", got H={re.escape(repr(hurst))}, q={q}$"
             for experiment_id, wants in _GUARDS.items():
                 cfg = small_cfg(experiment_id=experiment_id, hurst=hurst, order=q)
-                with pytest.raises(_GuardPassed if case is wants else RegimeError):
+                with (pytest.raises(_GuardPassed) if case is wants else
+                      pytest.raises(DomainError, match=f"^{experiment_id} needs .+{got}")):
                     run_experiment(cfg)
             path = fbm.sample_fbm_circulant(hurst, 2, seed=0)
             if case is RegimeCase.NONCENTRAL:
@@ -186,7 +200,7 @@ def test_guards_match_classify_regime_at_boundaries(monkeypatch, q):
                 # finite also where 2Hq - 2q + 1 in doubles rounds to 0
                 assert 0.0 < hermite_process_variance_const(q, hurst) < math.inf
             else:
-                with pytest.raises(RegimeError):
+                with pytest.raises(DomainError, match=f"^the Hermite process needs .+{got}"):
                     simulate_hermite(path, q, 1)
                 with pytest.raises(DomainError):
                     hermite_process_variance_const(q, hurst)
@@ -261,7 +275,7 @@ class TestEngine:
         for exp_id in ("noncentral", "corollary"):  # corollary item 6 at H = 0.9
             cfg = ExperimentConfig(exp_id, hurst=0.9, order=2, weight="cos:1.0",
                                    levels=(4, 5, 6, 7), replicates=100, fine_offset=0)
-            with pytest.raises(ConfigError, match=r"^fine_offset must be an integer >= 1, got 0$"):
+            with pytest.raises(DomainError, match=r"^fine_offset must be an integer >= 1, got 0$"):
                 run_experiment(cfg)
         monkeypatch.setattr(experiments, "_values_block", values_block)
         rep = run_experiment(ExperimentConfig("clt", hurst=0.6, order=2, levels=(6,),
@@ -317,7 +331,7 @@ class TestEngine:
 
         monkeypatch.setattr(experiments, "_replicate_block", no_block)
         cfg = small_cfg(levels=(10,), replicates=10**20)
-        with pytest.raises(SizeLimitError, match="physical memory"):
+        with pytest.raises(DomainError, match="physical memory"):
             experiments._collect(cfg, experiments._normalised_kernel)
 
     def test_replicate_count_refused_by_all_its_outputs(self, monkeypatch):
@@ -332,7 +346,7 @@ class TestEngine:
         pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
         monkeypatch.setattr(experiments.os, "sysconf", pages.__getitem__)
         monkeypatch.setattr(experiments, "_replicate_block", no_block)
-        with pytest.raises(SizeLimitError, match=f"the {memory} bytes of physical memory"):
+        with pytest.raises(DomainError, match=f"the {memory} bytes of physical memory"):
             experiments._collect(cfg, experiments._normalised_kernel)
 
     def test_workers_refused_when_their_blocks_cannot_fit(self, monkeypatch):
@@ -352,7 +366,7 @@ class TestEngine:
         pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
         monkeypatch.setattr(experiments.os, "sysconf", pages.__getitem__)
         cfg = small_cfg(hurst=0.6, order=2, levels=(20,), replicates=100)
-        with pytest.raises(SizeLimitError, match=f"the {memory} bytes of physical memory"):
+        with pytest.raises(DomainError, match=f"the {memory} bytes of physical memory"):
             experiments._collect(dataclasses.replace(cfg, threads=64),
                                  experiments._normalised_kernel)
         with pytest.raises(Drawn):

@@ -8,7 +8,7 @@ import pytest
 
 from fbmvar import experiments, fbm
 from fbmvar.cli import main
-from fbmvar.errors import CirculantEmbeddingError, DomainError, SizeLimitError
+from fbmvar.errors import CirculantEmbeddingError, DomainError
 from fbmvar.rng import stream
 from fbmvar.stats import ks_2samp
 from oracles import fbm_covariance
@@ -409,7 +409,7 @@ def test_self_similarity_slope():
 
 def test_cholesky_level_cap():
     for level in (0, 13):
-        with pytest.raises(SizeLimitError,
+        with pytest.raises(DomainError,
                            match=rf"^level must be an integer in \[1, 12\], got {level}$"):
             fbm.sample_fbm_cholesky(0.2, level, seed=0)
     path = fbm.sample_fbm_cholesky(0.2, 5, seed=0)

@@ -5,7 +5,7 @@ import pytest
 
 from fbmvar import fbm, hermite
 from fbmvar.constants import hermite_process_variance_const
-from fbmvar.errors import DomainError, GridAlignmentError, RegimeError
+from fbmvar.errors import DomainError
 from fbmvar.hermite_process import (
     hermite_partial_sums,
     simulate_hermite,
@@ -18,7 +18,8 @@ from fbmvar.weights import ONE, Cosine, Polynomial
 
 def test_regime_contract():
     path = fbm.sample_fbm_circulant(0.75, 6, seed=0)
-    with pytest.raises(RegimeError):
+    with pytest.raises(DomainError, match=r"^the Hermite process needs H > 1 - 1/\(2q\) = "
+                       r"0\.75, got H=0\.75, q=2$"):
         simulate_hermite(path, 2, 4)
     ok = fbm.sample_fbm_circulant(0.76, 6, seed=0)
     assert simulate_hermite(ok, 2, 4).shape == (17,)
@@ -32,9 +33,11 @@ def test_out_level_contract():
 
 def test_partial_sums_reject_terms_off_the_fine_grid():
     terms = scaled_hermite(fbm.sample_increments_circulant(0.9, 6, 0, 0, 2), 0.9, 6, 2)
-    with pytest.raises(GridAlignmentError):
+    with pytest.raises(DomainError, match=r"^grid mismatch: 63 H_q terms per path vs "
+                       r"2\^6 increments at fine level 6$"):
         hermite_partial_sums(terms[:, :-1], 0.9, 6, 2, 3)
-    with pytest.raises(GridAlignmentError):
+    with pytest.raises(DomainError, match=r"^grid mismatch: 64 H_q terms per path vs "
+                       r"2\^7 increments at fine level 7$"):
         hermite_partial_sums(terms, 0.9, 7, 2, 3)
 
 
@@ -171,7 +174,7 @@ def test_young_integral_linearity():
 def test_young_integral_grid_mismatch():
     path = fbm.sample_fbm_circulant(0.9, 10, seed=5)
     z = simulate_hermite(path, 2, 6)
-    with pytest.raises(GridAlignmentError):
+    with pytest.raises(DomainError, match=r"^grid mismatch: 33 path points vs 65 Z points$"):
         young_integral(ONE, path.values[:: 2 ** (path.level - 5)], z)
 
 
@@ -182,7 +185,8 @@ def test_young_integral_rows_match_single_and_check_the_weight_grid():
     f = Cosine(1.0)
     rows = young_integral_rows(f(coarse)[None, :-1], z[None, :])
     assert rows[0] == pytest.approx(young_integral(f, coarse, z), rel=1e-12)
-    with pytest.raises(GridAlignmentError):
+    with pytest.raises(DomainError,
+                       match=r"^grid mismatch: weight \(1, 65\) vs increments \(1, 64\)$"):
         young_integral_rows(f(coarse)[None, :], z[None, :])
 
 

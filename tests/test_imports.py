@@ -57,8 +57,9 @@ from fbmvar.cli import main
 assert main(sys.argv[1:]) == 0
 print(" ".join(sorted(sys.modules)))
 """
-# what a constants, sample or variation request never runs
-ENGINE = {"fbmvar.experiments", "fbmvar.stats", "concurrent.futures"}
+# what a constants, sample or variation request never runs; numpy's
+# polynomial algebra loads only when a polynomial weight is evaluated
+ENGINE = {"fbmvar.experiments", "fbmvar.stats", "concurrent.futures", "numpy.polynomial"}
 
 
 @pytest.mark.parametrize("argv, runs, absent", [
@@ -69,7 +70,7 @@ ENGINE = {"fbmvar.experiments", "fbmvar.stats", "concurrent.futures"}
     (("variation", "--H", "0.6", "--n", "6", "--q", "2"), "fbmvar.variations", ENGINE),
     (("experiment", "--id", "clt", "--H", "0.6", "--q", "2", "--levels", "6",
       "--replicates", "100", "--threads", "1", "--out", "{dir}/r.json"),
-     "fbmvar.experiments", {"concurrent.futures"}),
+     "fbmvar.experiments", {"concurrent.futures", "numpy.polynomial"}),
 ], ids=["constants", "sample-bin", "variation", "experiment-one-thread"])
 def test_a_request_loads_only_the_modules_it_runs(tmp_path, argv, runs, absent):
     # a fresh interpreter per request, as the console script starts one

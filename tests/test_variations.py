@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from fbmvar import fbm, variations as V
 from fbmvar.constants import RegimeCase, classify_regime
-from fbmvar.errors import DomainError, GridAlignmentError
+from fbmvar.errors import DomainError
 from fbmvar.hermite import monomial_in_hermite
 from fbmvar.weights import (
     ONE,
@@ -99,6 +100,22 @@ class TestWeights:
             assert Exponential(a / 2).derivative(0, x).tobytes() == (
                 (a / 2) ** 0 * np.exp(a / 2 * x)).tobytes()
 
+    def test_polynomial_values_keep_their_bits(self):
+        # the coefficient recursion c_k <- k c_k, +0.0 past the degree, and
+        # c_k / (k + 1) under a leading 0.0 for the antiderivative; a negative
+        # c_0 at negative x pins the sign of every zero
+        x = np.array([-2.5, -1.5, -1e-300, -0.0, 0.0, 0.7, 3.0])
+        polyval = np.polynomial.polynomial.polyval
+        for coefficients in ((-1.0,), (-2.0, 0.5, -0.25), (-0.0, -3.0), (-1.5, 0.0, 0.0, 2.0)):
+            p, coeffs = Polynomial(coefficients), np.array(coefficients)
+            for order in range(len(coefficients) + 3):
+                assert p.derivative(order, x).tobytes() == polyval(x, coeffs).tobytes(), (
+                    coefficients, order)
+                coeffs = coeffs[1:] * np.arange(1, len(coeffs)) if len(coeffs) > 1 else np.zeros(1)
+            integral = np.concatenate(
+                ([0.0], np.array(coefficients) / np.arange(1, len(coefficients) + 1)))
+            assert p.antiderivative(x).tobytes() == polyval(x, integral).tobytes(), coefficients
+
     def test_antiderivatives_vanish_at_zero(self):
         for w in (ONE, Polynomial((2.0, 1.0)), Cosine(1.3), Sine(0.7), Exponential(1.0)):
             assert w.antiderivative(np.zeros(1))[0] == pytest.approx(0.0, abs=1e-15)
@@ -180,15 +197,19 @@ class TestHermiteVariation:
         f = Cosine(1.0)
         given = V.hermite_variation_rows(vals, 0.6, 6, f(vals), 3)
         assert given.tobytes() == V.hermite_variation_rows(vals, 0.6, 6, f, 3).tobytes()
+        def mismatch(weight):
+            message = f"grid mismatch: weight {weight.shape} vs increments (1, 64)"
+            return "^" + re.escape(message) + "$"
+
         for short in (f(vals[:, :-1]), f(vals[0])):
-            with pytest.raises(GridAlignmentError):
+            with pytest.raises(DomainError, match=mismatch(short[..., :-1])):  # left endpoints
                 V.hermite_variation_rows(vals, 0.6, 6, short, 3)
         # the increment rows take f at each left endpoint, not at every point
         inc = np.diff(vals, axis=1)
         for wrong in (f(vals), f(vals[0, :-1])):
-            with pytest.raises(GridAlignmentError):
+            with pytest.raises(DomainError, match=mismatch(wrong)):
                 V.weighted_rows(V.scaled_hermite(inc, 0.6, 6, 3), wrong)
-            with pytest.raises(GridAlignmentError):
+            with pytest.raises(DomainError, match=mismatch(wrong)):
                 V.power_variation_rows(inc, 0.6, 6, wrong, 3)
 
 

@@ -37,7 +37,11 @@ Each line is ``<sha256>  <name>``.  The outputs covered are:
   among them a report that would hold inf, merged files holding NaN,
   an empty object or another schema, and the regime refusals: each
   guarded experiment id outside its window, corollary at odd q with
-  H <= 1/2 and at H = nan, and clt at q = 1.
+  H <= 1/2 and at H = nan, clt at q = 1 and the Hermite process at
+  H = 0.6; the configuration refusals (too few replicates, levels out of
+  order, a zero weight, no threads, more replicates than memory holds, H
+  outside (0, 1)); config files that are not UTF-8 or hold a bad value; an
+  output level above the path's and a Cholesky level above 12.
 
 A CLI digest covers the exit code, stdout, stderr and any file written
 with --out, --csv or --plot-data.  This is a script, not a test: FFT bits
@@ -132,7 +136,8 @@ PRECISION_REQUESTS = {
     "hermite-process": ("hermite-process", "--q", "2", "--H", "0.9", "--m", "10",
                         "--n-out", "5", "--seed", "6"),
 }
-# files written to the work directory before the CLI requests run
+# files written to the work directory before the CLI requests run, as UTF-8
+# unless given as bytes
 CONFIG_FILES = {
     "exp.cfg": "\ufeff# noncentral check\nid = noncentral\nH = 0.9  # aliases: h, hurst\n"
                "q = 2\nweight = cos:1.0\nlevels = 5,6\nreplicates = 100\nseed = 10\n"
@@ -141,6 +146,8 @@ CONFIG_FILES = {
     "nan.json": '{"config": {"hurst": NaN, "levels": [6]}, "experiment": "clt"}\n',
     "empty.json": "{}\n",
     "other.json": '{"schema": "other/9", "config": {"levels": [6]}, "experiment": "clt"}\n',
+    "latin1.cfg": "H = 0.6  # \u00e9t\u00e9\nq = 2\n".encode("latin-1"),
+    "many.cfg": "H = 0.6\nq = 2\nlevels = 6\nreplicates = many\n",
 }
 EXPERIMENT_REQUESTS = {
     "flags": ("experiment", "--id", "clt", "--H", "0.6", "--q", "2", "--weight", "cos:1.0",
@@ -220,6 +227,32 @@ REJECTED = {
             ("corollary", "0.4", "3"), ("corollary", "nan", "3"), ("clt", "0.6", "1"),
         )
     },
+    # the configuration refusals: too few replicates, levels out of order, a
+    # weight that is identically zero, no threads, more replicates than memory
+    # holds and H outside (0, 1)
+    **{
+        f"experiment-{flag[2:]}-{value}": (
+            "experiment", "--id", "clt", "--H", "0.6", "--q", "2", "--levels", "6",
+            "--replicates", "100", flag, value)
+        for flag, value in (
+            ("--replicates", "99"), ("--levels", "8,6"), ("--weight", "poly:0"),
+            ("--threads", "0"), ("--replicates", "100000000000000000000"),
+        )
+    },
+    "experiment-trapezoid-H=1.5": ("experiment", "--id", "trapezoid", "--H", "1.5",
+                                   "--q", "2", "--levels", "6", "--replicates", "100"),
+    # config files that are not UTF-8 text or hold a value of the wrong type
+    "experiment-config-latin-1": ("experiment", "--id", "clt", "--config",
+                                  "{dir}/latin1.cfg"),
+    "experiment-config-replicates-many": ("experiment", "--id", "clt", "--config",
+                                          "{dir}/many.cfg"),
+    # an output level above the path's, a Hermite process outside its
+    # regime, and a Cholesky level above its ceiling
+    "hermite-process-n-out-above-m": ("hermite-process", "--q", "2", "--H", "0.9",
+                                      "--m", "4", "--n-out", "5"),
+    "hermite-process-H=0.6": ("hermite-process", "--q", "2", "--H", "0.6", "--m", "6",
+                              "--n-out", "3"),
+    "sample-cholesky-level-13": ("sample", "--H", "0.7", "--n", "13", "--sampler", "cholesky"),
 }
 # requests rejected for an environment variable: name: (variables, argv)
 REJECTED_ENV = {
@@ -251,7 +284,7 @@ def _cli(workdir: Path, argv, env=None) -> bytes:
 def outputs(workdir: Path):
     """(name, bytes) of every covered output, in a fixed order."""
     for name, text in CONFIG_FILES.items():
-        (workdir / name).write_text(text, encoding="utf-8")
+        (workdir / name).write_bytes(text.encode() if isinstance(text, str) else text)
     merged = []  # the report files of the first two configs, for report --merge
     names = set()  # a name that repeats an earlier config's also gives the levels
     for exp_id, hurst, q, weight, levels, reps, seed, offset in RUNNER_CONFIGS:
